@@ -12,9 +12,8 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from . import core, metrics, scenes
 from .stft import SpectralTensor, StftConfig, analyze, synthesize
@@ -50,7 +49,7 @@ def _add_stft_args(parser):
 
 def _add_five_args(parser):
     parser.add_argument("--contrast", choices=["laplace", "gauss"], default=None, help="source model (default gauss)")
-    parser.add_argument("--iterations", type=_nonneg_int, default=None, help="demixing updates (default 3)")
+    parser.add_argument("--iterations", type=_positive_int, default=None, help="demixing updates (default 3)")
     parser.add_argument("--ref-channel", type=_nonneg_int, default=None, help="reference channel (default 0)")
 
 
@@ -166,14 +165,11 @@ def _stft_config(cfg):
     return StftConfig(frame_size=cfg["frame_size"], hop=cfg["hop"])
 
 
-def _five_config(cfg, num_bins, max_iterations=None, early_stop_tol=None):
-    contrast = core.ContrastModel(cfg["contrast"], num_bins=num_bins)
-    iterations = cfg["iterations"] if max_iterations is None else max_iterations
+def _five_config(cfg, num_bins):
     return core.FiveConfig(
-        contrast=contrast,
-        max_iterations=max(1, iterations),
+        contrast=core.ContrastModel(cfg["contrast"], num_bins=num_bins),
+        max_iterations=cfg["iterations"],
         ref_channel=cfg["ref_channel"],
-        early_stop_tol=early_stop_tol,
     )
 
 
@@ -257,9 +253,12 @@ def cmd_evaluate(cfg):
 def bench_one_seed(cfg, seed):
     """Per-iteration (runtime, nll, delta SI-SDR) trace for one seeded scene.
 
-    Runtime is the cumulative algorithmic time (analysis, whitening,
-    updates, projection and synthesis of the scored estimate) normalized
-    per second of input; scoring itself is not counted.
+    Runs core.extract_spectral, as extract does, and scores the estimate its
+    callback receives at every iteration. Runtime is the cumulative
+    algorithmic time normalized per second of input: analysis, the report's
+    wall time of each record (whitening and initialization, then each update)
+    and the projection and synthesis of each scored estimate. Scoring is not
+    counted, nor is the part of the monitor that runs outside the updates.
     """
     scene = scenes.generate_scene(_scene_spec(cfg, seed=seed))
     stft_cfg = _stft_config(cfg)
@@ -275,50 +274,24 @@ def bench_one_seed(cfg, seed):
         duration = scene.mixture.duration
         edge_trim = stft_cfg.frame_size
 
-    contrast = core.ContrastModel(cfg["contrast"], num_bins=spec.num_bins)
     ref = cfg["ref_channel"]
+    finish_s, deltas = [], []
 
-    t0 = time.perf_counter()
-    whitened, whiteners = core.prewhiten(spec)
-    w0 = np.zeros((spec.num_bins, spec.num_channels), dtype=np.complex128)
-    w0[:, ref] = 1.0
-    state = core.DemixingState(
-        whiteners=whiteners, w=w0, activity=core.update_activity(whitened.data[:, :, ref])
-    )
-    elapsed = t_base + (time.perf_counter() - t0)
-
-    def _score(current_state):
-        nonlocal elapsed
+    def _score(iteration, state, raw):
         t_fin = time.perf_counter()
-        raw = core.apply_demixing(current_state.w, whitened.data)
-        projected = core.project_back(raw, spec, ref)
-        if scene.is_spectral:
-            estimate = projected
-        else:
-            out = synthesize(
-                SpectralTensor(
-                    data=projected[:, :, None],
-                    sample_rate=spec.sample_rate,
-                    config=spec.config,
-                    num_samples=spec.num_samples,
-                )
-            )
-            estimate = out.samples[:, 0]
-        elapsed += time.perf_counter() - t_fin
+        estimate = core.project_back(raw, spec, ref)
+        if not scene.is_spectral:
+            estimate = synthesize(replace(spec, data=estimate[:, :, None])).samples[:, 0]
+        finish_s.append(time.perf_counter() - t_fin)
         report = metrics.evaluate_extraction(scene, estimate, edge_trim=edge_trim)
-        return report.delta_si_sdr_db
+        deltas.append(report.delta_si_sdr_db)
 
+    _, report = core.extract_spectral(spec, _five_config(cfg, spec.num_bins), callback=_score)
     rows = []
-    delta = _score(state)
-    nll = core.evaluate_nll(state, whitened, contrast)
-    rows.append((seed, 0, elapsed / duration, nll, delta))
-    for iteration in range(1, cfg["iterations"] + 1):
-        t_it = time.perf_counter()
-        state = core.five_iteration(state, whitened, contrast)
-        elapsed += time.perf_counter() - t_it
-        delta = _score(state)
-        nll = core.evaluate_nll(state, whitened, contrast)
-        rows.append((seed, iteration, elapsed / duration, nll, delta))
+    elapsed = t_base
+    for record, finish, delta in zip(report.records, finish_s, deltas):
+        elapsed += record.wall_time_ms / 1e3 + finish
+        rows.append((seed, record.iteration, elapsed / duration, record.nll, delta))
     return rows
 
 

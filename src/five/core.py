@@ -8,12 +8,18 @@ demixing filter. This is a majorization-minimization scheme: the monitored
 negative log-likelihood never increases, and fixed points solve a quadratic
 stationarity system exactly (see head_residual). The scale ambiguity is
 resolved at the end by least-squares projection onto a reference channel.
+
+The monitor takes the background demixing block as the orthonormal
+complement of w, optimal for the identity covariance prewhiten leaves. The
+NLL is then a closed form in values the update already has (evaluate_nll),
+and five_iteration certifies the state it starts from with the covariance
+it builds anyway (head_residual): about one covariance build per run.
 """
 
 import csv
 import io
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -112,16 +118,18 @@ class DemixingState:
 
     whiteners holds the per-bin upper-triangular whitening factors Q, w the
     demixing vectors, activity the per-frame source magnitude of the current
-    estimate. basis is the orthonormal complement of w from the
-    eigendecomposition that produced it (None before the first update); it
-    is the background demixing block used by the likelihood monitor.
+    estimate. five_iteration also sets power, the per-bin energy
+    sum_n |w_f^H x_fn|^2 of the estimate, and previous_residual, the
+    head_residual of the state it started from. The background demixing
+    block is not stored: the monitor takes the orthonormal complement of w.
     """
 
     whiteners: np.ndarray  # (F, M, M)
     w: np.ndarray  # (F, M)
     activity: np.ndarray  # (N,)
-    basis: np.ndarray | None = None  # (F, M, M-1)
     iteration: int = 0
+    power: np.ndarray | None = None  # (F,)
+    previous_residual: float | None = None
 
 
 @dataclass(frozen=True)
@@ -230,6 +238,11 @@ def update_activity(extracted):
     return np.sqrt(np.sum(np.abs(np.asarray(extracted)) ** 2, axis=0))
 
 
+def _activity_and_power(extracted):
+    squared = np.abs(extracted) ** 2
+    return np.sqrt(np.sum(squared, axis=0)), np.sum(squared, axis=1)
+
+
 def weighted_covariance(whitened, activity, contrast, f, activity_floor=DEFAULT_ACTIVITY_FLOOR):
     """Frame-weighted sample covariance of bin f.
 
@@ -263,10 +276,11 @@ def five_iteration(
 
     Per bin: build the weighted covariance from the current activity, take
     its smallest eigenpair (lambda, r) and set w = r / sqrt(lambda), which
-    makes w^H V w = 1 exactly. The extracted signal and the activity are
-    then recomputed from the new filters. Bins whose smallest eigenvalue
-    falls at or below regularization * trace/M are diagonally loaded and
-    retried once before aborting.
+    makes w^H V w = 1 exactly. The extracted signal, the activity and the
+    per-bin power are then recomputed from the new filters. Bins whose
+    smallest eigenvalue falls at or below regularization * trace/M are
+    diagonally loaded and retried once before aborting. V is also the
+    matrix that certifies the incoming state (see DemixingState).
     """
     data = _data_of(whitened)
     n_chan = data.shape[2]
@@ -279,10 +293,8 @@ def five_iteration(
     smallest = values[:, -1]
     bad = smallest <= _thresholds(values)
     if np.any(bad):
-        loading = _thresholds(values)[bad]
-        cov = cov.copy()
-        cov[bad] += loading[:, None, None] * np.eye(n_chan)
-        values_bad, vectors_bad = linalg.eig_hermitian(cov[bad])
+        loaded = cov[bad] + _thresholds(values)[bad][:, None, None] * np.eye(n_chan)
+        values_bad, vectors_bad = linalg.eig_hermitian(loaded)
         values[bad], vectors[bad] = values_bad, vectors_bad
         smallest = values[:, -1]
         still_bad = smallest <= _thresholds(values)
@@ -292,72 +304,76 @@ def five_iteration(
             )
 
     w = vectors[:, :, -1] / np.sqrt(smallest)[:, None]
-    extracted = apply_demixing(w, data)
+    activity, power = _activity_and_power(apply_demixing(w, data))
     return DemixingState(
         whiteners=state.whiteners,
         w=w,
-        activity=update_activity(extracted),
-        basis=vectors[:, :, :-1],
+        activity=activity,
         iteration=state.iteration + 1,
+        power=power,
+        previous_residual=_certificate(state.w, cov),
     )
 
 
-def _background_basis(state, data, contrast, activity_floor):
-    if state.basis is not None:
-        return state.basis
-    cov = _weighted_covariance_stack(data, state.activity, contrast, activity_floor)
-    _, vectors = linalg.eig_hermitian(cov)
-    return vectors[:, :, :-1]
+def _nll(state, power, energy, contrast, activity_floor):
+    n_frames = state.activity.shape[0]
+    norms2 = np.sum(np.abs(state.w) ** 2, axis=1)
+    floored = np.maximum(state.activity, activity_floor)
+    whiten_logdet = np.sum(np.log(np.real(np.diagonal(state.whiteners, axis1=1, axis2=2))))
+    return float(
+        -n_frames * np.sum(np.log(norms2))
+        + np.sum(contrast.gain(floored))
+        + (energy - np.sum(power / norms2))
+        + 2.0 * n_frames * whiten_logdet
+    )
 
 
 def evaluate_nll(state, whitened, contrast, activity_floor=DEFAULT_ACTIVITY_FLOOR):
     """Monitored negative log-likelihood of the observed signal.
 
     Evaluated in whitened coordinates with an identity background covariance
-    and the background demixing block J taken from the state (orthonormal
-    complement of w from the update that produced it):
+    (prewhiten makes it so). The background demixing block J_f is the
+    orthonormal complement of w_f, which minimizes the likelihood for that
+    w_f. Then |det [w_f, J_f]| = ||w_f|| and ||J_f^H x||^2 = ||x||^2 - |u^H x|^2
+    with u = w_f/||w_f||, so
 
         L = -2N sum_f log|det [w_f, J_f]^H| + sum_n G(r_n)
             + sum_{f,n} ||J_f^H x_fn||^2 + 2N sum_f log det Q_f
+          = -N sum_f log ||w_f||^2 + sum_n G(r_n)
+            + (E - sum_f p_f / ||w_f||^2) + 2N sum_f log det Q_f
 
-    The last term is the constant whitening log-determinant, included so
-    values are comparable on the original data scale. The sequence of values
-    across iterations is non-increasing.
+    with E = sum_{f,n} ||x_fn||^2 and p_f = sum_n |w_f^H x_fn|^2. The last
+    term is the constant whitening log-determinant, included so values are
+    comparable on the original data scale. The sequence of values across
+    iterations is non-increasing. For the initial filter e_ref, J is the
+    complement of e_ref, not an eigenbasis of V, which lowers record 0.
     """
     data = _data_of(whitened)
-    n_frames = data.shape[1]
-    basis = _background_basis(state, data, contrast, activity_floor)
-    demix_cols = np.concatenate([state.w[:, :, None], basis], axis=2)
-    _, logdets = np.linalg.slogdet(demix_cols)
-    floored = np.maximum(state.activity, activity_floor)
-    background = data @ np.conj(basis)
-    whiten_logdet = np.sum(
-        np.log(np.real(np.diagonal(state.whiteners, axis1=1, axis2=2)))
-    )
-    return float(
-        -2.0 * n_frames * np.sum(logdets)
-        + np.sum(contrast.gain(floored))
-        + np.sum(np.abs(background) ** 2)
-        + 2.0 * n_frames * whiten_logdet
-    )
+    _, power = _activity_and_power(apply_demixing(state.w, data))
+    return _nll(state, power, np.vdot(data, data).real, contrast, activity_floor)
+
+
+def _certificate(w, v_cov):
+    # (I - u u^H) V w is formed as a vector: ||Vw||^2 - |u^H V w|^2 cancels
+    # to about 1e-8 relative. A zero w (a state built by hand) scores 1.
+    vw = (v_cov @ w[:, :, None])[:, :, 0]
+    scale = np.sum(np.conj(w) * vw, axis=1)
+    norms2 = np.sum(np.abs(w) ** 2, axis=1)
+    perp = vw - (scale / np.where(norms2 > 0, norms2, 1.0))[:, None] * w
+    return float(np.sqrt(np.abs(scale - 1.0) ** 2 + np.sum(np.abs(perp) ** 2, axis=1)).max())
 
 
 def head_residual(state, whitened, contrast, activity_floor=DEFAULT_ACTIVITY_FLOOR):
     """Stationarity certificate: max over bins of || [w,J]^H [Vw, CJ] - I ||_F.
 
     V is the weighted covariance under the current activity, C the plain
-    sample covariance of the whitened data (identity up to rounding). At a
+    sample covariance of the whitened data (the identity, by prewhiten) and
+    J the orthonormal complement of w, as in evaluate_nll. Per bin this is
+    sqrt(|w^H V w - 1|^2 + ||(I - u u^H) V w||^2) with u = w/||w||. At a
     fixed point of five_iteration the residual vanishes.
     """
-    data = _data_of(whitened)
-    basis = _background_basis(state, data, contrast, activity_floor)
-    v_cov = _weighted_covariance_stack(data, state.activity, contrast, activity_floor)
-    c_cov = _covariance_stack(data)
-    w = state.w
-    lhs = np.concatenate([w[:, :, None], basis], axis=2)
-    rhs = np.concatenate([v_cov @ w[:, :, None], c_cov @ basis], axis=2)
-    gram = np.conj(np.swapaxes(lhs, 1, 2)) @ rhs - np.eye(data.shape[2])
-    return float(np.sqrt(np.sum(np.abs(gram) ** 2, axis=(1, 2))).max())
+    v_cov = _weighted_covariance_stack(_data_of(whitened), state.activity, contrast, activity_floor)
+    return _certificate(state.w, v_cov)
 
 
 def head_solutions(weighted_cov):
@@ -403,12 +419,15 @@ def extract_spectral(spec, config, callback=None):
     filters move less than early_stop_tol), then project the result back
     onto the original reference channel.
 
-    callback(iteration, state, extracted) is invoked after every iteration
-    with the raw (un-projected) extracted signal.
+    callback(iteration, state, extracted) is invoked for the initial state
+    (iteration 0) and after every iteration with the raw (un-projected)
+    extracted signal.
 
     Returns the projected (F, N) extracted signal and an ExtractionReport
     with one record per iteration (record 0 covers whitening and the
-    initial estimate; its wall time excludes the monitoring diagnostics).
+    initial estimate). A record's certificate comes out of the update that
+    follows it; the last one costs one extra covariance build. Wall times
+    exclude the NLL and that last certificate.
     """
     t0 = time.perf_counter()
     whitened, whiteners = prewhiten(spec, regularization=config.regularization)
@@ -419,22 +438,23 @@ def extract_spectral(spec, config, callback=None):
 
     w0 = np.zeros((n_bins, n_chan), dtype=np.complex128)
     w0[:, config.ref_channel] = 1.0
-    state = DemixingState(
-        whiteners=whiteners,
-        w=w0,
-        activity=update_activity(data[:, :, config.ref_channel]),
-    )
+    activity, power = _activity_and_power(data[:, :, config.ref_channel])
+    state = DemixingState(whiteners=whiteners, w=w0, activity=activity, power=power)
     setup_ms = (time.perf_counter() - t0) * 1e3
 
     contrast = config.contrast
+    monitoring = config.nll_monitoring
+    energy = np.vdot(data, data).real if monitoring else None
     report = ExtractionReport()
 
     def _record(wall_ms):
-        nll = res = None
-        if config.nll_monitoring:
-            nll = evaluate_nll(state, whitened, contrast, config.activity_floor)
-            res = head_residual(state, whitened, contrast, config.activity_floor)
-        report.records.append(IterationRecord(state.iteration, nll, res, wall_ms))
+        nll = _nll(state, state.power, energy, contrast, config.activity_floor) if monitoring else None
+        report.records.append(IterationRecord(state.iteration, nll, None, wall_ms))
+        if callback is not None:
+            callback(state.iteration, state, apply_demixing(state.w, data))
+
+    def _certify(residual):
+        report.records[-1] = replace(report.records[-1], head_residual=residual)
 
     _record(setup_ms)
     for _ in range(config.max_iterations):
@@ -448,15 +468,17 @@ def extract_spectral(spec, config, callback=None):
             activity_floor=config.activity_floor,
         )
         wall_ms = (time.perf_counter() - t_iter) * 1e3
+        if monitoring:
+            _certify(state.previous_residual)
         _record(wall_ms)
-        if callback is not None:
-            callback(state.iteration, state, apply_demixing(state.w, data))
         if config.early_stop_tol is not None:
             step = np.max(np.linalg.norm(state.w - previous_w, axis=1))
             if step < config.early_stop_tol:
                 report.converged = True
                 break
 
+    if monitoring:
+        _certify(head_residual(state, whitened, contrast, config.activity_floor))
     report.iterations_run = state.iteration
     extracted = apply_demixing(state.w, data)
     projected = project_back(extracted, spec, config.ref_channel, config.activity_floor)

@@ -69,6 +69,17 @@ def test_extract_spectral_tensor_input(tmp_path):
     assert read_tensor(out_path).shape == (33, 80, 1)
 
 
+def test_extract_rejects_zero_iterations(tmp_path, capsys):
+    in_path = tmp_path / "in.wav"
+    _write_noise_wav(in_path, samples=6 * 512)
+    out_path = tmp_path / "out.wav"
+    rc = cli.main(["extract", "--input", str(in_path), "--output", str(out_path),
+                   "--frame-size", "512", "--iterations", "0"])
+    assert rc == 1
+    assert "--iterations" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_usage_error_exit_code_is_one(capsys):
     assert cli.main(["extract", "--input", "x.wav"]) == 1  # --output missing
     assert cli.main(["frobnicate"]) == 1
@@ -256,6 +267,15 @@ def test_bench_spectral_mode_and_threads(tmp_path, monkeypatch):
     assert rc == 0
     lines = [ln for ln in out.read_text().splitlines() if ln and not ln.startswith("#")]
     assert len(lines) == 1 + 2 * 3
+
+
+def test_bench_rejects_zero_iterations(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    rc = cli.main(["bench", "--output", str(out), "--scenes", "1", "--bins", "16",
+                   "--frames", "120", "--channels", "2", "--iterations", "0"])
+    assert rc == 1
+    assert "--iterations" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bench_deterministic_modulo_runtime(tmp_path):

@@ -374,7 +374,6 @@ def test_nll_doubles_under_frame_duplication():
         whiteners=whiteners,
         w=state.w,
         activity=np.concatenate([state.activity, state.activity]),
-        basis=state.basis,
         iteration=state.iteration,
     )
     single = evaluate_nll(state, whitened, contrast)
@@ -403,6 +402,43 @@ def test_nll_includes_whitening_constant():
     assert got == pytest.approx(shift, rel=1e-12)
 
 
+def _complement(w):
+    # orthonormal complement of w, by QR: the background block J of the monitor
+    q, _ = np.linalg.qr(w[:, None], mode="complete")
+    return q[:, 1:]
+
+
+def _monitor_states(rng, whitened, whiteners, contrast):
+    # the initial e_ref state, random filters, and the iterates of a short run
+    n_bins, _, n_chan = whitened.shape
+    states = [_initial_state(whitened, whiteners)]
+    for _ in range(2):
+        w = _cnormal(rng, (n_bins, n_chan))
+        states.append(DemixingState(whiteners, w, update_activity(apply_demixing(w, whitened))))
+    for _ in range(3):
+        states.append(five_iteration(states[-1], whitened, contrast))
+    return states
+
+
+@pytest.mark.parametrize("kind", ["laplace", "gauss"])
+def test_nll_matches_explicit_complement_formula(kind):
+    rng = np.random.default_rng(57)
+    n_bins, n_frames, n_chan = 6, 120, 4
+    data = _cnormal(rng, (n_bins, n_frames, n_chan)) @ _cnormal(rng, (n_chan, n_chan))
+    whitened, whiteners = prewhiten(data)
+    contrast = ContrastModel(kind, num_bins=n_bins)
+    for state in _monitor_states(rng, whitened, whiteners, contrast):
+        want = np.sum(contrast.gain(np.maximum(state.activity, core.DEFAULT_ACTIVITY_FLOOR)))
+        for f in range(n_bins):
+            basis = _complement(state.w[f])
+            _, logdet = np.linalg.slogdet(np.column_stack([state.w[f], basis]))
+            want += -2.0 * n_frames * logdet
+            want += np.sum(np.abs(whitened[f] @ np.conj(basis)) ** 2)
+            want += 2.0 * n_frames * np.sum(np.log(np.real(np.diag(whiteners[f]))))
+        got = evaluate_nll(state, whitened, contrast)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
 # ---------------------------------------------------------------- stationarity
 
 
@@ -428,7 +464,6 @@ def test_head_construction_residual_tiny():
         whiteners=np.broadcast_to(np.eye(n_chan, dtype=complex), (n_bins, n_chan, n_chan)),
         w=w,
         activity=activity,
-        basis=basis,
     )
     assert head_residual(state, data, contrast) <= 1e-10
 
@@ -451,7 +486,6 @@ def test_head_residual_sensitive_to_perturbation():
         whiteners=np.broadcast_to(np.eye(n_chan, dtype=complex), (n_bins, n_chan, n_chan)),
         w=w + direction,
         activity=activity,
-        basis=basis,
     )
     assert head_residual(state, data, contrast) >= 1e-4
 
@@ -469,6 +503,92 @@ def test_head_residual_small_after_convergence():
         state = five_iteration(state, whitened, contrast)
     assert np.max(np.linalg.norm(state.w - previous_w, axis=1)) < 1e-10
     assert head_residual(state, whitened, contrast) <= 1e-6
+
+
+def test_head_residual_matches_explicit_gram_on_prewhiten_output():
+    # the closed form against || [w,J]^H [Vw, CJ] - I ||_F with J the QR
+    # complement of w and C the plain sample covariance of the whitened data
+    rng = np.random.default_rng(58)
+    n_bins, n_frames, n_chan = 6, 120, 4
+    data = _cnormal(rng, (n_bins, n_frames, n_chan)) @ _cnormal(rng, (n_chan, n_chan))
+    whitened, whiteners = prewhiten(data)
+    contrast = ContrastModel("gauss", num_bins=n_bins)
+    for state in _monitor_states(rng, whitened, whiteners, contrast):
+        want = 0.0
+        for f in range(n_bins):
+            v = weighted_covariance(whitened, state.activity, contrast, f)
+            c = whitened[f].T @ np.conj(whitened[f]) / n_frames
+            basis = _complement(state.w[f])
+            lhs = np.column_stack([state.w[f], basis])
+            rhs = np.column_stack([v @ state.w[f], c @ basis])
+            want = max(want, np.linalg.norm(lhs.conj().T @ rhs - np.eye(n_chan)))
+        assert abs(head_residual(state, whitened, contrast) - want) <= 1e-12
+
+
+def test_iteration_carries_certificate_of_incoming_state():
+    rng = np.random.default_rng(59)
+    data = _two_source_mixture(rng, 8, 200)
+    whitened, whiteners = prewhiten(data)
+    contrast = ContrastModel("gauss", num_bins=8)
+    state = _initial_state(whitened, whiteners)
+    for _ in range(3):
+        expected = head_residual(state, whitened, contrast)
+        state = five_iteration(state, whitened, contrast)
+        assert state.previous_residual == expected
+
+
+def test_report_records_certify_their_own_state():
+    # record k is filled in after update k+1; it must still describe state k
+    rng = np.random.default_rng(60)
+    data = _two_source_mixture(rng, 8, 200, noise_floor=0.01)
+    from five.stft import SpectralTensor
+
+    spec = SpectralTensor(data, 16000, StftConfig(frame_size=14))
+    contrast = ContrastModel("gauss", num_bins=8)
+    states = []
+    _, report = extract_spectral(
+        spec,
+        FiveConfig(contrast=contrast, max_iterations=3),
+        callback=lambda iteration, state, raw: states.append(state),
+    )
+    whitened, _ = prewhiten(spec)
+    assert [s.iteration for s in states] == [r.iteration for r in report.records] == [0, 1, 2, 3]
+    for state, record in zip(states, report.records):
+        nll = evaluate_nll(state, whitened, contrast)
+        assert record.nll == pytest.approx(nll, rel=1e-12)
+        assert record.head_residual == pytest.approx(
+            head_residual(state, whitened, contrast), rel=1e-12, abs=1e-15
+        )
+
+
+@pytest.mark.parametrize("monitoring", [True, False])
+def test_monitored_run_costs_one_covariance_build(monkeypatch, monitoring):
+    # K updates: K eigendecompositions, and K covariance builds plus one
+    # more for the last certificate when monitoring
+    counts = {"eig": 0, "cov": 0}
+    eig, build = core.linalg.eig_hermitian, core._weighted_covariance_stack
+
+    def counting_eig(*args, **kwargs):
+        counts["eig"] += 1
+        return eig(*args, **kwargs)
+
+    def counting_build(*args, **kwargs):
+        counts["cov"] += 1
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(core.linalg, "eig_hermitian", counting_eig)
+    monkeypatch.setattr(core, "_weighted_covariance_stack", counting_build)
+    rng = np.random.default_rng(61)
+    data = _two_source_mixture(rng, 8, 200, noise_floor=0.01)
+    from five.stft import SpectralTensor
+
+    spec = SpectralTensor(data, 16000, StftConfig(frame_size=14))
+    config = FiveConfig(
+        contrast=ContrastModel("gauss", num_bins=8), max_iterations=4, nll_monitoring=monitoring
+    )
+    _, report = extract_spectral(spec, config)
+    assert report.iterations_run == 4
+    assert counts == {"eig": 4, "cov": 5 if monitoring else 4}
 
 
 def test_head_solutions_all_satisfy_system():
