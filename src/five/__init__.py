@@ -5,6 +5,7 @@ from .core import (
     DemixingState,
     ExtractionReport,
     FiveConfig,
+    SilentReferenceChannelError,
     apply_demixing,
     evaluate_nll,
     extract,
@@ -40,6 +41,7 @@ __all__ = [
     "MetricReport",
     "MultichannelWave",
     "SceneSpec",
+    "SilentReferenceChannelError",
     "SpectralTensor",
     "StftConfig",
     "analyze",

@@ -104,6 +104,7 @@ def build_parser():
     _add_five_args(p_bench)
     _add_scene_args(p_bench)
     p_bench.add_argument("--config", default=None)
+    parser.commands = sub.choices
     return parser
 
 
@@ -131,31 +132,26 @@ _DEFAULTS = {
 }
 
 
+def _apply_config_file(parser, args, argv):
+    """Parse argv again with the --config file's values as the subcommand's defaults.
+
+    argparse converts and checks string defaults with the flag's type, so a
+    file value gets the same checks as the flag, and a flag still wins.
+    """
+    if not getattr(args, "config", None):
+        return args
+    file_values = scenes.read_keyvalues(args.config)
+    command = parser.commands[args.command]
+    command.set_defaults(**{key: raw for key, raw in file_values.items() if hasattr(args, key)})
+    return parser.parse_args(argv)
+
+
 def _resolve(args):
     """Materialize the full configuration: flags > config file > defaults."""
-    file_values = {}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        file_values = scenes.read_keyvalues(config_path)
     resolved = {}
     for key, value in vars(args).items():
-        if key in ("command", "config"):
-            continue
-        if value is None:
-            if key in file_values:
-                default = _DEFAULTS.get(key)
-                raw = file_values[key]
-                if isinstance(default, bool):
-                    value = raw.lower() in ("1", "true", "yes")
-                elif isinstance(default, int):
-                    value = int(raw)
-                elif isinstance(default, float):
-                    value = float(raw)
-                else:
-                    value = raw
-            else:
-                value = _DEFAULTS.get(key)
-        resolved[key] = value
+        if key not in ("command", "config"):
+            resolved[key] = _DEFAULTS.get(key) if value is None else value
     if resolved.get("hop") is None and "frame_size" in resolved:
         resolved["hop"] = resolved["frame_size"] // 2
     return resolved
@@ -327,11 +323,10 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = _apply_config_file(parser, args, argv)
+        return _COMMANDS[args.command](_resolve(args))
+    except SystemExit as exc:  # usage error in a flag or a config-file value, or --help
         return int(exc.code or 0)
-    try:
-        cfg = _resolve(args)
-        return _COMMANDS[args.command](cfg)
     except BrokenPipeError:
         return 2
     except Exception as exc:  # runtime failure -> exit 2 with a diagnostic

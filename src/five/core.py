@@ -34,6 +34,7 @@ __all__ = [
     "ExtractionReport",
     "DegenerateCovarianceError",
     "RankDeficientCovarianceError",
+    "SilentReferenceChannelError",
     "prewhiten",
     "weighted_covariance",
     "update_activity",
@@ -49,6 +50,9 @@ __all__ = [
 
 DEFAULT_REGULARIZATION = 1e-10
 DEFAULT_ACTIVITY_FLOOR = 1e-12
+# Data bytes per block of bins in a covariance build: the block's contiguous
+# and weighted copies together stay inside a 2 MiB per-core L2 cache.
+_BLOCK_BYTES = 1 << 19
 
 
 class RankDeficientCovarianceError(ValueError):
@@ -57,6 +61,10 @@ class RankDeficientCovarianceError(ValueError):
 
 class DegenerateCovarianceError(RuntimeError):
     """Weighted covariance collapsed (smallest eigenvalue at the noise floor)."""
+
+
+class SilentReferenceChannelError(ValueError):
+    """The reference channel is all zero: no initial estimate, no scale to project onto."""
 
 
 @dataclass(frozen=True)
@@ -184,10 +192,20 @@ def _data_of(spec):
 
 
 def _covariance_stack(data, weights=None):
-    # (1/N) sum_n weight_n x_fn x_fn^H per bin, hermitized against rounding
-    n = data.shape[1]
-    lhs = data if weights is None else data * weights[:, None]
-    cov = np.swapaxes(lhs, 1, 2) @ np.conj(data) / n
+    # (1/N) sum_n weight_n x_fn x_fn^H per bin, hermitized against rounding.
+    # A real product g = X^T (w X) on the interleaved (re, im) view X needs
+    # no conjugate copy: with x = a + ib, Re = g_aa + g_bb, Im = g_ba - g_ab.
+    # Blocks of bins keep the contiguous and weighted copies cache-sized.
+    n_bins, n_frames, n_chan = data.shape
+    w = None if weights is None else np.repeat(weights, 2 * n_chan).reshape(n_frames, 2 * n_chan)
+    g = np.empty((n_bins, 2 * n_chan, 2 * n_chan))
+    step = max(1, _BLOCK_BYTES // (16 * n_frames * n_chan))
+    for start in range(0, n_bins, step):
+        block = np.ascontiguousarray(data[start : start + step], dtype=np.complex128).view(np.float64)
+        lhs = block if w is None else block * w
+        np.matmul(np.swapaxes(lhs, 1, 2), block, out=g[start : start + step])
+    g /= n_frames
+    cov = g[:, 0::2, 0::2] + g[:, 1::2, 1::2] + 1j * (g[:, 1::2, 0::2] - g[:, 0::2, 1::2])
     return 0.5 * (cov + np.conj(np.swapaxes(cov, 1, 2)))
 
 
@@ -195,8 +213,9 @@ def prewhiten(spec, regularization=DEFAULT_REGULARIZATION):
     """Whiten the spectrogram so every bin has identity sample covariance.
 
     Factors the per-bin sample covariance as Q^H Q and applies Q^{-H} to the
-    data. If the factorization fails, the covariance is diagonally loaded
-    once with regularization * trace/M before giving up.
+    data in one batched matrix product. If the factorization fails, the
+    covariance is diagonally loaded once with regularization * trace/M
+    before giving up.
 
     Returns the whitened tensor and the stack of upper-triangular factors Q.
     """
@@ -220,16 +239,9 @@ def prewhiten(spec, regularization=DEFAULT_REGULARIZATION):
                 f"covariance is rank deficient even after diagonal loading "
                 f"(pivot {exc.pivot_index})"
             ) from exc
-    whitened_data = linalg.apply_inverse_hermitian_transpose(whiteners[:, None], data)
+    whitened = linalg.apply_inverse_hermitian_transpose(whiteners[:, None], data)
     if isinstance(spec, SpectralTensor):
-        whitened = SpectralTensor(
-            data=whitened_data,
-            sample_rate=spec.sample_rate,
-            config=spec.config,
-            num_samples=spec.num_samples,
-        )
-    else:
-        whitened = whitened_data
+        whitened = replace(spec, data=whitened)
     return whitened, whiteners
 
 
@@ -249,9 +261,8 @@ def weighted_covariance(whitened, activity, contrast, f, activity_floor=DEFAULT_
     Activities are floored before the weight is applied because both
     contrast weights diverge at zero.
     """
-    data = _data_of(whitened)
-    weights = contrast.weight(np.maximum(np.asarray(activity, dtype=np.float64), activity_floor))
-    return _covariance_stack(data[f : f + 1], weights)[0]
+    data = _data_of(whitened)[f : f + 1]
+    return _weighted_covariance_stack(data, activity, contrast, activity_floor)[0]
 
 
 def _weighted_covariance_stack(data, activity, contrast, activity_floor):
@@ -417,7 +428,8 @@ def extract_spectral(spec, config, callback=None):
     Pipeline: prewhiten, initialize the estimate as the whitened reference
     channel, iterate demixing updates (optionally stopping early once the
     filters move less than early_stop_tol), then project the result back
-    onto the original reference channel.
+    onto the original reference channel. An all-zero reference channel
+    raises SilentReferenceChannelError before whitening.
 
     callback(iteration, state, extracted) is invoked for the initial state
     (iteration 0) and after every iteration with the raw (un-projected)
@@ -430,11 +442,13 @@ def extract_spectral(spec, config, callback=None):
     exclude the NLL and that last certificate.
     """
     t0 = time.perf_counter()
-    whitened, whiteners = prewhiten(spec, regularization=config.regularization)
-    data = whitened.data
-    n_bins, _, n_chan = data.shape
+    n_bins, _, n_chan = _data_of(spec).shape
     if config.ref_channel >= n_chan:
         raise ValueError(f"ref_channel {config.ref_channel} out of range for {n_chan} channels")
+    if not np.any(_data_of(spec)[:, :, config.ref_channel]):
+        raise SilentReferenceChannelError(f"reference channel {config.ref_channel} is silent (all zero)")
+    whitened, whiteners = prewhiten(spec, regularization=config.regularization)
+    data = whitened.data
 
     w0 = np.zeros((n_bins, n_chan), dtype=np.complex128)
     w0[:, config.ref_channel] = 1.0
@@ -493,10 +507,4 @@ def extract(wave, stft_config, five_config):
     """
     spec = analyze(wave, stft_config)
     extracted, report = extract_spectral(spec, five_config)
-    out_spec = SpectralTensor(
-        data=extracted[:, :, None],
-        sample_rate=spec.sample_rate,
-        config=spec.config,
-        num_samples=spec.num_samples,
-    )
-    return synthesize(out_spec), report
+    return synthesize(replace(spec, data=extracted[:, :, None])), report

@@ -1,10 +1,11 @@
 """Dense complex Hermitian linear algebra for small per-bin matrices.
 
-All routines accept a single (M, M) matrix or a stack (..., M, M) and
-broadcast over the leading axes, since the pipeline factorises one matrix
-per frequency bin. Eigendecompositions are ordered by descending
-eigenvalue and eigenvector phases are fixed so the largest-magnitude
-entry of each vector is real positive, making outputs deterministic.
+numpy's LAPACK plus the checks the pipeline relies on. All routines accept
+a single (M, M) matrix or a stack (..., M, M) and broadcast over the
+leading axes, since the pipeline factorises one matrix per frequency bin.
+Eigendecompositions are ordered by descending eigenvalue and eigenvector
+phases are fixed so the largest-magnitude entry of each vector is real
+positive, making outputs deterministic.
 """
 
 from typing import NamedTuple
@@ -78,25 +79,28 @@ def check_hermitian(a, rtol=_HERMITIAN_RTOL):
 def cholesky(a, pivot_rtol=_PIVOT_RTOL):
     """Upper-triangular factor q with q^H q = a and positive real diagonal.
 
-    Pivots at or below pivot_rtol times the largest diagonal entry raise
-    NotPositiveDefiniteError with the failing pivot index.
+    Pivots q_jj^2 at or below pivot_rtol times the largest diagonal entry
+    of their matrix raise NotPositiveDefiniteError with the first failing
+    pivot index over the stack.
     """
     a = np.asarray(a, dtype=np.complex128)
     check_hermitian(a)
-    m = a.shape[-1]
-    q = np.zeros_like(a)
     tol = pivot_rtol * np.max(np.real(np.diagonal(a, axis1=-2, axis2=-1)), axis=-1)
-    for j in range(m):
-        head = q[..., :j, j]
-        pivot = np.real(a[..., j, j]) - np.sum(np.abs(head) ** 2, axis=-1)
-        if np.any(pivot <= tol):
-            raise NotPositiveDefiniteError(j)
-        d = np.sqrt(pivot)
-        q[..., j, j] = d
-        if j + 1 < m:
-            cross = np.einsum("...i,...ik->...k", np.conj(head), q[..., :j, j + 1 :])
-            q[..., j, j + 1 :] = (a[..., j, j + 1 :] - cross) / d[..., None]
-    return q
+    try:
+        lower = np.linalg.cholesky(a)
+        pivots = np.real(np.diagonal(lower, axis1=-2, axis2=-1)) ** 2
+    except np.linalg.LinAlgError:
+        # numpy hides LAPACK's info, so rebuild the pivots from the leading
+        # principal minors, det a[:j+1, :j+1] / det a[:j, :j]; they are exact
+        # up to the first failing pivot of each matrix, all that is read
+        lower = None
+        minors = np.real([np.linalg.det(a[..., :k, :k]) for k in range(a.shape[-1] + 1)])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pivots = np.moveaxis(minors[1:] / minors[:-1], 0, -1)
+    failing = ~(pivots > tol[..., None])  # NaN fails too
+    if lower is None or np.any(failing):
+        raise NotPositiveDefiniteError(int(np.argmax(failing.reshape(-1, a.shape[-1]).any(axis=0))))
+    return _conj_t(lower)
 
 
 def _fix_phase(vectors):
@@ -134,41 +138,31 @@ def _check_diagonal(q):
 
 
 def solve_upper_triangular(q, b):
-    """Solve q x = b by back substitution; q is (..., M, M), b is (..., M)."""
+    """Solve q x = b; q is (..., M, M), b is (..., M)."""
     q = np.asarray(q, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
     _check_diagonal(q)
-    m = q.shape[-1]
-    shape = np.broadcast_shapes(q.shape[:-2], b.shape[:-1])
-    x = np.zeros(shape + (m,), dtype=np.complex128)
-    for i in range(m - 1, -1, -1):
-        tail = np.einsum("...k,...k->...", q[..., i, i + 1 :], x[..., i + 1 :])
-        x[..., i] = (b[..., i] - tail) / q[..., i, i]
-    return x
+    return np.linalg.solve(q, b[..., None])[..., 0]
 
 
 def apply_inverse_hermitian_transpose(q, x):
-    """Solve q^H y = x (forward substitution); applies the whitening map q^{-H}."""
+    """Solve q^H y = x, that is y = x conj(q^{-1}) in row-vector form.
+
+    q (..., M, M) and x (..., M) broadcast over the leading axes. If q's last
+    batch axis has length 1 (q[:, None] against x (F, N, M), as prewhiten
+    whitens), the vectors sharing a matrix go through one matrix product.
+    """
     q = np.asarray(q, dtype=np.complex128)
     x = np.asarray(x, dtype=np.complex128)
     _check_diagonal(q)
-    m = q.shape[-1]
-    shape = np.broadcast_shapes(q.shape[:-2], x.shape[:-1])
-    y = np.zeros(shape + (m,), dtype=np.complex128)
-    for i in range(m):
-        head = np.einsum("...j,...j->...", np.conj(q[..., :i, i]), y[..., :i])
-        y[..., i] = (x[..., i] - head) / np.conj(q[..., i, i])
-    return y
+    inverse = np.conj(np.linalg.inv(q))
+    if q.ndim > 2 and q.shape[-3] == 1 and x.ndim > 1:
+        return x @ inverse[..., 0, :, :]
+    return (x[..., None, :] @ inverse)[..., 0, :]
 
 
 def invert_upper_triangular(q):
     """Explicit inverse of an upper-triangular factor (stays upper-triangular)."""
     q = np.asarray(q, dtype=np.complex128)
     _check_diagonal(q)
-    m = q.shape[-1]
-    eye = np.broadcast_to(np.eye(m, dtype=np.complex128), q.shape)
-    inv = np.zeros_like(q)
-    for i in range(m - 1, -1, -1):
-        tail = np.einsum("...k,...kj->...j", q[..., i, i + 1 :], inv[..., i + 1 :, :])
-        inv[..., i, :] = (eye[..., i, :] - tail) / q[..., i, i, None]
-    return inv
+    return np.linalg.inv(q)

@@ -198,6 +198,21 @@ def test_extract_honors_hop_flag(tmp_path):
     assert "# hop=256" in report.read_text()
 
 
+def test_extract_honors_hop_from_config_file(tmp_path):
+    # hop has no typed default, so a file value once stayed a string
+    in_path = tmp_path / "in.wav"
+    _write_noise_wav(in_path, samples=8 * 256)
+    config = tmp_path / "run.cfg"
+    config.write_text("frame_size=1024\nhop=256\n")
+    report = tmp_path / "rep.csv"
+    rc = cli.main(
+        ["extract", "--input", str(in_path), "--output", str(tmp_path / "out.wav"),
+         "--config", str(config), "--report", str(report)]
+    )
+    assert rc == 0
+    assert "# hop=256" in report.read_text()
+
+
 def test_evaluate_shape_mismatch_fails(scene_dir, tmp_path):
     est = tmp_path / "bad.fiv"
     write_tensor(est, np.zeros((4, 7), dtype=complex))
@@ -308,3 +323,13 @@ def test_config_file_with_flag_override(tmp_path):
         ["simulate", "--output", str(out_b), "--config", str(config), "--channels", "3"]
     ) == 0
     assert load_scene(out_b).spec.num_channels == 3
+
+
+@pytest.mark.parametrize("key, flag", [("iterations", "--iterations"), ("frame_size", "--frame-size")])
+def test_config_file_values_get_flag_checks(tmp_path, capsys, key, flag):
+    config = tmp_path / "zero.cfg"
+    config.write_text(f"{key}=0\n")
+    out = tmp_path / "bench.csv"
+    assert cli.main(["bench", "--config", str(config), "--output", str(out)]) == 1
+    assert flag in capsys.readouterr().err
+    assert not out.exists()

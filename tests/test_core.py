@@ -191,6 +191,21 @@ def test_weighted_covariance_matches_triple_loop():
         assert np.max(np.abs(got - brute)) <= 1e-12
 
 
+@pytest.mark.parametrize("weighted", [False, True])
+def test_covariance_stack_matches_einsum_on_stft_layout(weighted):
+    # analyze returns a strided (F, N, M) view, not a contiguous array
+    rng = np.random.default_rng(35)
+    wave = MultichannelWave(16000, rng.standard_normal((40 * 64, 3)))
+    data = analyze(wave, StftConfig(frame_size=128)).data
+    assert not data.flags.c_contiguous
+    weights = rng.uniform(0.1, 3.0, data.shape[1]) if weighted else None
+    got = core._covariance_stack(data, weights)
+    scale = np.ones(data.shape[1]) if weights is None else weights
+    want = np.einsum("fni,fnj,n->fij", data, np.conj(data), scale) / data.shape[1]
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.array_equal(got, np.conj(np.swapaxes(got, 1, 2)))
+
+
 def test_weighted_covariance_floors_activity():
     data = np.ones((1, 2, 1), dtype=complex)
     activity = np.array([0.0, 1.0])  # zero would make the weight blow up
@@ -720,6 +735,23 @@ def test_extract_spectral_ref_channel_validated():
     config = FiveConfig(contrast=ContrastModel("laplace"), ref_channel=5)
     with pytest.raises(ValueError, match="ref_channel"):
         extract_spectral(spec, config)
+
+
+def test_extract_silent_reference_channel_names_it():
+    # whitening and the update would otherwise abort with a degenerate
+    # weighted covariance at bin 0
+    from five import SceneSpec, SilentReferenceChannelError, generate_scene
+
+    scene = generate_scene(
+        SceneSpec(num_channels=4, mixing="convolutive_fir", num_samples=48000, seed=7)
+    )
+    samples = scene.mixture.samples.copy()
+    samples[:, 0] = 0.0
+    wave = MultichannelWave(scene.mixture.sample_rate, samples)
+    config = FiveConfig(contrast=ContrastModel("gauss", num_bins=2049))
+    with pytest.raises(SilentReferenceChannelError, match="reference channel 0 is silent"):
+        extract(wave, StftConfig(frame_size=4096), config)
+    assert issubclass(SilentReferenceChannelError, ValueError)
 
 
 def test_report_csv_round_trip():

@@ -87,6 +87,27 @@ def test_cholesky_rejects_indefinite_with_pivot_index():
     assert info.value.pivot_index == 1
 
 
+def test_cholesky_pivot_index_in_a_stack():
+    # LAPACK rejects the stack; the index comes from the failing matrix's
+    # leading principal minors, here [[4, 2, 1], [2, 1, 3], [1, 3, 5]]
+    rng = np.random.default_rng(23)
+    bad = np.array([[4.0, 2.0, 1.0], [2.0, 1.0, 3.0], [1.0, 3.0, 5.0]], dtype=complex)
+    stack = np.stack([_random_spd(rng, 3), bad, _random_spd(rng, 3)])
+    with pytest.raises(NotPositiveDefiniteError) as info:
+        cholesky(stack)
+    assert info.value.pivot_index == 1
+
+
+def test_cholesky_relative_pivot_tolerance():
+    # LAPACK factors this matrix, but pivot 2 is 1e-14 of the largest
+    # diagonal entry, below the 1e-12 relative tolerance
+    a = np.diag([1.0, 2.0, 1e-14]).astype(complex)
+    with pytest.raises(NotPositiveDefiniteError) as info:
+        cholesky(a)
+    assert info.value.pivot_index == 2
+    assert np.allclose(cholesky(a, pivot_rtol=1e-15), np.sqrt(np.real(a)), atol=0)
+
+
 def test_cholesky_rejects_non_hermitian():
     a = np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex)
     with pytest.raises(NotHermitianError):
@@ -233,6 +254,26 @@ def test_apply_inverse_hermitian_transpose_residual_oracle():
     x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     y = apply_inverse_hermitian_transpose(q, x)
     assert np.linalg.norm(q.conj().T @ y - x) <= 1e-10 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize(
+    "q_shape, x_shape",
+    [((6, 1, 4, 4), (6, 9, 4)), ((6, 4, 4), (6, 4)), ((2, 3, 4, 4), (3, 4))],
+)
+def test_apply_inverse_hermitian_transpose_matches_per_vector_solve(q_shape, x_shape):
+    # the (F, 1, M, M) against (F, N, M) case is how prewhiten whitens
+    rng = np.random.default_rng(22)
+    q = cholesky(np.stack([_random_spd(rng, 4) for _ in range(np.prod(q_shape[:-2]))]))
+    q = q.reshape(q_shape)
+    x = rng.standard_normal(x_shape) + 1j * rng.standard_normal(x_shape)
+    y = apply_inverse_hermitian_transpose(q, x)
+    batch = np.broadcast_shapes(q_shape[:-2], x_shape[:-1])
+    assert y.shape == batch + (4,)
+    qb = np.broadcast_to(q, batch + (4, 4))
+    xb = np.broadcast_to(x, batch + (4,))
+    for index in np.ndindex(batch):
+        want = np.linalg.solve(qb[index].conj().T, xb[index])
+        assert np.linalg.norm(y[index] - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_triangular_near_zero_diagonal_rejected():
