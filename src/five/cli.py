@@ -3,15 +3,13 @@
 Subcommands exchange plain files (WAV, raw tensor files, CSV) so runs can
 be scripted and plotted with any tool. Every report echoes the fully
 resolved configuration. Exit codes: 0 success, 1 usage error, 2 runtime
-failure. FIVE_THREADS caps worker parallelism for bench.
+failure.
 """
 
 import argparse
 import csv
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -136,14 +134,21 @@ def _apply_config_file(parser, args, argv):
     """Parse argv again with the --config file's values as the subcommand's defaults.
 
     argparse converts and checks string defaults with the flag's type, so a
-    file value gets the same checks as the flag, and a flag still wins.
+    file value gets the same checks as the flag, and a flag still wins. It
+    checks choices on command-line values only, so they are checked here.
     """
     if not getattr(args, "config", None):
         return args
     file_values = scenes.read_keyvalues(args.config)
     command = parser.commands[args.command]
     command.set_defaults(**{key: raw for key, raw in file_values.items() if hasattr(args, key)})
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    for action in command._actions:
+        value = getattr(args, action.dest, None)
+        if action.choices is not None and value is not None and value not in action.choices:
+            flag, choices = action.option_strings[0], ", ".join(map(repr, action.choices))
+            command.error(f"argument {flag}: invalid choice: {value!r} (choose from {choices})")
+    return args
 
 
 def _resolve(args):
@@ -239,8 +244,7 @@ def cmd_evaluate(cfg):
     write_header = not report_path.exists()
     with open(report_path, "a") as fh:
         if write_header:
-            for key in sorted(cfg):
-                fh.write(f"# {key}={cfg[key]}\n")
+            core.write_config_header(fh, cfg)
             fh.write("scene_id,algorithm,iterations,si_sdr,si_sir,delta_si_sdr,delta_si_sir\n")
         fh.write(row + "\n")
     return 0
@@ -292,17 +296,9 @@ def bench_one_seed(cfg, seed):
 
 
 def cmd_bench(cfg):
-    seeds = [cfg["seed"] + k for k in range(cfg["scenes"])]
-    workers = max(1, int(os.environ.get("FIVE_THREADS", "1")))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            traces = list(pool.map(lambda s: bench_one_seed(cfg, s), seeds))
-    else:
-        traces = [bench_one_seed(cfg, seed) for seed in seeds]
-
+    traces = [bench_one_seed(cfg, cfg["seed"] + k) for k in range(cfg["scenes"])]
     with open(cfg["output"], "w", newline="") as fh:
-        for key in sorted(cfg):
-            fh.write(f"# {key}={cfg[key]}\n")
+        core.write_config_header(fh, cfg)
         writer = csv.writer(fh)
         writer.writerow(["seed", "iteration", "runtime_per_input_second", "nll", "delta_si_sdr"])
         for rows in traces:

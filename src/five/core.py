@@ -14,6 +14,11 @@ complement of w, optimal for the identity covariance prewhiten leaves. The
 NLL is then a closed form in values the update already has (evaluate_nll),
 and five_iteration certifies the state it starts from with the covariance
 it builds anyway (head_residual): about one covariance build per run.
+
+Like the STFT's Hamming window, the numerical guards are fixed constants,
+not settings: REGULARIZATION is the diagonal loading, relative to trace/M,
+of a covariance at the noise floor, and ACTIVITY_FLOOR bounds the frame
+activities before the contrast weight, which diverges at zero.
 """
 
 import csv
@@ -32,6 +37,7 @@ __all__ = [
     "DemixingState",
     "IterationRecord",
     "ExtractionReport",
+    "write_config_header",
     "DegenerateCovarianceError",
     "RankDeficientCovarianceError",
     "SilentReferenceChannelError",
@@ -48,8 +54,8 @@ __all__ = [
     "extract",
 ]
 
-DEFAULT_REGULARIZATION = 1e-10
-DEFAULT_ACTIVITY_FLOOR = 1e-12
+REGULARIZATION = 1e-10
+ACTIVITY_FLOOR = 1e-12
 # Data bytes per block of bins in a covariance build: the block's contiguous
 # and weighted copies together stay inside a 2 MiB per-core L2 cache.
 _BLOCK_BYTES = 1 << 19
@@ -103,8 +109,6 @@ class ContrastModel:
 class FiveConfig:
     contrast: ContrastModel
     max_iterations: int = 3
-    regularization: float = DEFAULT_REGULARIZATION
-    activity_floor: float = DEFAULT_ACTIVITY_FLOOR
     nll_monitoring: bool = True
     ref_channel: int = 0
     early_stop_tol: float | None = None
@@ -112,10 +116,6 @@ class FiveConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.regularization < 0:
-            raise ValueError("regularization must be >= 0")
-        if self.activity_floor <= 0:
-            raise ValueError("activity_floor must be > 0")
         if self.ref_channel < 0:
             raise ValueError("ref_channel must be >= 0")
 
@@ -166,9 +166,7 @@ class ExtractionReport:
             with open(destination, "w", newline="") as fh:
                 self.to_csv(fh, header=header)
             return
-        if header:
-            for key in sorted(header):
-                destination.write(f"# {key}={header[key]}\n")
+        write_config_header(destination, header)
         writer = csv.writer(destination)
         writer.writerow(["iteration", "nll", "head_residual", "wall_time_ms"])
         for rec in self.records:
@@ -185,6 +183,12 @@ class ExtractionReport:
         buf = io.StringIO()
         self.to_csv(buf, header=header)
         return buf.getvalue()
+
+
+def write_config_header(destination, values):
+    """Echo a configuration as sorted '# key=value' comment lines (none for None)."""
+    for key in sorted(values or {}):
+        destination.write(f"# {key}={values[key]}\n")
 
 
 def _data_of(spec):
@@ -209,12 +213,12 @@ def _covariance_stack(data, weights=None):
     return 0.5 * (cov + np.conj(np.swapaxes(cov, 1, 2)))
 
 
-def prewhiten(spec, regularization=DEFAULT_REGULARIZATION):
+def prewhiten(spec):
     """Whiten the spectrogram so every bin has identity sample covariance.
 
     Factors the per-bin sample covariance as Q^H Q and applies Q^{-H} to the
     data in one batched matrix product. If the factorization fails, the
-    covariance is diagonally loaded once with regularization * trace/M
+    covariance is diagonally loaded once with REGULARIZATION * trace/M
     before giving up.
 
     Returns the whitened tensor and the stack of upper-triangular factors Q.
@@ -231,7 +235,7 @@ def prewhiten(spec, regularization=DEFAULT_REGULARIZATION):
         whiteners = linalg.cholesky(cov)
     except linalg.NotPositiveDefiniteError:
         trace = np.real(np.trace(cov, axis1=1, axis2=2))
-        cov = cov + (regularization * trace / n_chan)[:, None, None] * np.eye(n_chan)
+        cov = cov + (REGULARIZATION * trace / n_chan)[:, None, None] * np.eye(n_chan)
         try:
             whiteners = linalg.cholesky(cov)
         except linalg.NotPositiveDefiniteError as exc:
@@ -255,18 +259,18 @@ def _activity_and_power(extracted):
     return np.sqrt(np.sum(squared, axis=0)), np.sum(squared, axis=1)
 
 
-def weighted_covariance(whitened, activity, contrast, f, activity_floor=DEFAULT_ACTIVITY_FLOOR):
+def weighted_covariance(whitened, activity, contrast, f):
     """Frame-weighted sample covariance of bin f.
 
-    Activities are floored before the weight is applied because both
-    contrast weights diverge at zero.
+    Activities are floored at ACTIVITY_FLOOR before the weight is applied
+    because both contrast weights diverge at zero.
     """
     data = _data_of(whitened)[f : f + 1]
-    return _weighted_covariance_stack(data, activity, contrast, activity_floor)[0]
+    return _weighted_covariance_stack(data, activity, contrast)[0]
 
 
-def _weighted_covariance_stack(data, activity, contrast, activity_floor):
-    weights = contrast.weight(np.maximum(activity, activity_floor))
+def _weighted_covariance_stack(data, activity, contrast):
+    weights = contrast.weight(np.maximum(activity, ACTIVITY_FLOOR))
     return _covariance_stack(data, weights)
 
 
@@ -276,43 +280,32 @@ def apply_demixing(w, spec):
     return (data @ np.conj(w)[:, :, None])[:, :, 0]
 
 
-def five_iteration(
-    state,
-    whitened,
-    contrast,
-    regularization=DEFAULT_REGULARIZATION,
-    activity_floor=DEFAULT_ACTIVITY_FLOOR,
-):
+def five_iteration(state, whitened, contrast):
     """One demixing update.
 
     Per bin: build the weighted covariance from the current activity, take
     its smallest eigenpair (lambda, r) and set w = r / sqrt(lambda), which
     makes w^H V w = 1 exactly. The extracted signal, the activity and the
-    per-bin power are then recomputed from the new filters. Bins whose
-    smallest eigenvalue falls at or below regularization * trace/M are
-    diagonally loaded and retried once before aborting. V is also the
-    matrix that certifies the incoming state (see DemixingState).
+    per-bin power are then recomputed from the new filters. A bin whose
+    smallest eigenvalue is at or below t = REGULARIZATION * trace/M is
+    loaded to V + tI in closed form (same eigenvectors, lambda + t); the
+    update aborts where lambda + t is still at the loaded matrix's
+    threshold, that is lambda <= REGULARIZATION * t. V is also the matrix
+    that certifies the incoming state (see DemixingState).
     """
     data = _data_of(whitened)
-    n_chan = data.shape[2]
-    cov = _weighted_covariance_stack(data, state.activity, contrast, activity_floor)
+    cov = _weighted_covariance_stack(data, state.activity, contrast)
     values, vectors = linalg.eig_hermitian(cov)
-
-    def _thresholds(vals):
-        return regularization * np.sum(vals, axis=-1) / n_chan
-
     smallest = values[:, -1]
-    bad = smallest <= _thresholds(values)
+    load = REGULARIZATION * np.sum(values, axis=-1) / data.shape[2]
+    bad = smallest <= load
     if np.any(bad):
-        loaded = cov[bad] + _thresholds(values)[bad][:, None, None] * np.eye(n_chan)
-        values_bad, vectors_bad = linalg.eig_hermitian(loaded)
-        values[bad], vectors[bad] = values_bad, vectors_bad
-        smallest = values[:, -1]
-        still_bad = smallest <= _thresholds(values)
+        still_bad = smallest <= REGULARIZATION * load
         if np.any(still_bad):
             raise DegenerateCovarianceError(
                 f"weighted covariance degenerate at bin {int(np.flatnonzero(still_bad)[0])}"
             )
+        smallest = np.where(bad, smallest + load, smallest)
 
     w = vectors[:, :, -1] / np.sqrt(smallest)[:, None]
     activity, power = _activity_and_power(apply_demixing(w, data))
@@ -326,10 +319,10 @@ def five_iteration(
     )
 
 
-def _nll(state, power, energy, contrast, activity_floor):
+def _nll(state, power, energy, contrast):
     n_frames = state.activity.shape[0]
     norms2 = np.sum(np.abs(state.w) ** 2, axis=1)
-    floored = np.maximum(state.activity, activity_floor)
+    floored = np.maximum(state.activity, ACTIVITY_FLOOR)
     whiten_logdet = np.sum(np.log(np.real(np.diagonal(state.whiteners, axis1=1, axis2=2))))
     return float(
         -n_frames * np.sum(np.log(norms2))
@@ -339,7 +332,7 @@ def _nll(state, power, energy, contrast, activity_floor):
     )
 
 
-def evaluate_nll(state, whitened, contrast, activity_floor=DEFAULT_ACTIVITY_FLOOR):
+def evaluate_nll(state, whitened, contrast):
     """Monitored negative log-likelihood of the observed signal.
 
     Evaluated in whitened coordinates with an identity background covariance
@@ -361,7 +354,7 @@ def evaluate_nll(state, whitened, contrast, activity_floor=DEFAULT_ACTIVITY_FLOO
     """
     data = _data_of(whitened)
     _, power = _activity_and_power(apply_demixing(state.w, data))
-    return _nll(state, power, np.vdot(data, data).real, contrast, activity_floor)
+    return _nll(state, power, np.vdot(data, data).real, contrast)
 
 
 def _certificate(w, v_cov):
@@ -374,7 +367,7 @@ def _certificate(w, v_cov):
     return float(np.sqrt(np.abs(scale - 1.0) ** 2 + np.sum(np.abs(perp) ** 2, axis=1)).max())
 
 
-def head_residual(state, whitened, contrast, activity_floor=DEFAULT_ACTIVITY_FLOOR):
+def head_residual(state, whitened, contrast):
     """Stationarity certificate: max over bins of || [w,J]^H [Vw, CJ] - I ||_F.
 
     V is the weighted covariance under the current activity, C the plain
@@ -383,7 +376,7 @@ def head_residual(state, whitened, contrast, activity_floor=DEFAULT_ACTIVITY_FLO
     sqrt(|w^H V w - 1|^2 + ||(I - u u^H) V w||^2) with u = w/||w||. At a
     fixed point of five_iteration the residual vanishes.
     """
-    v_cov = _weighted_covariance_stack(_data_of(whitened), state.activity, contrast, activity_floor)
+    v_cov = _weighted_covariance_stack(_data_of(whitened), state.activity, contrast)
     return _certificate(state.w, v_cov)
 
 
@@ -407,17 +400,18 @@ def head_solutions(weighted_cov):
     return out
 
 
-def project_back(extracted, original_spec, ref_channel=0, activity_floor=DEFAULT_ACTIVITY_FLOOR):
+def project_back(extracted, original_spec, ref_channel=0):
     """Least-squares rescaling of the extracted signal onto a reference channel.
 
     Per bin the complex scale a = sum_n x_ref conj(s) / sum_n |s|^2 minimizes
-    ||x_ref - a s||^2; bins with negligible extracted energy pass through.
+    ||x_ref - a s||^2; bins with extracted energy below ACTIVITY_FLOOR pass
+    through.
     """
     extracted = np.asarray(extracted)
     reference = _data_of(original_spec)[:, :, ref_channel]
     power = np.sum(np.abs(extracted) ** 2, axis=1)
     corr = np.sum(reference * np.conj(extracted), axis=1)
-    safe = power >= activity_floor
+    safe = power >= ACTIVITY_FLOOR
     scale = np.where(safe, corr / np.where(safe, power, 1.0), 1.0)
     return scale[:, None] * extracted
 
@@ -442,13 +436,13 @@ def extract_spectral(spec, config, callback=None):
     exclude the NLL and that last certificate.
     """
     t0 = time.perf_counter()
-    n_bins, _, n_chan = _data_of(spec).shape
+    original = _data_of(spec)
+    n_bins, _, n_chan = original.shape
     if config.ref_channel >= n_chan:
         raise ValueError(f"ref_channel {config.ref_channel} out of range for {n_chan} channels")
-    if not np.any(_data_of(spec)[:, :, config.ref_channel]):
+    if not np.any(original[:, :, config.ref_channel]):
         raise SilentReferenceChannelError(f"reference channel {config.ref_channel} is silent (all zero)")
-    whitened, whiteners = prewhiten(spec, regularization=config.regularization)
-    data = whitened.data
+    data, whiteners = prewhiten(original)
 
     w0 = np.zeros((n_bins, n_chan), dtype=np.complex128)
     w0[:, config.ref_channel] = 1.0
@@ -462,7 +456,7 @@ def extract_spectral(spec, config, callback=None):
     report = ExtractionReport()
 
     def _record(wall_ms):
-        nll = _nll(state, state.power, energy, contrast, config.activity_floor) if monitoring else None
+        nll = _nll(state, state.power, energy, contrast) if monitoring else None
         report.records.append(IterationRecord(state.iteration, nll, None, wall_ms))
         if callback is not None:
             callback(state.iteration, state, apply_demixing(state.w, data))
@@ -474,13 +468,7 @@ def extract_spectral(spec, config, callback=None):
     for _ in range(config.max_iterations):
         t_iter = time.perf_counter()
         previous_w = state.w
-        state = five_iteration(
-            state,
-            whitened,
-            contrast,
-            regularization=config.regularization,
-            activity_floor=config.activity_floor,
-        )
+        state = five_iteration(state, data, contrast)
         wall_ms = (time.perf_counter() - t_iter) * 1e3
         if monitoring:
             _certify(state.previous_residual)
@@ -492,10 +480,10 @@ def extract_spectral(spec, config, callback=None):
                 break
 
     if monitoring:
-        _certify(head_residual(state, whitened, contrast, config.activity_floor))
+        _certify(head_residual(state, data, contrast))
     report.iterations_run = state.iteration
     extracted = apply_demixing(state.w, data)
-    projected = project_back(extracted, spec, config.ref_channel, config.activity_floor)
+    projected = project_back(extracted, original, config.ref_channel)
     return projected, report
 
 

@@ -21,8 +21,6 @@ __all__ = [
     "check_hermitian",
     "cholesky",
     "eig_hermitian",
-    "smallest_eigenpair",
-    "solve_upper_triangular",
     "apply_inverse_hermitian_transpose",
     "invert_upper_triangular",
 ]
@@ -125,24 +123,10 @@ def eig_hermitian(a):
     return EigenDecomposition(np.ascontiguousarray(values), np.ascontiguousarray(vectors))
 
 
-def smallest_eigenpair(a):
-    """Smallest eigenvalue and its (phase-fixed) unit eigenvector."""
-    values, vectors = eig_hermitian(a)
-    return values[..., -1], vectors[..., :, -1]
-
-
 def _check_diagonal(q):
     diag = np.abs(np.diagonal(q, axis1=-2, axis2=-1))
     if np.any(diag <= _DIAG_RTOL * np.max(diag)):
         raise SingularTriangularError("near-zero diagonal entry in triangular factor")
-
-
-def solve_upper_triangular(q, b):
-    """Solve q x = b; q is (..., M, M), b is (..., M)."""
-    q = np.asarray(q, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    _check_diagonal(q)
-    return np.linalg.solve(q, b[..., None])[..., 0]
 
 
 def apply_inverse_hermitian_transpose(q, x):

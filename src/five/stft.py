@@ -29,7 +29,6 @@ def _periodic_hamming(n):
 class StftConfig:
     frame_size: int = 4096
     hop: int | None = None
-    window: str = "hamming"
 
     def __post_init__(self):
         if self.frame_size < 2 or self.frame_size % 2 != 0:
@@ -38,8 +37,6 @@ class StftConfig:
             object.__setattr__(self, "hop", self.frame_size // 2)
         if not 0 < self.hop <= self.frame_size:
             raise ValueError("hop must be in (0, frame_size]")
-        if self.window != "hamming":
-            raise ValueError(f"unsupported window {self.window!r}")
         self._check_cola()
 
     def _check_cola(self):
@@ -53,8 +50,8 @@ class StftConfig:
         level = interior.mean()
         if level <= 0 or np.max(np.abs(interior - level)) > _COLA_RTOL * level:
             raise ValueError(
-                f"window/hop pair ({self.window}, {self.hop}) does not satisfy "
-                "constant overlap-add"
+                f"hop {self.hop} does not satisfy constant overlap-add "
+                f"with the Hamming window of {self.frame_size}"
             )
 
     @property

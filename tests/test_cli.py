@@ -272,8 +272,7 @@ def test_bench_csv_properties(tmp_path):
         assert all(b <= a + 1e-9 * abs(a) for a, b in zip(nlls, nlls[1:]))
 
 
-def test_bench_spectral_mode_and_threads(tmp_path, monkeypatch):
-    monkeypatch.setenv("FIVE_THREADS", "2")
+def test_bench_spectral_mode_and_threads(tmp_path):
     out = tmp_path / "bench.csv"
     rc = cli.main(
         ["bench", "--output", str(out), "--scenes", "2", "--bins", "32",
@@ -323,6 +322,19 @@ def test_config_file_with_flag_override(tmp_path):
         ["simulate", "--output", str(out_b), "--config", str(config), "--channels", "3"]
     ) == 0
     assert load_scene(out_b).spec.num_channels == 3
+
+
+@pytest.mark.parametrize(
+    "command, line, flag",
+    [("bench", "contrast=foo", "--contrast"), ("simulate", "mixing=bogus", "--mixing")],
+)
+def test_config_file_values_get_choice_checks(tmp_path, capsys, command, line, flag):
+    config = tmp_path / "bad.cfg"
+    config.write_text(line + "\n")
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(config), "--output", str(out)]) == 1
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key, flag", [("iterations", "--iterations"), ("frame_size", "--frame-size")])

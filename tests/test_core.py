@@ -96,10 +96,6 @@ def test_config_validation():
     contrast = ContrastModel("laplace")
     with pytest.raises(ValueError):
         FiveConfig(contrast, max_iterations=0)
-    with pytest.raises(ValueError):
-        FiveConfig(contrast, regularization=-1.0)
-    with pytest.raises(ValueError):
-        FiveConfig(contrast, activity_floor=0.0)
 
 
 # ---------------------------------------------------------------- prewhiten
@@ -209,8 +205,8 @@ def test_covariance_stack_matches_einsum_on_stft_layout(weighted):
 def test_weighted_covariance_floors_activity():
     data = np.ones((1, 2, 1), dtype=complex)
     activity = np.array([0.0, 1.0])  # zero would make the weight blow up
-    got = weighted_covariance(data, activity, ContrastModel("laplace"), 0, activity_floor=0.5)
-    assert got[0, 0] == pytest.approx((1.0 + 0.5) / 2)
+    got = weighted_covariance(data, activity, ContrastModel("laplace"), 0)
+    assert got[0, 0] == pytest.approx((0.5 / core.ACTIVITY_FLOOR + 0.5) / 2)
 
 
 # ---------------------------------------------------------------- activity
@@ -305,6 +301,32 @@ def test_iteration_degenerate_covariance_rejected():
     )
     with pytest.raises(DegenerateCovarianceError):
         five_iteration(state, np.zeros((3, 8, 2), dtype=complex), ContrastModel("laplace"))
+
+
+def test_iteration_reloads_near_singular_bin_in_closed_form(monkeypatch):
+    # bin 1 has 0 < lambda_min <= t = REGULARIZATION * trace/M. Loaded to
+    # V + tI it keeps V's eigenvector r and gets lambda_min + t, with no
+    # second eigendecomposition.
+    rng = np.random.default_rng(41)
+    data = _identity_cov_data(rng, 2, 64, 3)
+    data[1, :, 2] *= 1e-6
+    contrast = ContrastModel("laplace")
+    state = DemixingState(
+        whiteners=np.broadcast_to(np.eye(3, dtype=complex), (2, 3, 3)),
+        w=np.ones((2, 3), dtype=complex),
+        activity=rng.uniform(0.5, 2.0, 64),
+    )
+    values, vectors = core.linalg.eig_hermitian(weighted_covariance(data, state.activity, contrast, 1))
+    load = core.REGULARIZATION * np.sum(values) / 3
+    assert 0 < values[-1] <= load
+
+    calls = []
+    eig = core.linalg.eig_hermitian
+    monkeypatch.setattr(core.linalg, "eig_hermitian", lambda a: calls.append(a.shape) or eig(a))
+    new = five_iteration(state, data, contrast)
+    assert len(calls) == 1
+    want = vectors[:, -1] / np.sqrt(values[-1] + load)
+    assert np.max(np.abs(new.w[1] - want)) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_iteration_equivariant_under_unitary():
@@ -443,7 +465,7 @@ def test_nll_matches_explicit_complement_formula(kind):
     whitened, whiteners = prewhiten(data)
     contrast = ContrastModel(kind, num_bins=n_bins)
     for state in _monitor_states(rng, whitened, whiteners, contrast):
-        want = np.sum(contrast.gain(np.maximum(state.activity, core.DEFAULT_ACTIVITY_FLOOR)))
+        want = np.sum(contrast.gain(np.maximum(state.activity, core.ACTIVITY_FLOOR)))
         for f in range(n_bins):
             basis = _complement(state.w[f])
             _, logdet = np.linalg.slogdet(np.column_stack([state.w[f], basis]))

@@ -10,8 +10,6 @@ from five.linalg import (
     cholesky,
     eig_hermitian,
     invert_upper_triangular,
-    smallest_eigenpair,
-    solve_upper_triangular,
 )
 
 
@@ -190,50 +188,7 @@ def test_eig_rejects_non_hermitian():
         eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
 
-# ---------------------------------------------------------------- smallest pair
-
-
-def test_smallest_eigenpair_diagonal():
-    value, vector = smallest_eigenpair(np.diag([5.0, 2.0, 7.0]).astype(complex))
-    assert value == pytest.approx(2.0, abs=0)
-    assert np.allclose(vector, [0.0, 1.0, 0.0], atol=1e-14)
-
-
-def test_smallest_eigenpair_identity_residual_contract():
-    value, vector = smallest_eigenpair(np.eye(4, dtype=complex))
-    assert np.linalg.norm(np.eye(4) @ vector - vector) <= 1e-10
-    assert value == pytest.approx(1.0, abs=1e-14)
-
-
-def test_smallest_eigenpair_matches_full_decomposition():
-    rng = np.random.default_rng(17)
-    for _ in range(20):
-        a = _random_hermitian(rng, 6)
-        values, vectors = eig_hermitian(a)
-        value, vector = smallest_eigenpair(a)
-        assert abs(value - values[-1]) <= 1e-12
-        assert np.allclose(vector, vectors[:, -1], atol=0)
-
-
 # ---------------------------------------------------------------- triangular solves
-
-
-def test_solve_upper_identity():
-    b = np.array([1 + 2j, 3.0, -1j])
-    assert np.allclose(solve_upper_triangular(np.eye(3, dtype=complex), b), b, atol=0)
-
-
-def test_solve_upper_diagonal():
-    x = solve_upper_triangular(np.diag([2.0, 4.0]).astype(complex), np.array([2.0, 8.0]))
-    assert np.allclose(x, [1.0, 2.0], atol=0)
-
-
-def test_solve_upper_residual_oracle():
-    rng = np.random.default_rng(18)
-    q = cholesky(_random_spd(rng, 8))
-    b = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    x = solve_upper_triangular(q, b)
-    assert np.linalg.norm(q @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
 def test_apply_inverse_hermitian_transpose_identity():
@@ -278,8 +233,6 @@ def test_apply_inverse_hermitian_transpose_matches_per_vector_solve(q_shape, x_s
 
 def test_triangular_near_zero_diagonal_rejected():
     q = np.diag([1.0, 1e-300]).astype(complex)
-    with pytest.raises(SingularTriangularError):
-        solve_upper_triangular(q, np.ones(2))
     with pytest.raises(SingularTriangularError):
         apply_inverse_hermitian_transpose(q, np.ones(2))
 
