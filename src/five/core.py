@@ -285,17 +285,21 @@ def five_iteration(state, whitened, contrast):
 
     Per bin: build the weighted covariance from the current activity, take
     its smallest eigenpair (lambda, r) and set w = r / sqrt(lambda), which
-    makes w^H V w = 1 exactly. The extracted signal, the activity and the
-    per-bin power are then recomputed from the new filters. A bin whose
-    smallest eigenvalue is at or below t = REGULARIZATION * trace/M is
-    loaded to V + tI in closed form (same eigenvectors, lambda + t); the
-    update aborts where lambda + t is still at the loaded matrix's
-    threshold, that is lambda <= REGULARIZATION * t. V is also the matrix
-    that certifies the incoming state (see DemixingState).
+    makes w^H V w = 1 exactly. The pair is exact, the global minimizer of
+    the majorizer: linalg.smallest_eigenpair takes the eigenvalues from
+    LAPACK and r by shifted inverse iteration started from the current w,
+    under a residual guard. V is Hermitian by construction, so it is not
+    checked. The extracted signal, the activity and the per-bin power are
+    then recomputed from the new filters. A bin whose smallest eigenvalue
+    is at or below t = REGULARIZATION * trace/M is loaded to V + tI in
+    closed form (same eigenvectors, lambda + t); the update aborts where
+    lambda + t is still at the loaded matrix's threshold, that is
+    lambda <= REGULARIZATION * t. V is also the matrix that certifies the
+    incoming state (see DemixingState).
     """
     data = _data_of(whitened)
     cov = _weighted_covariance_stack(data, state.activity, contrast)
-    values, vectors = linalg.eig_hermitian(cov)
+    values, vector = linalg.smallest_eigenpair(cov, state.w)
     smallest = values[:, -1]
     load = REGULARIZATION * np.sum(values, axis=-1) / data.shape[2]
     bad = smallest <= load
@@ -307,7 +311,7 @@ def five_iteration(state, whitened, contrast):
             )
         smallest = np.where(bad, smallest + load, smallest)
 
-    w = vectors[:, :, -1] / np.sqrt(smallest)[:, None]
+    w = vector / np.sqrt(smallest)[:, None]
     activity, power = _activity_and_power(apply_demixing(w, data))
     return DemixingState(
         whiteners=state.whiteners,

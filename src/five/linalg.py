@@ -6,6 +6,11 @@ leading axes, since the pipeline factorises one matrix per frequency bin.
 Eigendecompositions are ordered by descending eigenvalue and eigenvector
 phases are fixed so the largest-magnitude entry of each vector is real
 positive, making outputs deterministic.
+
+smallest_eigenpair serves the demixing update, which needs one eigenpair
+per matrix: eigenvalues only from LAPACK, then two steps of inverse
+iteration shifted just below the smallest one, with a residual guard that
+hands any matrix it cannot certify to eig_hermitian.
 """
 
 from typing import NamedTuple
@@ -21,6 +26,7 @@ __all__ = [
     "check_hermitian",
     "cholesky",
     "eig_hermitian",
+    "smallest_eigenpair",
     "apply_inverse_hermitian_transpose",
     "invert_upper_triangular",
 ]
@@ -28,6 +34,10 @@ __all__ = [
 _HERMITIAN_RTOL = 1e-12
 _PIVOT_RTOL = 1e-12
 _DIAG_RTOL = 1e-13
+# Inverse-iteration shift below lambda_min, relative to max(|lambda_min|,
+# _SHIFT_RTOL * lambda_max), and the residual accepted relative to lambda_max.
+_SHIFT_RTOL = 1e-8
+_EIGENPAIR_RTOL = 1e-12
 
 
 class NotHermitianError(ValueError):
@@ -121,6 +131,55 @@ def eig_hermitian(a):
     values = values[..., ::-1]
     vectors = _fix_phase(vectors[..., ::-1])
     return EigenDecomposition(np.ascontiguousarray(values), np.ascontiguousarray(vectors))
+
+
+def smallest_eigenpair(a, start):
+    """Eigenvalues (descending) and the unit eigenvector of the smallest one.
+
+    a is a Hermitian stack (..., M, M), which is not checked, and start
+    (..., M) a guess at the eigenvector, such as the previous one. The
+    eigenvalues come from LAPACK without vectors. The vector comes from two
+    steps of inverse iteration on a - sigma I, with sigma a relative 1e-8
+    below lambda_min: each step scales the component along eigenvector k by
+    (lambda_min - sigma) / (lambda_k - sigma) relative to the wanted one. It
+    is normalized and phase fixed as in eig_hermitian. A matrix whose
+    ||a u - lambda_min u|| exceeds 1e-12 lambda_max, or is NaN, gets its
+    vector from eig_hermitian: a zero start, one orthogonal to the
+    eigenvector, or a shifted matrix that LAPACK finds singular.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    m = a.shape[-1]
+    batch = a.shape[:-2]
+    a = a.reshape(-1, m, m)
+    try:
+        values = np.linalg.eigvalsh(a)[:, ::-1]
+    except np.linalg.LinAlgError as exc:
+        raise EigenConvergenceError(str(exc)) from exc
+    smallest, largest = values[:, -1:], values[:, :1]
+    shifted = a.copy()
+    shifted.reshape(-1, m * m)[:, :: m + 1] -= smallest - _SHIFT_RTOL * np.maximum(
+        abs(smallest), _SHIFT_RTOL * largest
+    )
+    rows = np.arange(len(a))
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        try:
+            inverse = np.linalg.inv(shifted)
+            u = inverse @ (inverse @ np.reshape(start, (-1, m, 1)))
+        except np.linalg.LinAlgError:
+            u = np.full((len(a), m, 1), np.nan, dtype=np.complex128)
+        # normalize, and rotate the largest-magnitude entry to real positive:
+        # _fix_phase's convention in one scaling, since on small stacks
+        # per-call overhead decides whether this beats eig_hermitian
+        mag = abs(u[:, :, 0])
+        lead = mag.argmax(axis=1)
+        scale = np.conj(u[rows, lead, 0]) / (mag[rows, lead] * np.sqrt(np.vecdot(mag, mag)))
+        u *= scale[:, None, None]
+        residual = (a @ u - smallest[:, :, None] * u)[:, :, 0]
+        failed = ~(np.vecdot(residual, residual).real <= (_EIGENPAIR_RTOL * largest[:, 0]) ** 2)
+    u = u[:, :, 0]
+    if failed.any():
+        u[failed] = eig_hermitian(a[failed]).eigenvectors[:, :, -1]
+    return values.reshape(batch + (m,)), u.reshape(batch + (m,))
 
 
 def _check_diagonal(q):

@@ -110,7 +110,8 @@ def analyze(wave, config=None):
 
     Returns
     -------
-    SpectralTensor with data of shape (frame_size/2 + 1, num_frames, channels).
+    SpectralTensor with C-contiguous data of shape
+    (frame_size/2 + 1, num_frames, channels).
     """
     if config is None:
         config = StftConfig()
@@ -126,11 +127,13 @@ def analyze(wave, config=None):
     if padded_len > x.shape[0]:
         x = np.concatenate([x, np.zeros((padded_len - x.shape[0], x.shape[1]))])
 
-    # (n_frames, channels, frame) view, then window and transform per frame
+    # (n_frames, channels, frame) view, then window and transform per frame,
+    # written straight into a C-contiguous (bins, frames, channels) array
     frames = np.lib.stride_tricks.sliding_window_view(x, frame, axis=0)[::hop]
-    spectra = np.fft.rfft(frames * config.window_samples(), axis=-1)
+    spectra = np.empty((config.num_bins, n_frames, x.shape[1]), dtype=np.complex128)
+    np.fft.rfft(frames * config.window_samples(), axis=-1, out=spectra.transpose(1, 2, 0))
     return SpectralTensor(
-        data=spectra.transpose(2, 0, 1),
+        data=spectra,
         sample_rate=wave.sample_rate,
         config=config,
         num_samples=wave.num_samples,
@@ -143,21 +146,29 @@ def synthesize(spec):
     The synthesis window equals the analysis window and the output is
     normalized per sample by the accumulated squared window, so unmodified
     spectra reconstruct the input exactly wherever frames overlap.
+
+    Every hop StftConfig accepts divides the frame, so the output is laid
+    out in hop-sized blocks and slice r of every frame is added, in one
+    shifted slab, to the blocks r to r + num_frames - 1.
     """
     config = spec.config
     frame, hop = config.frame_size, config.hop
     win = config.window_samples()
     n_frames, n_chan = spec.num_frames, spec.num_channels
+    slices = frame // hop
 
-    time_frames = np.fft.irfft(spec.data, n=frame, axis=0) * win[:, None, None]
-    total = (n_frames - 1) * hop + frame
-    out = np.zeros((total, n_chan))
-    weight = np.zeros(total)
-    win_sq = win * win
-    for n in range(n_frames):
-        out[n * hop : n * hop + frame] += time_frames[:, n, :]
-        weight[n * hop : n * hop + frame] += win_sq
-    out /= weight[:, None]  # Hamming never reaches zero, so weight > 0
+    time_frames = np.fft.irfft(spec.data.transpose(1, 0, 2), n=frame, axis=1)
+    time_frames *= win[:, None]
+    time_frames = time_frames.reshape(n_frames, slices, hop, n_chan)
+    out = np.zeros((n_frames + slices - 1, hop, n_chan))
+    weight = np.zeros((n_frames + slices - 1, hop))
+    win_sq = (win * win).reshape(slices, hop)
+    # last slice first, so each sample sums its frames in frame order
+    for r in reversed(range(slices)):
+        out[r : r + n_frames] += time_frames[:, r]
+        weight[r : r + n_frames] += win_sq[r]
+    out = out.reshape(-1, n_chan)
+    out /= weight.reshape(-1, 1)  # Hamming never reaches zero, so weight > 0
 
     if spec.num_samples is not None:
         out = out[: spec.num_samples]

@@ -189,10 +189,12 @@ def test_weighted_covariance_matches_triple_loop():
 
 @pytest.mark.parametrize("weighted", [False, True])
 def test_covariance_stack_matches_einsum_on_stft_layout(weighted):
-    # analyze returns a strided (F, N, M) view, not a contiguous array
+    # STFT data as a strided (F, N, M) view of an (N, M, F) array: the build
+    # must take any layout a caller passes, not only analyze's contiguous one
     rng = np.random.default_rng(35)
     wave = MultichannelWave(16000, rng.standard_normal((40 * 64, 3)))
-    data = analyze(wave, StftConfig(frame_size=128)).data
+    data = np.ascontiguousarray(analyze(wave, StftConfig(frame_size=128)).data.transpose(1, 2, 0))
+    data = data.transpose(2, 0, 1)
     assert not data.flags.c_contiguous
     weights = rng.uniform(0.1, 3.0, data.shape[1]) if weighted else None
     got = core._covariance_stack(data, weights)
@@ -305,8 +307,8 @@ def test_iteration_degenerate_covariance_rejected():
 
 def test_iteration_reloads_near_singular_bin_in_closed_form(monkeypatch):
     # bin 1 has 0 < lambda_min <= t = REGULARIZATION * trace/M. Loaded to
-    # V + tI it keeps V's eigenvector r and gets lambda_min + t, with no
-    # second eigendecomposition.
+    # V + tI it keeps V's eigenvector r and gets lambda_min + t, with one
+    # eigenpair call and no eig_hermitian fallback.
     rng = np.random.default_rng(41)
     data = _identity_cov_data(rng, 2, 64, 3)
     data[1, :, 2] *= 1e-6
@@ -320,11 +322,14 @@ def test_iteration_reloads_near_singular_bin_in_closed_form(monkeypatch):
     load = core.REGULARIZATION * np.sum(values) / 3
     assert 0 < values[-1] <= load
 
-    calls = []
-    eig = core.linalg.eig_hermitian
-    monkeypatch.setattr(core.linalg, "eig_hermitian", lambda a: calls.append(a.shape) or eig(a))
+    calls = {"pair": 0, "eig": 0}
+    pair, eig = core.linalg.smallest_eigenpair, core.linalg.eig_hermitian
+    monkeypatch.setattr(
+        core.linalg, "smallest_eigenpair", lambda *a: calls.update(pair=calls["pair"] + 1) or pair(*a)
+    )
+    monkeypatch.setattr(core.linalg, "eig_hermitian", lambda a: calls.update(eig=calls["eig"] + 1) or eig(a))
     new = five_iteration(state, data, contrast)
-    assert len(calls) == 1
+    assert calls == {"pair": 1, "eig": 0}
     want = vectors[:, -1] / np.sqrt(values[-1] + load)
     assert np.max(np.abs(new.w[1] - want)) <= 1e-12 * np.linalg.norm(want)
 
@@ -600,10 +605,15 @@ def test_report_records_certify_their_own_state():
 
 @pytest.mark.parametrize("monitoring", [True, False])
 def test_monitored_run_costs_one_covariance_build(monkeypatch, monitoring):
-    # K updates: K eigendecompositions, and K covariance builds plus one
-    # more for the last certificate when monitoring
-    counts = {"eig": 0, "cov": 0}
-    eig, build = core.linalg.eig_hermitian, core._weighted_covariance_stack
+    # K updates: K eigenpair calls with no eig_hermitian fallback, and K
+    # covariance builds plus one more for the last certificate when monitoring
+    counts = {"pair": 0, "eig": 0, "cov": 0}
+    pair, eig = core.linalg.smallest_eigenpair, core.linalg.eig_hermitian
+    build = core._weighted_covariance_stack
+
+    def counting_pair(*args, **kwargs):
+        counts["pair"] += 1
+        return pair(*args, **kwargs)
 
     def counting_eig(*args, **kwargs):
         counts["eig"] += 1
@@ -613,6 +623,7 @@ def test_monitored_run_costs_one_covariance_build(monkeypatch, monitoring):
         counts["cov"] += 1
         return build(*args, **kwargs)
 
+    monkeypatch.setattr(core.linalg, "smallest_eigenpair", counting_pair)
     monkeypatch.setattr(core.linalg, "eig_hermitian", counting_eig)
     monkeypatch.setattr(core, "_weighted_covariance_stack", counting_build)
     rng = np.random.default_rng(61)
@@ -625,7 +636,7 @@ def test_monitored_run_costs_one_covariance_build(monkeypatch, monitoring):
     )
     _, report = extract_spectral(spec, config)
     assert report.iterations_run == 4
-    assert counts == {"eig": 4, "cov": 5 if monitoring else 4}
+    assert counts == {"pair": 4, "eig": 0, "cov": 5 if monitoring else 4}
 
 
 def test_head_solutions_all_satisfy_system():

