@@ -1,13 +1,15 @@
 """Single-source blind extraction by iterative whitened max-SINR beamforming.
 
 The input spectrogram is whitened once so the per-bin sample covariance is
-the identity. Each iteration then reweights the covariance with a strictly
-decreasing function of the current per-frame source magnitude, takes the
-smallest eigenpair per bin, and uses the normalized eigenvector as the new
-demixing filter. This is a majorization-minimization scheme: the monitored
-negative log-likelihood never increases, and fixed points solve a quadratic
-stationarity system exactly (see head_residual). The scale ambiguity is
-resolved at the end by least-squares projection onto a reference channel.
+the identity: by Cholesky, after dropping each channel that adds no rank to
+the channels before it in some bin (PCA before ICA). Each iteration then
+reweights the covariance with a strictly decreasing function of the current
+per-frame source magnitude, takes the smallest eigenpair per bin, and uses
+the normalized eigenvector as the new demixing filter. This is a
+majorization-minimization scheme: the monitored negative log-likelihood
+never increases, and fixed points solve a quadratic stationarity system
+exactly (see head_residual). The scale ambiguity is resolved at the end by
+least-squares projection onto a reference channel.
 
 The monitor takes the background demixing block as the orthonormal
 complement of w, optimal for the identity covariance prewhiten leaves. The
@@ -16,9 +18,10 @@ and five_iteration certifies the state it starts from with the covariance
 it builds anyway (head_residual): about one covariance build per run.
 
 Like the STFT's Hamming window, the numerical guards are fixed constants,
-not settings: REGULARIZATION is the diagonal loading, relative to trace/M,
-of a covariance at the noise floor, and ACTIVITY_FLOOR bounds the frame
-activities before the contrast weight, which diverges at zero.
+not settings: REGULARIZATION is the update's diagonal loading, relative to
+trace/M, of a weighted covariance at the noise floor (the input covariance
+is never loaded), and ACTIVITY_FLOOR bounds the frame activities before the
+contrast weight, which diverges at zero.
 """
 
 import csv
@@ -39,7 +42,6 @@ __all__ = [
     "ExtractionReport",
     "write_config_header",
     "DegenerateCovarianceError",
-    "RankDeficientCovarianceError",
     "SilentReferenceChannelError",
     "prewhiten",
     "weighted_covariance",
@@ -61,16 +63,12 @@ ACTIVITY_FLOOR = 1e-12
 _BLOCK_BYTES = 1 << 19
 
 
-class RankDeficientCovarianceError(ValueError):
-    """Per-bin input covariance stayed non-positive-definite after loading."""
-
-
 class DegenerateCovarianceError(RuntimeError):
     """Weighted covariance collapsed (smallest eigenvalue at the noise floor)."""
 
 
 class SilentReferenceChannelError(ValueError):
-    """The reference channel is all zero: no initial estimate, no scale to project onto."""
+    """The reference channel is silent or adds no rank: whitening would drop it."""
 
 
 @dataclass(frozen=True)
@@ -217,33 +215,22 @@ def prewhiten(spec):
     """Whiten the spectrogram so every bin has identity sample covariance.
 
     Factors the per-bin sample covariance as Q^H Q and applies Q^{-H} to the
-    data in one batched matrix product. If the factorization fails, the
-    covariance is diagonally loaded once with REGULARIZATION * trace/M
-    before giving up.
+    data in one batched matrix product. A covariance that is not positive
+    definite raises linalg.NotPositiveDefiniteError, whose pivot_index is
+    the first channel that adds no rank in some bin; extract_spectral drops
+    that channel.
 
     Returns the whitened tensor and the stack of upper-triangular factors Q.
     """
     data = _data_of(spec)
-    n_bins, n_frames, n_chan = data.shape
+    _, n_frames, n_chan = data.shape
     if n_frames < n_chan:
         raise ValueError(
             f"need at least as many frames as channels for a full-rank "
             f"covariance ({n_frames} frames, {n_chan} channels)"
         )
-    cov = _covariance_stack(data)
-    try:
-        whiteners = linalg.cholesky(cov)
-    except linalg.NotPositiveDefiniteError:
-        trace = np.real(np.trace(cov, axis1=1, axis2=2))
-        cov = cov + (REGULARIZATION * trace / n_chan)[:, None, None] * np.eye(n_chan)
-        try:
-            whiteners = linalg.cholesky(cov)
-        except linalg.NotPositiveDefiniteError as exc:
-            raise RankDeficientCovarianceError(
-                f"covariance is rank deficient even after diagonal loading "
-                f"(pivot {exc.pivot_index})"
-            ) from exc
-    whitened = linalg.apply_inverse_hermitian_transpose(whiteners[:, None], data)
+    whiteners = linalg.cholesky(_covariance_stack(data))
+    whitened = linalg.apply_inverse_hermitian_transpose(whiteners, data)
     if isinstance(spec, SpectralTensor):
         whitened = replace(spec, data=whitened)
     return whitened, whiteners
@@ -426,8 +413,11 @@ def extract_spectral(spec, config, callback=None):
     Pipeline: prewhiten, initialize the estimate as the whitened reference
     channel, iterate demixing updates (optionally stopping early once the
     filters move less than early_stop_tol), then project the result back
-    onto the original reference channel. An all-zero reference channel
-    raises SilentReferenceChannelError before whitening.
+    onto the original reference channel. Whenever whitening names a channel
+    that adds no rank in some bin (silent, or a combination of the channels
+    before it), that channel is dropped and the kept channels are whitened
+    again; the state then has one entry per kept channel. A dropped
+    reference channel raises SilentReferenceChannelError.
 
     callback(iteration, state, extracted) is invoked for the initial state
     (iteration 0) and after every iteration with the raw (un-projected)
@@ -444,13 +434,24 @@ def extract_spectral(spec, config, callback=None):
     n_bins, _, n_chan = original.shape
     if config.ref_channel >= n_chan:
         raise ValueError(f"ref_channel {config.ref_channel} out of range for {n_chan} channels")
-    if not np.any(original[:, :, config.ref_channel]):
-        raise SilentReferenceChannelError(f"reference channel {config.ref_channel} is silent (all zero)")
-    data, whiteners = prewhiten(original)
+    kept, data = np.arange(n_chan), original
+    while True:
+        try:
+            data, whiteners = prewhiten(data)
+            break
+        except linalg.NotPositiveDefiniteError as exc:
+            if kept[exc.pivot_index] == config.ref_channel:
+                raise SilentReferenceChannelError(
+                    f"reference channel {config.ref_channel} is silent or adds no rank "
+                    f"to the channels before it"
+                ) from exc
+            kept = np.delete(kept, exc.pivot_index)
+            data = np.take(original, kept, axis=2)  # C-contiguous, unlike original[:, :, kept]
+    ref = int(np.searchsorted(kept, config.ref_channel))
 
-    w0 = np.zeros((n_bins, n_chan), dtype=np.complex128)
-    w0[:, config.ref_channel] = 1.0
-    activity, power = _activity_and_power(data[:, :, config.ref_channel])
+    w0 = np.zeros((n_bins, len(kept)), dtype=np.complex128)
+    w0[:, ref] = 1.0
+    activity, power = _activity_and_power(data[:, :, ref])
     state = DemixingState(whiteners=whiteners, w=w0, activity=activity, power=power)
     setup_ms = (time.perf_counter() - t0) * 1e3
 

@@ -21,19 +21,16 @@ __all__ = [
     "NotHermitianError",
     "NotPositiveDefiniteError",
     "EigenConvergenceError",
-    "SingularTriangularError",
     "EigenDecomposition",
     "check_hermitian",
     "cholesky",
     "eig_hermitian",
     "smallest_eigenpair",
     "apply_inverse_hermitian_transpose",
-    "invert_upper_triangular",
 ]
 
 _HERMITIAN_RTOL = 1e-12
 _PIVOT_RTOL = 1e-12
-_DIAG_RTOL = 1e-13
 # Inverse-iteration shift below lambda_min, relative to max(|lambda_min|,
 # _SHIFT_RTOL * lambda_max), and the residual accepted relative to lambda_max.
 _SHIFT_RTOL = 1e-8
@@ -54,10 +51,6 @@ class NotPositiveDefiniteError(ValueError):
 
 class EigenConvergenceError(RuntimeError):
     """Eigensolver failed to converge (numerically pathological input)."""
-
-
-class SingularTriangularError(ValueError):
-    """Triangular solve hit a near-zero diagonal entry."""
 
 
 class EigenDecomposition(NamedTuple):
@@ -88,8 +81,9 @@ def cholesky(a, pivot_rtol=_PIVOT_RTOL):
     """Upper-triangular factor q with q^H q = a and positive real diagonal.
 
     Pivots q_jj^2 at or below pivot_rtol times the largest diagonal entry
-    of their matrix raise NotPositiveDefiniteError with the first failing
-    pivot index over the stack.
+    of their matrix raise NotPositiveDefiniteError. Its pivot_index is the
+    lowest failing pivot over the stack: for covariances, the first channel
+    that adds no rank to the channels before it in some matrix.
     """
     a = np.asarray(a, dtype=np.complex128)
     check_hermitian(a)
@@ -182,30 +176,10 @@ def smallest_eigenpair(a, start):
     return values.reshape(batch + (m,)), u.reshape(batch + (m,))
 
 
-def _check_diagonal(q):
-    diag = np.abs(np.diagonal(q, axis1=-2, axis2=-1))
-    if np.any(diag <= _DIAG_RTOL * np.max(diag)):
-        raise SingularTriangularError("near-zero diagonal entry in triangular factor")
-
-
 def apply_inverse_hermitian_transpose(q, x):
-    """Solve q^H y = x, that is y = x conj(q^{-1}) in row-vector form.
+    """Solve q^H y = x row by row, that is y = x conj(q^{-1}).
 
-    q (..., M, M) and x (..., M) broadcast over the leading axes. If q's last
-    batch axis has length 1 (q[:, None] against x (F, N, M), as prewhiten
-    whitens), the vectors sharing a matrix go through one matrix product.
+    q (..., M, M) and x (..., N, M) broadcast over the leading axes, so the
+    N rows sharing a matrix go through one matrix product.
     """
-    q = np.asarray(q, dtype=np.complex128)
-    x = np.asarray(x, dtype=np.complex128)
-    _check_diagonal(q)
-    inverse = np.conj(np.linalg.inv(q))
-    if q.ndim > 2 and q.shape[-3] == 1 and x.ndim > 1:
-        return x @ inverse[..., 0, :, :]
-    return (x[..., None, :] @ inverse)[..., 0, :]
-
-
-def invert_upper_triangular(q):
-    """Explicit inverse of an upper-triangular factor (stays upper-triangular)."""
-    q = np.asarray(q, dtype=np.complex128)
-    _check_diagonal(q)
-    return np.linalg.inv(q)
+    return np.asarray(x, dtype=np.complex128) @ np.conj(np.linalg.inv(q))

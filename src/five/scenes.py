@@ -277,7 +277,7 @@ def oracle_max_sinr(scene):
     background = scene.true_background_covariance
     mixture_cov = scene.true_target_covariance + background
     factor = linalg.cholesky(background)
-    factor_inv = linalg.invert_upper_triangular(factor)
+    factor_inv = np.linalg.inv(factor)
     whitened = np.conj(np.swapaxes(factor_inv, 1, 2)) @ mixture_cov @ factor_inv
     whitened = 0.5 * (whitened + np.conj(np.swapaxes(whitened, 1, 2)))
     _, vectors = linalg.eig_hermitian(whitened)

@@ -40,15 +40,11 @@ class StftConfig:
         self._check_cola()
 
     def _check_cola(self):
-        # Overlap-added window sums must be constant over the interior.
-        win = self.window_samples()
-        span = 4 * self.frame_size
-        ola = np.zeros(span + self.frame_size)
-        for start in range(0, span, self.hop):
-            ola[start : start + self.frame_size] += win
-        interior = ola[self.frame_size : span - self.frame_size]
-        level = interior.mean()
-        if level <= 0 or np.max(np.abs(interior - level)) > _COLA_RTOL * level:
+        # Overlap-added window sums must be constant over the interior, where
+        # sample t sums the window taps j = t (mod hop).
+        sums = np.bincount(np.arange(self.frame_size) % self.hop, weights=self.window_samples())
+        level = sums.mean()
+        if level <= 0 or np.max(np.abs(sums - level)) > _COLA_RTOL * level:
             raise ValueError(
                 f"hop {self.hop} does not satisfy constant overlap-add "
                 f"with the Hamming window of {self.frame_size}"

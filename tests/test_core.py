@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from five import core
+from five import core, linalg
 from five.core import (
     ContrastModel,
     DegenerateCovarianceError,
@@ -135,8 +135,20 @@ def test_prewhiten_needs_enough_frames():
 
 
 def test_prewhiten_rank_deficient_rejected():
-    with pytest.raises(core.RankDeficientCovarianceError):
+    with pytest.raises(linalg.NotPositiveDefiniteError) as info:
         prewhiten(np.zeros((2, 8, 2), dtype=complex))
+    assert info.value.pivot_index == 0
+
+
+def test_prewhiten_tolerance_is_per_bin():
+    # a bin 1e-14 times quieter than the others is still well conditioned
+    rng = np.random.default_rng(39)
+    data = _cnormal(rng, (2, 64, 3))
+    data[0] *= 1e-14
+    whitened, _ = prewhiten(data)
+    for f in range(2):
+        cov = whitened[f].T @ np.conj(whitened[f]) / 64
+        assert np.linalg.norm(cov - np.eye(3)) <= 1e-8
 
 
 # ---------------------------------------------------------------- weighted covariance
@@ -785,6 +797,82 @@ def test_extract_silent_reference_channel_names_it():
     with pytest.raises(SilentReferenceChannelError, match="reference channel 0 is silent"):
         extract(wave, StftConfig(frame_size=4096), config)
     assert issubclass(SilentReferenceChannelError, ValueError)
+
+
+# ------------------------------------------------------- degenerate arrays
+
+
+@pytest.fixture(scope="module")
+def short_recording():
+    # 3 s, 4-ch convolutive scene; frame 1024 keeps each extraction short
+    from five import SceneSpec, generate_scene
+
+    scene = generate_scene(
+        SceneSpec(num_channels=4, mixing="convolutive_fir", num_samples=48000, seed=7)
+    )
+    return scene.mixture.sample_rate, scene.mixture.samples
+
+
+def _extract_short(sample_rate, samples, ref_channel=0, callback=None):
+    spec = analyze(MultichannelWave(sample_rate, samples), StftConfig(frame_size=1024))
+    config = FiveConfig(contrast=ContrastModel("gauss", num_bins=513), ref_channel=ref_channel)
+    return extract_spectral(spec, config, callback=callback)
+
+
+@pytest.mark.parametrize(
+    "position, make_channel, ref_channel",
+    [
+        (2, lambda x: np.zeros(len(x)), 0),  # dead
+        (1, lambda x: x[:, 0], 0),  # duplicated
+        (3, lambda x: x[:, 0] + x[:, 1], 0),  # sum of two others
+        (1, lambda x: np.zeros(len(x)), 2),  # dropped before the reference
+    ],
+    ids=["dead", "duplicated", "sum_of_two", "before_reference"],
+)
+def test_extract_drops_channel_that_adds_no_rank(short_recording, position, make_channel, ref_channel):
+    sample_rate, samples = short_recording
+    degenerate = np.insert(samples, position, make_channel(samples), axis=1)
+    widths = []
+    extracted, report = _extract_short(
+        sample_rate, degenerate, ref_channel, lambda it, state, est: widths.append(state.w.shape[1])
+    )
+    # the same recording without that channel, the reference renumbered
+    removed_ref = ref_channel - (position < ref_channel)
+    want, want_report = _extract_short(sample_rate, samples, removed_ref)
+    assert set(widths) == {4}
+    assert np.max(np.abs(extracted - want)) <= 1e-12 * np.max(np.abs(want))
+    nll = report.nll_values
+    assert len(nll) == len(want_report.nll_values) == 4
+    for a, b in zip(nll, nll[1:]):
+        assert b <= a + 1e-9 * abs(a)
+
+
+def test_extract_reference_duplicating_another_channel_names_it(short_recording):
+    from five import SilentReferenceChannelError
+
+    sample_rate, samples = short_recording
+    samples = samples.copy()
+    samples[:, 2] = samples[:, 0]
+    with pytest.raises(SilentReferenceChannelError, match="reference channel 2 "):
+        _extract_short(sample_rate, samples, ref_channel=2)
+
+
+def test_extract_keeps_band_limited_channel(short_recording):
+    # channel 2 with its spectrum zeroed above 4 kHz still carries rank in
+    # every STFT bin: window leakage, not silence
+    sample_rate, samples = short_recording
+    samples = samples.copy()
+    spectrum = np.fft.rfft(samples[:, 2])
+    spectrum[np.fft.rfftfreq(len(samples), 1.0 / sample_rate) > 4000.0] = 0.0
+    samples[:, 2] = np.fft.irfft(spectrum, len(samples))
+    widths = []
+    _, report = _extract_short(
+        sample_rate, samples, callback=lambda it, state, est: widths.append(state.w.shape[1])
+    )
+    assert set(widths) == {4}
+    nll = report.nll_values
+    for a, b in zip(nll, nll[1:]):
+        assert b <= a + 1e-9 * abs(a)
 
 
 def test_report_csv_round_trip():

@@ -6,11 +6,9 @@ from five.linalg import (
     EigenConvergenceError,
     NotHermitianError,
     NotPositiveDefiniteError,
-    SingularTriangularError,
     apply_inverse_hermitian_transpose,
     cholesky,
     eig_hermitian,
-    invert_upper_triangular,
     smallest_eigenpair,
 )
 
@@ -317,38 +315,17 @@ def test_apply_inverse_hermitian_transpose_residual_oracle():
     assert np.linalg.norm(q.conj().T @ y - x) <= 1e-10 * np.linalg.norm(x)
 
 
-@pytest.mark.parametrize(
-    "q_shape, x_shape",
-    [((6, 1, 4, 4), (6, 9, 4)), ((6, 4, 4), (6, 4)), ((2, 3, 4, 4), (3, 4))],
-)
+@pytest.mark.parametrize("q_shape, x_shape", [((6, 4, 4), (6, 9, 4))])
 def test_apply_inverse_hermitian_transpose_matches_per_vector_solve(q_shape, x_shape):
-    # the (F, 1, M, M) against (F, N, M) case is how prewhiten whitens
+    # (F, M, M) against (F, N, M) is how prewhiten whitens
     rng = np.random.default_rng(22)
-    q = cholesky(np.stack([_random_spd(rng, 4) for _ in range(np.prod(q_shape[:-2]))]))
-    q = q.reshape(q_shape)
+    q = cholesky(np.stack([_random_spd(rng, 4) for _ in range(q_shape[0])]))
     x = rng.standard_normal(x_shape) + 1j * rng.standard_normal(x_shape)
     y = apply_inverse_hermitian_transpose(q, x)
-    batch = np.broadcast_shapes(q_shape[:-2], x_shape[:-1])
-    assert y.shape == batch + (4,)
-    qb = np.broadcast_to(q, batch + (4, 4))
-    xb = np.broadcast_to(x, batch + (4,))
-    for index in np.ndindex(batch):
-        want = np.linalg.solve(qb[index].conj().T, xb[index])
-        assert np.linalg.norm(y[index] - want) <= 1e-12 * np.linalg.norm(want)
-
-
-def test_triangular_near_zero_diagonal_rejected():
-    q = np.diag([1.0, 1e-300]).astype(complex)
-    with pytest.raises(SingularTriangularError):
-        apply_inverse_hermitian_transpose(q, np.ones(2))
-
-
-def test_invert_upper_triangular():
-    rng = np.random.default_rng(20)
-    q = cholesky(_random_spd(rng, 6))
-    inv = invert_upper_triangular(q)
-    assert np.allclose(np.tril(inv, -1), 0.0, atol=0)
-    assert np.linalg.norm(q @ inv - np.eye(6)) <= 1e-10
+    assert y.shape == x_shape
+    for f, n in np.ndindex(x_shape[:-1]):
+        want = np.linalg.solve(q[f].conj().T, x[f, n])
+        assert np.linalg.norm(y[f, n] - want) <= 1e-12 * np.linalg.norm(want)
 
 
 # ---------------------------------------------------------------- whitening identity

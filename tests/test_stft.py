@@ -37,6 +37,27 @@ def test_accepted_hops_divide_the_frame():
             assert frame % hop == 0, (frame, hop)
 
 
+def test_cola_check_matches_overlap_add_loop():
+    # reference: overlap-add the window over 4 frames, read the interior
+    def loop_accepts(frame, hop):
+        win = StftConfig(frame_size=frame).window_samples()
+        ola = np.zeros(5 * frame)
+        for start in range(0, 4 * frame, hop):
+            ola[start : start + frame] += win
+        interior = ola[frame : 3 * frame]
+        level = interior.mean()
+        return level > 0 and np.max(np.abs(interior - level)) <= 1e-10 * level
+
+    for frame in range(2, 65, 2):
+        for hop in range(1, frame + 1):
+            try:
+                StftConfig(frame_size=frame, hop=hop)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == loop_accepts(frame, hop), (frame, hop)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         StftConfig(frame_size=255)
