@@ -15,7 +15,6 @@ from .core import (
     head_solutions,
     prewhiten,
     project_back,
-    update_activity,
     weighted_covariance,
 )
 from .metrics import MetricReport, evaluate_extraction, si_sdr, si_sir
@@ -63,7 +62,6 @@ __all__ = [
     "si_sdr",
     "si_sir",
     "synthesize",
-    "update_activity",
     "weighted_covariance",
     "write_wave",
     "__version__",

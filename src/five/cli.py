@@ -1,9 +1,13 @@
 """Batch command line: extraction, scene simulation, evaluation, benchmarking.
 
 Subcommands exchange plain files (WAV, raw tensor files, CSV) so runs can
-be scripted and plotted with any tool. Every report echoes the fully
-resolved configuration. Exit codes: 0 success, 1 usage error, 2 runtime
-failure.
+be scripted and plotted with any tool. Settings are parsed once by argparse:
+each line of a --config file is read as a flag given before the command
+line's own (sinr_db=-2 as --sinr-db=-2), so it gets that flag's checks and
+a command-line flag wins; keys that name no flag of the subcommand are
+ignored. Defaults the library also has are read from its dataclasses, and
+--help shows each one. Every report echoes the fully resolved
+configuration. Exit codes: 0 success, 1 usage error, 2 runtime failure.
 """
 
 import argparse
@@ -19,6 +23,9 @@ from .wavio import read_wave, write_wave
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(formatter_class=argparse.ArgumentDefaultsHelpFormatter, **kwargs)
+
     # spec'd exit codes: argparse's default usage-error code is 2, we need 1
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -40,126 +47,90 @@ def _nonneg_int(text):
     return value
 
 
+_FIVE = core.FiveConfig
+_SCENE = scenes.SceneSpec
+
+
 def _add_stft_args(parser):
-    parser.add_argument("--frame-size", type=_positive_int, default=None, help="STFT frame (default 4096)")
-    parser.add_argument("--hop", type=_positive_int, default=None, help="STFT hop (default frame/2)")
+    parser.add_argument("--frame-size", type=_positive_int, default=StftConfig.frame_size, help="STFT frame")
+    parser.add_argument("--hop", type=_positive_int, default=None, help="STFT hop; None means frame/2")
 
 
 def _add_five_args(parser):
-    parser.add_argument("--contrast", choices=["laplace", "gauss"], default=None, help="source model (default gauss)")
-    parser.add_argument("--iterations", type=_positive_int, default=None, help="demixing updates (default 3)")
-    parser.add_argument("--ref-channel", type=_nonneg_int, default=None, help="reference channel (default 0)")
+    parser.add_argument("--contrast", choices=["laplace", "gauss"], default="gauss", help="source model")
+    parser.add_argument("--iterations", type=_positive_int, default=_FIVE.max_iterations, help="demixing updates")
+    parser.add_argument("--ref-channel", type=_nonneg_int, default=_FIVE.ref_channel, help="reference channel")
 
 
 def _add_scene_args(parser):
-    parser.add_argument("--channels", type=_positive_int, default=None, help="microphone count (default 4)")
-    parser.add_argument("--interferers", type=_nonneg_int, default=None, help="background sources (default 10)")
-    parser.add_argument("--sinr-db", type=float, default=None, help="channel-1 SINR (default 5)")
-    parser.add_argument("--bins", type=_positive_int, default=None, help="frequency bins (default 64)")
-    parser.add_argument("--frames", type=_positive_int, default=None, help="frames (default 500)")
-    parser.add_argument("--mixing", choices=list(scenes.MIXING_MODES), default=None)
-    parser.add_argument("--target-model", choices=list(scenes.TARGET_MODELS), default=None)
-    parser.add_argument("--noise-fraction", type=float, default=None, help="uncorrelated share (default 0.01)")
-    parser.add_argument("--sample-rate", type=_positive_int, default=None, help="default 16000")
-    parser.add_argument("--duration", type=float, default=None, help="convolutive length in seconds (default 1)")
-    parser.add_argument("--fir-length", type=_positive_int, default=None, help="convolutive filter taps (default 256)")
+    parser.add_argument("--channels", type=_positive_int, default=4, help="microphone count")
+    parser.add_argument("--interferers", type=_nonneg_int, default=_SCENE.num_interferers, help="background sources")
+    parser.add_argument("--sinr-db", type=float, default=_SCENE.input_sinr_db, help="channel-1 SINR")
+    parser.add_argument("--bins", type=_positive_int, default=_SCENE.num_bins, help="frequency bins")
+    parser.add_argument("--frames", type=_positive_int, default=_SCENE.num_frames, help="frames")
+    parser.add_argument("--mixing", choices=scenes.MIXING_MODES, default=_SCENE.mixing, help="mixing model")
+    parser.add_argument("--target-model", choices=scenes.TARGET_MODELS, default=_SCENE.target_model,
+                        help="target source model")
+    parser.add_argument("--noise-fraction", type=float, default=_SCENE.uncorrelated_noise_fraction,
+                        help="uncorrelated share")
+    parser.add_argument("--sample-rate", type=_positive_int, default=_SCENE.sample_rate, help="sample rate in Hz")
+    parser.add_argument("--duration", type=float, default=1.0, help="convolutive length in seconds")
+    parser.add_argument("--fir-length", type=_positive_int, default=_SCENE.fir_length, help="convolutive filter taps")
 
 
 def build_parser():
     parser = _Parser(prog="five", description="Blind single-source extraction toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_ext = sub.add_parser("extract", parents=[], help="extract the target from a recording")
+    p_ext = sub.add_parser("extract", help="extract the target from a recording")
     p_ext.add_argument("--input", required=True, help="input WAV or .fiv tensor")
     p_ext.add_argument("--output", required=True, help="output WAV or .fiv tensor")
     p_ext.add_argument("--report", default=None, help="per-iteration CSV report")
-    p_ext.add_argument("--format", choices=["float32", "pcm16"], default=None, help="output WAV sample format")
-    p_ext.add_argument("--sample-rate", type=_positive_int, default=None, help="rate for tensor input (default 16000)")
+    p_ext.add_argument("--format", choices=["float32", "pcm16"], default="float32", help="output WAV sample format")
+    p_ext.add_argument("--sample-rate", type=_positive_int, default=_SCENE.sample_rate, help="rate for tensor input")
     _add_stft_args(p_ext)
     _add_five_args(p_ext)
-    p_ext.add_argument("--config", default=None, help="key=value config file; flags override")
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic ground-truth scene")
     p_sim.add_argument("--output", required=True, help="scene directory")
-    p_sim.add_argument("--seed", type=_nonneg_int, default=None, help="default 0")
+    p_sim.add_argument("--seed", type=_nonneg_int, default=_SCENE.seed, help="scene seed")
     _add_scene_args(p_sim)
-    p_sim.add_argument("--config", default=None)
 
     p_eval = sub.add_parser("evaluate", help="score an estimate against a scene")
     p_eval.add_argument("--scene", required=True, help="scene directory")
     p_eval.add_argument("--estimate", required=True, help="extracted WAV or .fiv tensor")
     p_eval.add_argument("--report", required=True, help="CSV to append the metric row to")
-    p_eval.add_argument("--algorithm", default="five")
-    p_eval.add_argument("--iterations", type=_nonneg_int, default=None)
+    p_eval.add_argument("--algorithm", default="five", help="algorithm label for the row")
+    p_eval.add_argument("--iterations", type=_nonneg_int, default=_FIVE.max_iterations, help="the row's iterations")
     _add_stft_args(p_eval)
-    p_eval.add_argument("--config", default=None)
 
     p_bench = sub.add_parser("bench", help="convergence/runtime curves over seeded scenes")
     p_bench.add_argument("--output", required=True, help="CSV output")
-    p_bench.add_argument("--scenes", type=_positive_int, default=None, help="number of seeds (default 5)")
-    p_bench.add_argument("--seed", type=_nonneg_int, default=None, help="base seed (default 0)")
+    p_bench.add_argument("--scenes", type=_positive_int, default=5, help="number of seeds")
+    p_bench.add_argument("--seed", type=_nonneg_int, default=_SCENE.seed, help="base seed")
     _add_stft_args(p_bench)
     _add_five_args(p_bench)
     _add_scene_args(p_bench)
-    p_bench.add_argument("--config", default=None)
-    parser.commands = sub.choices
+    for command in sub.choices.values():
+        command.add_argument("--config", default=None, help="key=value file, read as flags before the command line's")
     return parser
 
 
-_DEFAULTS = {
-    "frame_size": 4096,
-    "hop": None,
-    "contrast": "gauss",
-    "iterations": 3,
-    "ref_channel": 0,
-    "format": "float32",
-    "seed": 0,
-    "channels": 4,
-    "interferers": 10,
-    "sinr_db": 5.0,
-    "bins": 64,
-    "frames": 500,
-    "mixing": "instantaneous_per_bin",
-    "target_model": "laplace_modulated",
-    "noise_fraction": 0.01,
-    "sample_rate": 16000,
-    "duration": 1.0,
-    "fir_length": 256,
-    "scenes": 5,
-    "algorithm": "five",
-}
-
-
-def _apply_config_file(parser, args, argv):
-    """Parse argv again with the --config file's values as the subcommand's defaults.
-
-    argparse converts and checks string defaults with the flag's type, so a
-    file value gets the same checks as the flag, and a flag still wins. It
-    checks choices on command-line values only, so they are checked here.
-    """
-    if not getattr(args, "config", None):
-        return args
-    file_values = scenes.read_keyvalues(args.config)
-    command = parser.commands[args.command]
-    command.set_defaults(**{key: raw for key, raw in file_values.items() if hasattr(args, key)})
-    args = parser.parse_args(argv)
-    for action in command._actions:
-        value = getattr(args, action.dest, None)
-        if action.choices is not None and value is not None and value not in action.choices:
-            flag, choices = action.option_strings[0], ", ".join(map(repr, action.choices))
-            command.error(f"argument {flag}: invalid choice: {value!r} (choose from {choices})")
-    return args
+def _config_tokens(args):
+    """Each --config line whose key is a setting of the subcommand, as the flag --key-with-dashes=value."""
+    return [
+        f"--{key.replace('_', '-')}={value}"
+        for key, value in scenes.read_keyvalues(args.config).items()
+        if hasattr(args, key) and key not in ("command", "config")
+    ]
 
 
 def _resolve(args):
-    """Materialize the full configuration: flags > config file > defaults."""
-    resolved = {}
-    for key, value in vars(args).items():
-        if key not in ("command", "config"):
-            resolved[key] = _DEFAULTS.get(key) if value is None else value
-    if resolved.get("hop") is None and "frame_size" in resolved:
-        resolved["hop"] = resolved["frame_size"] // 2
-    return resolved
+    """The full configuration, with hop resolved against frame_size."""
+    cfg = {key: value for key, value in vars(args).items() if key not in ("command", "config")}
+    if "hop" in cfg and cfg["hop"] is None:
+        cfg["hop"] = cfg["frame_size"] // 2
+    return cfg
 
 
 def _stft_config(cfg):
@@ -317,9 +288,11 @@ _COMMANDS = {
 
 def main(argv=None):
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
-        args = _apply_config_file(parser, args, argv)
+        if args.config is not None:  # the subcommand is argv[0]: the top level has no other option
+            args = parser.parse_args(argv[:1] + _config_tokens(args) + argv[1:])
         return _COMMANDS[args.command](_resolve(args))
     except SystemExit as exc:  # usage error in a flag or a config-file value, or --help
         return int(exc.code or 0)

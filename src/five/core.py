@@ -45,7 +45,6 @@ __all__ = [
     "SilentReferenceChannelError",
     "prewhiten",
     "weighted_covariance",
-    "update_activity",
     "five_iteration",
     "evaluate_nll",
     "head_residual",
@@ -236,21 +235,19 @@ def prewhiten(spec):
     return whitened, whiteners
 
 
-def update_activity(extracted):
-    """Per-frame magnitude of the extracted signal across all bins."""
-    return np.sqrt(np.sum(np.abs(np.asarray(extracted)) ** 2, axis=0))
-
-
 def _activity_and_power(extracted):
+    """Per-frame magnitude across all bins, and per-bin energy, of the (F, N) estimate."""
     squared = np.abs(extracted) ** 2
     return np.sqrt(np.sum(squared, axis=0)), np.sum(squared, axis=1)
 
 
 def weighted_covariance(whitened, activity, contrast, f):
-    """Frame-weighted sample covariance of bin f.
+    """Frame-weighted sample covariance V_f of bin f.
 
-    Activities are floored at ACTIVITY_FLOOR before the weight is applied
-    because both contrast weights diverge at zero.
+    The update builds all bins at once; this single-bin form is the
+    reference that build is tested against. Activities are floored at
+    ACTIVITY_FLOOR before the weight is applied because both contrast
+    weights diverge at zero.
     """
     data = _data_of(whitened)[f : f + 1]
     return _weighted_covariance_stack(data, activity, contrast)[0]

@@ -76,6 +76,8 @@ class SceneSpec:
             raise ValueError("uncorrelated_noise_fraction must be in [0, 1]")
         if self.fir_length < 1:
             raise ValueError("fir_length must be >= 1")
+        if self.num_samples is not None and self.num_samples < 1:
+            raise ValueError(f"num_samples must be >= 1 or None, got {self.num_samples}")
 
     @property
     def noise_fraction_effective(self):
@@ -212,7 +214,7 @@ def _convolve_images(source, firs, num_samples):
 
 def _generate_convolutive(spec, rng):
     n_chan, n_interf = spec.num_channels, spec.num_interferers
-    n_samples = spec.num_samples or spec.sample_rate
+    n_samples = spec.sample_rate if spec.num_samples is None else spec.num_samples
     frac = spec.noise_fraction_effective
 
     blocks = -(-n_samples // _ENVELOPE_BLOCK)

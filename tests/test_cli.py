@@ -213,6 +213,18 @@ def test_extract_honors_hop_from_config_file(tmp_path):
     assert "# hop=256" in report.read_text()
 
 
+def test_extract_report_echoes_resolved_hop(tmp_path):
+    in_path = tmp_path / "in.wav"
+    _write_noise_wav(in_path, samples=8 * 256)
+    report = tmp_path / "rep.csv"
+    rc = cli.main(
+        ["extract", "--input", str(in_path), "--output", str(tmp_path / "out.wav"),
+         "--frame-size", "1024", "--report", str(report)]
+    )
+    assert rc == 0
+    assert "# hop=512" in report.read_text().splitlines()
+
+
 def test_evaluate_shape_mismatch_fails(scene_dir, tmp_path):
     est = tmp_path / "bad.fiv"
     write_tensor(est, np.zeros((4, 7), dtype=complex))
@@ -344,4 +356,33 @@ def test_config_file_values_get_flag_checks(tmp_path, capsys, key, flag):
     out = tmp_path / "bench.csv"
     assert cli.main(["bench", "--config", str(config), "--output", str(out)]) == 1
     assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "lines, give_output, rc, scene_line",
+    [
+        ("contrast=gauss\nbogus=1\nbins=16\nframes=100\n", True, 0, "num_bins=16"),
+        ("sinr_db=-2\nbins=16\nframes=100\n", True, 0, "input_sinr_db=-2.0"),
+        ("output={out}\nbins=16\nframes=100\n", False, 1, None),
+    ],
+    ids=["foreign-and-unknown-keys-ignored", "negative-value", "file-cannot-supply-required-flag"],
+)
+def test_config_file_lines_parse_as_flags(tmp_path, lines, give_output, rc, scene_line):
+    out = tmp_path / "scene"
+    config = tmp_path / "sim.cfg"
+    config.write_text(lines.format(out=out))
+    argv = ["simulate", "--config", str(config)] + (["--output", str(out)] if give_output else [])
+    assert cli.main(argv) == rc
+    if scene_line is None:
+        assert not out.exists()
+    else:
+        assert scene_line in (out / "scene.txt").read_text().splitlines()
+
+
+def test_simulate_rejects_zero_duration(tmp_path, capsys):
+    out = tmp_path / "scene"
+    rc = cli.main(["simulate", "--output", str(out), "--mixing", "convolutive_fir", "--duration", "0"])
+    assert rc != 0
+    assert "num_samples" in capsys.readouterr().err
     assert not out.exists()

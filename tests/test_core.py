@@ -16,7 +16,6 @@ from five.core import (
     head_solutions,
     prewhiten,
     project_back,
-    update_activity,
     weighted_covariance,
 )
 from five.stft import StftConfig, analyze, synthesize
@@ -61,7 +60,7 @@ def _initial_state(whitened, whiteners, ref=0):
     n_bins, _, n_chan = whitened.shape
     w0 = np.zeros((n_bins, n_chan), dtype=np.complex128)
     w0[:, ref] = 1.0
-    return DemixingState(whiteners, w0, update_activity(whitened[:, :, ref]))
+    return DemixingState(whiteners, w0, core._activity_and_power(whitened[:, :, ref])[0])
 
 
 # ---------------------------------------------------------------- contrast models
@@ -228,17 +227,17 @@ def test_weighted_covariance_floors_activity():
 
 def test_activity_pythagorean():
     extracted = np.array([[3.0 + 4.0j]])
-    assert update_activity(extracted)[0] == pytest.approx(5.0, abs=0)
+    assert core._activity_and_power(extracted)[0][0] == pytest.approx(5.0, abs=0)
 
 
 def test_activity_zero_frame():
-    assert update_activity(np.zeros((4, 3), dtype=complex))[1] == 0.0
+    assert core._activity_and_power(np.zeros((4, 3), dtype=complex))[0][1] == 0.0
 
 
 def test_activity_matches_elementwise_oracle():
     rng = np.random.default_rng(35)
     extracted = _cnormal(rng, (16, 4))
-    got = update_activity(extracted)
+    got = core._activity_and_power(extracted)[0]
     for n in range(4):
         want = np.sqrt(sum(abs(extracted[f, n]) ** 2 for f in range(16)))
         assert abs(got[n] - want) <= 1e-12
@@ -286,7 +285,7 @@ def test_iteration_activity_consistent_with_estimate():
     state = five_iteration(
         _initial_state(whitened, whiteners), whitened, ContrastModel("laplace")
     )
-    recomputed = update_activity(apply_demixing(state.w, whitened))
+    recomputed = core._activity_and_power(apply_demixing(state.w, whitened))[0]
     assert np.max(np.abs(recomputed - state.activity)) <= 1e-10
 
 
@@ -443,7 +442,7 @@ def test_nll_includes_whitening_constant():
     base = DemixingState(
         whiteners=np.broadcast_to(np.eye(2, dtype=complex), (2, 2, 2)),
         w=np.ones((2, 2), dtype=complex) / np.sqrt(2),
-        activity=update_activity(data[:, :, 0]),
+        activity=core._activity_and_power(data[:, :, 0])[0],
     )
     scaled = DemixingState(
         whiteners=np.broadcast_to(2.0 * np.eye(2, dtype=complex), (2, 2, 2)),
@@ -468,7 +467,7 @@ def _monitor_states(rng, whitened, whiteners, contrast):
     states = [_initial_state(whitened, whiteners)]
     for _ in range(2):
         w = _cnormal(rng, (n_bins, n_chan))
-        states.append(DemixingState(whiteners, w, update_activity(apply_demixing(w, whitened))))
+        states.append(DemixingState(whiteners, w, core._activity_and_power(apply_demixing(w, whitened))[0]))
     for _ in range(3):
         states.append(five_iteration(states[-1], whitened, contrast))
     return states

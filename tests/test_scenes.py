@@ -3,13 +3,13 @@ import struct
 import numpy as np
 import pytest
 
+from five import core
 from five.core import (
     ContrastModel,
     DemixingState,
     apply_demixing,
     five_iteration,
     prewhiten,
-    update_activity,
 )
 from five.scenes import (
     GroundTruthScene,
@@ -113,6 +113,12 @@ def test_spec_validation():
         generate_scene(SceneSpec(num_channels=1, num_bins=1, num_frames=4))
 
 
+@pytest.mark.parametrize("num_samples", [0, -5])
+def test_spec_rejects_nonpositive_num_samples(num_samples):
+    with pytest.raises(ValueError, match="num_samples"):
+        _spec(mixing="convolutive_fir", num_samples=num_samples)
+
+
 # ---------------------------------------------------------------- oracle beamformer
 
 
@@ -197,7 +203,7 @@ def test_oracle_dominates_random_probes_and_five():
     contrast = ContrastModel("gauss", num_bins=16)
     w0 = np.zeros((16, 3), dtype=complex)
     w0[:, 0] = 1.0
-    state = DemixingState(whiteners, w0, update_activity(whitened[:, :, 0]))
+    state = DemixingState(whiteners, w0, core._activity_and_power(whitened[:, :, 0])[0])
     for _ in range(10):
         state = five_iteration(state, whitened, contrast)
     w_five = np.linalg.solve(whiteners, state.w[:, :, None])[:, :, 0]  # back to input coordinates
