@@ -158,7 +158,10 @@ def _scene_spec(cfg, seed=None):
         seed=cfg["seed"] if seed is None else seed,
         mixing=cfg["mixing"],
         fir_length=cfg["fir_length"],
-        num_samples=int(round(cfg["duration"] * cfg["sample_rate"])),
+        # only a convolutive scene has a length; a tensor scene records None
+        num_samples=(
+            int(round(cfg["duration"] * cfg["sample_rate"])) if cfg["mixing"] == "convolutive_fir" else None
+        ),
     )
 
 
@@ -184,6 +187,8 @@ def cmd_extract(cfg):
         five_cfg = _five_config(cfg, spec.num_bins)
         extracted, report = core.extract_spectral(spec, five_cfg)
         scenes.write_tensor(cfg["output"], extracted)
+        # the report echoes the tensor's own STFT settings, the ones used
+        cfg = {**cfg, "frame_size": spec.config.frame_size, "hop": spec.config.hop}
     else:
         wave = read_wave(in_path)
         stft_cfg = _stft_config(cfg)

@@ -214,10 +214,10 @@ def prewhiten(spec):
     """Whiten the spectrogram so every bin has identity sample covariance.
 
     Factors the per-bin sample covariance as Q^H Q and applies Q^{-H} to the
-    data in one batched matrix product. A covariance that is not positive
-    definite raises linalg.NotPositiveDefiniteError, whose pivot_index is
-    the first channel that adds no rank in some bin; extract_spectral drops
-    that channel.
+    data in one batched real matrix product on the interleaved view. A
+    covariance that is not positive definite raises
+    linalg.NotPositiveDefiniteError, whose pivot_index is the first channel
+    that adds no rank in some bin; extract_spectral drops that channel.
 
     Returns the whitened tensor and the stack of upper-triangular factors Q.
     """
@@ -260,8 +260,7 @@ def _weighted_covariance_stack(data, activity, contrast):
 
 def apply_demixing(w, spec):
     """Extracted signal w^H x per bin and frame; w is (F, M), result (F, N)."""
-    data = _data_of(spec)
-    return (data @ np.conj(w)[:, :, None])[:, :, 0]
+    return linalg._complex_matmul(_data_of(spec), np.conj(w)[:, :, None])[:, :, 0]
 
 
 def five_iteration(state, whitened, contrast):
@@ -397,8 +396,8 @@ def project_back(extracted, original_spec, ref_channel=0):
     """
     extracted = np.asarray(extracted)
     reference = _data_of(original_spec)[:, :, ref_channel]
-    power = np.sum(np.abs(extracted) ** 2, axis=1)
-    corr = np.sum(reference * np.conj(extracted), axis=1)
+    power = np.vecdot(extracted, extracted).real
+    corr = np.vecdot(extracted, reference)
     safe = power >= ACTIVITY_FLOOR
     scale = np.where(safe, corr / np.where(safe, power, 1.0), 1.0)
     return scale[:, None] * extracted

@@ -176,10 +176,29 @@ def smallest_eigenpair(a, start):
     return values.reshape(batch + (m,)), u.reshape(batch + (m,))
 
 
+def _complex_matmul(x, b):
+    """x @ b for complex x (..., N, K) and b (..., K, P), as one real product.
+
+    With x = a + ic and b = g + ih, row (a_k, c_k) of the interleaved float
+    view of x times the real 2x2 block [[g_kp, h_kp], [-h_kp, g_kp]] sums to
+    (Re, Im) of entry p: one real matmul on (..., N, 2K) and (..., 2K, 2P),
+    with no conjugate or split copy of x. OpenBLAS has no small-matrix
+    complex kernel, so at the pipeline's shapes (a few channels, many rows)
+    the real product is the faster one.
+    """
+    x = np.ascontiguousarray(x, dtype=np.complex128)
+    k, p = b.shape[-2:]
+    block = np.empty(b.shape[:-2] + (k, 2, p, 2))
+    block[..., 0, :, 0] = block[..., 1, :, 1] = b.real
+    block[..., 0, :, 1] = b.imag
+    block[..., 1, :, 0] = -b.imag
+    return (x.view(np.float64) @ block.reshape(b.shape[:-2] + (2 * k, 2 * p))).view(np.complex128)
+
+
 def apply_inverse_hermitian_transpose(q, x):
     """Solve q^H y = x row by row, that is y = x conj(q^{-1}).
 
     q (..., M, M) and x (..., N, M) broadcast over the leading axes, so the
-    N rows sharing a matrix go through one matrix product.
+    N rows sharing a matrix go through one real matrix product.
     """
-    return np.asarray(x, dtype=np.complex128) @ np.conj(np.linalg.inv(q))
+    return _complex_matmul(x, np.conj(np.linalg.inv(q)))

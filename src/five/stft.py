@@ -4,6 +4,13 @@ The default configuration is a 4096-point frame with half-overlap and a
 periodic Hamming window, which satisfies constant overlap-add exactly, so
 the analysis/synthesis pair reconstructs the interior of any signal to
 machine precision.
+
+Spectra are laid out C-contiguous as (bins, frames, channels), the layout
+whitening and the covariance builds read. Both directions transform along
+contiguous rows: analyze windows cache-sized blocks of frames into one
+contiguous buffer, transforms it and transposes each block into place;
+synthesize inverts one contiguous (frames, channels, bins) copy and
+overlap-adds hop-sized slabs.
 """
 
 from dataclasses import dataclass, field
@@ -15,6 +22,9 @@ from .wavio import MultichannelWave
 __all__ = ["StftConfig", "SpectralTensor", "ShortSignalError", "analyze", "synthesize"]
 
 _COLA_RTOL = 1e-10
+# Spectra bytes per block of frames in analyze: the block's windowed frames
+# and spectra stay inside a 2 MiB per-core L2 cache.
+_BLOCK_BYTES = 1 << 19
 
 
 class ShortSignalError(ValueError):
@@ -98,6 +108,10 @@ def analyze(wave, config=None):
 
     The tail is zero-padded so each input sample is covered by at least one
     frame; the original length is recorded so synthesize can trim back.
+    Frames are windowed and transformed in blocks of about _BLOCK_BYTES of
+    spectra; every frame's spectrum equals np.fft.rfft of that windowed
+    frame to the bit. Samples near the float64 limit can overflow in the
+    transform, which SpectralTensor rejects as non-finite data.
 
     Parameters
     ----------
@@ -123,11 +137,18 @@ def analyze(wave, config=None):
     if padded_len > x.shape[0]:
         x = np.concatenate([x, np.zeros((padded_len - x.shape[0], x.shape[1]))])
 
-    # (n_frames, channels, frame) view, then window and transform per frame,
-    # written straight into a C-contiguous (bins, frames, channels) array
+    # (frames, channels, frame) view. Each block of frames is windowed into
+    # one reused buffer (a fresh temporary per block costs page faults) and
+    # its transposed spectra fill a contiguous run in every bin of the output.
     frames = np.lib.stride_tricks.sliding_window_view(x, frame, axis=0)[::hop]
+    win = config.window_samples()
     spectra = np.empty((config.num_bins, n_frames, x.shape[1]), dtype=np.complex128)
-    np.fft.rfft(frames * config.window_samples(), axis=-1, out=spectra.transpose(1, 2, 0))
+    step = max(1, _BLOCK_BYTES // (16 * config.num_bins * x.shape[1]))
+    windowed = np.empty((min(step, n_frames), x.shape[1], frame))
+    for start in range(0, n_frames, step):
+        block = windowed[: min(step, n_frames - start)]
+        np.multiply(frames[start : start + step], win, out=block)
+        spectra[:, start : start + step] = np.fft.rfft(block, axis=-1).transpose(2, 0, 1)
     return SpectralTensor(
         data=spectra,
         sample_rate=wave.sample_rate,
@@ -153,15 +174,17 @@ def synthesize(spec):
     n_frames, n_chan = spec.num_frames, spec.num_channels
     slices = frame // hop
 
-    time_frames = np.fft.irfft(spec.data.transpose(1, 0, 2), n=frame, axis=1)
-    time_frames *= win[:, None]
-    time_frames = time_frames.reshape(n_frames, slices, hop, n_chan)
+    # (frames, channels, frame) rows: the inverse transform and the window
+    # run along contiguous memory
+    time_frames = np.fft.irfft(np.ascontiguousarray(spec.data.transpose(1, 2, 0)), n=frame, axis=-1)
+    time_frames *= win
+    time_frames = time_frames.reshape(n_frames, n_chan, slices, hop)
     out = np.zeros((n_frames + slices - 1, hop, n_chan))
     weight = np.zeros((n_frames + slices - 1, hop))
     win_sq = (win * win).reshape(slices, hop)
     # last slice first, so each sample sums its frames in frame order
     for r in reversed(range(slices)):
-        out[r : r + n_frames] += time_frames[:, r]
+        out[r : r + n_frames] += time_frames[:, :, r].transpose(0, 2, 1)
         weight[r : r + n_frames] += win_sq[r]
     out = out.reshape(-1, n_chan)
     out /= weight.reshape(-1, 1)  # Hamming never reaches zero, so weight > 0

@@ -69,6 +69,20 @@ def test_extract_spectral_tensor_input(tmp_path):
     assert read_tensor(out_path).shape == (33, 80, 1)
 
 
+def test_extract_tensor_report_echoes_the_tensors_stft_settings(tmp_path):
+    # a 16-bin tensor is processed with frame 30 and hop 15, not the CLI's 4096
+    rng = np.random.default_rng(2)
+    in_path = tmp_path / "mix.fiv"
+    write_tensor(in_path, rng.standard_normal((16, 60, 3)) + 1j * rng.standard_normal((16, 60, 3)))
+    report = tmp_path / "rep.csv"
+    rc = cli.main(["extract", "--input", str(in_path), "--output", str(tmp_path / "out.fiv"),
+                   "--report", str(report)])
+    assert rc == 0
+    lines = report.read_text().splitlines()
+    assert "# frame_size=30" in lines
+    assert "# hop=15" in lines
+
+
 def test_extract_rejects_zero_iterations(tmp_path, capsys):
     in_path = tmp_path / "in.wav"
     _write_noise_wav(in_path, samples=6 * 512)
@@ -386,3 +400,14 @@ def test_simulate_rejects_zero_duration(tmp_path, capsys):
     assert rc != 0
     assert "num_samples" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_simulate_tensor_scene_has_no_duration(tmp_path):
+    # --duration sets the length of convolutive scenes only
+    out = tmp_path / "scene"
+    rc = cli.main(["simulate", "--output", str(out), "--bins", "16", "--frames", "100", "--duration", "0"])
+    assert rc == 0
+    assert "num_samples=None" in (out / "scene.txt").read_text().splitlines()
+    scene = load_scene(out)
+    assert scene.spec.num_samples is None
+    assert scene.mixture.data.shape == (16, 100, 4)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from five import stft
 from five.stft import ShortSignalError, SpectralTensor, StftConfig, analyze, synthesize
 from five.wavio import MultichannelWave
 
@@ -121,6 +122,42 @@ def test_analyze_matches_per_frame_rfft_in_contiguous_layout():
     for n in range(spec.num_frames):
         segment = padded[n * 64 : n * 64 + 256].T * config.window_samples()
         assert np.array_equal(spec.data[:, n, :], np.fft.rfft(segment, axis=-1).T)
+
+
+def _rfft_by_frame(samples, config):
+    # reference: zero-pad the tail, then window and transform one frame at a time
+    frame, hop = config.frame_size, config.hop
+    n_frames = 1 + -(-(samples.shape[0] - frame) // hop)
+    padded = np.zeros(((n_frames - 1) * hop + frame, samples.shape[1]))
+    padded[: samples.shape[0]] = samples
+    out = np.empty((config.num_bins, n_frames, samples.shape[1]), dtype=complex)
+    for n in range(n_frames):
+        out[:, n, :] = np.fft.rfft(padded[n * hop : n * hop + frame].T * config.window_samples(), axis=-1).T
+    return out
+
+
+@pytest.mark.parametrize("frame, hop", [(512, 256), (256, 64), (4096, 2048)])
+@pytest.mark.parametrize("channels", [1, 3, 8])
+def test_analyze_blocks_match_per_frame_rfft(channels, frame, hop):
+    # several blocks of frames and a partial last one (unless a block is one
+    # frame), a zero-padded tail, and a signal of exactly one frame
+    config = StftConfig(frame_size=frame, hop=hop)
+    step = max(1, stft._BLOCK_BYTES // (16 * config.num_bins * channels))
+    n_frames = 2 * step + max(1, step // 2)
+    rng = np.random.default_rng(channels * frame + hop)
+    for length in ((n_frames - 1) * hop + frame - hop // 3, frame):
+        samples = rng.standard_normal((length, channels))
+        spec = analyze(_wave(samples), config)
+        assert spec.data.flags.c_contiguous
+        assert np.array_equal(spec.data, _rfft_by_frame(samples, config))
+    assert spec.num_frames == 1
+
+
+def test_analyze_rejects_spectra_that_overflow():
+    # finite samples near the float64 limit sum to inf in the transform, so
+    # SpectralTensor's finiteness check on analyze's output is not redundant
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
+        analyze(_wave(np.full((4096, 2), 1e308)), StftConfig(frame_size=512))
 
 
 def _overlap_add_by_frame(spec):
