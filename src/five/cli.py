@@ -165,13 +165,6 @@ def _scene_spec(cfg, seed=None):
     )
 
 
-def _load_estimate(path):
-    path = str(path)
-    if path.endswith(".fiv"):
-        return scenes.read_tensor(path)[:, :, 0]
-    return read_wave(path).samples[:, 0]
-
-
 def cmd_extract(cfg):
     in_path = cfg["input"]
     if not Path(in_path).exists():
@@ -197,6 +190,8 @@ def cmd_extract(cfg):
         clipped = write_wave(cfg["output"], out_wave, format=cfg["format"])
         if clipped:
             print(f"five extract: clipped {clipped} out-of-range samples", file=sys.stderr)
+        # the report echoes the file's own sample rate, the one used
+        cfg = {**cfg, "sample_rate": wave.sample_rate}
     if cfg.get("report"):
         report.to_csv(cfg["report"], header=cfg)
     return 0
@@ -210,7 +205,7 @@ def cmd_simulate(cfg):
 
 def cmd_evaluate(cfg):
     scene = scenes.load_scene(cfg["scene"])
-    estimate = _load_estimate(cfg["estimate"])
+    estimate = scenes.read_image(cfg["estimate"])
     edge_trim = 0 if scene.is_spectral else cfg["frame_size"]
     report = metrics.evaluate_extraction(scene, estimate, edge_trim=edge_trim)
     row = metrics.metric_csv_row(

@@ -25,7 +25,6 @@ contrast weight, which diverges at zero.
 """
 
 import csv
-import io
 import time
 from dataclasses import dataclass, field, replace
 
@@ -157,29 +156,21 @@ class ExtractionReport:
     def nll_values(self):
         return [r.nll for r in self.records if r.nll is not None]
 
-    def to_csv(self, destination, header=None):
-        """Write one row per iteration; header, if given, is echoed as comments."""
-        if isinstance(destination, (str, bytes)) or hasattr(destination, "__fspath__"):
-            with open(destination, "w", newline="") as fh:
-                self.to_csv(fh, header=header)
-            return
-        write_config_header(destination, header)
-        writer = csv.writer(destination)
-        writer.writerow(["iteration", "nll", "head_residual", "wall_time_ms"])
-        for rec in self.records:
-            writer.writerow(
-                [
-                    rec.iteration,
-                    "" if rec.nll is None else repr(rec.nll),
-                    "" if rec.head_residual is None else repr(rec.head_residual),
-                    f"{rec.wall_time_ms:.3f}",
-                ]
-            )
-
-    def to_csv_string(self, header=None):
-        buf = io.StringIO()
-        self.to_csv(buf, header=header)
-        return buf.getvalue()
+    def to_csv(self, path, header=None):
+        """Write one row per iteration to path; header, if given, is echoed as comments."""
+        with open(path, "w", newline="") as fh:
+            write_config_header(fh, header)
+            writer = csv.writer(fh)
+            writer.writerow(["iteration", "nll", "head_residual", "wall_time_ms"])
+            for rec in self.records:
+                writer.writerow(
+                    [
+                        rec.iteration,
+                        "" if rec.nll is None else repr(rec.nll),
+                        "" if rec.head_residual is None else repr(rec.head_residual),
+                        f"{rec.wall_time_ms:.3f}",
+                    ]
+                )
 
 
 def write_config_header(destination, values):

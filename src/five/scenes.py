@@ -12,6 +12,7 @@ mixture = target + background bit-exactly.
 """
 
 import struct
+import typing
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -30,6 +31,7 @@ __all__ = [
     "tensor_config",
     "save_scene",
     "load_scene",
+    "read_image",
     "write_tensor",
     "read_tensor",
 ]
@@ -93,7 +95,6 @@ class GroundTruthScene:
     background_image: np.ndarray  # channel-1 background contribution
     true_target_covariance: np.ndarray | None = None  # (F, M, M)
     true_background_covariance: np.ndarray | None = None  # (F, M, M)
-    seed: int = 0
 
     @property
     def is_spectral(self):
@@ -193,7 +194,6 @@ def _generate_spectral(spec, rng):
         background_image=background_image,
         true_target_covariance=cov_target,
         true_background_covariance=cov_background,
-        seed=spec.seed,
     )
 
 
@@ -256,7 +256,6 @@ def _generate_convolutive(spec, rng):
         mixture=MultichannelWave(sample_rate=spec.sample_rate, samples=mixture),
         target_image=mixture[:, 0] - background_image,
         background_image=background_image,
-        seed=spec.seed,
     )
 
 
@@ -330,29 +329,30 @@ def read_keyvalues(path):
     return out
 
 
-_SPEC_CONVERTERS = {
-    "num_channels": int,
-    "num_bins": int,
-    "num_frames": int,
-    "sample_rate": int,
-    "target_model": str,
-    "num_interferers": int,
-    "input_sinr_db": float,
-    "uncorrelated_noise_fraction": float,
-    "seed": int,
-    "mixing": str,
-    "fir_length": int,
-    "num_samples": lambda raw: None if raw == "None" else int(raw),
-}
+def _parse_value(annotation, raw):
+    # annotation is int, float, str or int | None; "None" is None only where
+    # the annotation admits it, and elsewhere fails to parse
+    types = typing.get_args(annotation) or (annotation,)
+    if raw == "None" and type(None) in types:
+        return None
+    return types[0](raw)
 
 
 def spec_from_keyvalues(values):
+    """A SceneSpec from scene.txt strings, each parsed as its field's type."""
     kwargs = {
-        name: convert(values[name])
-        for name, convert in _SPEC_CONVERTERS.items()
-        if name in values
+        fld.name: _parse_value(fld.type, values[fld.name])
+        for fld in fields(SceneSpec)
+        if fld.name in values
     }
     return SceneSpec(**kwargs)
+
+
+def read_image(path):
+    """Channel 0 of an image file: (F, N) from a .fiv tensor, (T,) from a WAV."""
+    if str(path).endswith(".fiv"):
+        return read_tensor(path)[:, :, 0]
+    return read_wave(path).samples[:, 0]
 
 
 def save_scene(scene, directory):
@@ -385,20 +385,17 @@ def load_scene(directory):
     directory = Path(directory)
     spec = spec_from_keyvalues(read_keyvalues(directory / "scene.txt"))
     if spec.mixing == "instantaneous_per_bin":
+        suffix = ".fiv"
         data = read_tensor(directory / "mixture.fiv")
         mixture = SpectralTensor(
             data=data, sample_rate=spec.sample_rate, config=tensor_config(data.shape[0])
         )
-        target = read_tensor(directory / "target_image.fiv")[:, :, 0]
-        background = read_tensor(directory / "background_image.fiv")[:, :, 0]
     else:
+        suffix = ".wav"
         mixture = read_wave(directory / "mixture.wav")
-        target = read_wave(directory / "target_image.wav").samples[:, 0]
-        background = read_wave(directory / "background_image.wav").samples[:, 0]
     return GroundTruthScene(
         spec=spec,
         mixture=mixture,
-        target_image=target,
-        background_image=background,
-        seed=spec.seed,
+        target_image=read_image(directory / f"target_image{suffix}"),
+        background_image=read_image(directory / f"background_image{suffix}"),
     )

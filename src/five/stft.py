@@ -1,9 +1,10 @@
 """STFT analysis and weighted overlap-add synthesis.
 
 The default configuration is a 4096-point frame with half-overlap and a
-periodic Hamming window, which satisfies constant overlap-add exactly, so
-the analysis/synthesis pair reconstructs the interior of any signal to
-machine precision.
+periodic Hamming window. StftConfig guarantees hop | frame: it accepts a hop
+only when the hop divides the frame and is smaller than it, which is exactly
+when that window satisfies constant overlap-add, so the analysis/synthesis
+pair reconstructs the interior of any signal to machine precision.
 
 Spectra are laid out C-contiguous as (bins, frames, channels), the layout
 whitening and the covariance builds read. Both directions transform along
@@ -21,7 +22,6 @@ from .wavio import MultichannelWave
 
 __all__ = ["StftConfig", "SpectralTensor", "ShortSignalError", "analyze", "synthesize"]
 
-_COLA_RTOL = 1e-10
 # Spectra bytes per block of frames in analyze: the block's windowed frames
 # and spectra stay inside a 2 MiB per-core L2 cache.
 _BLOCK_BYTES = 1 << 19
@@ -47,14 +47,12 @@ class StftConfig:
             object.__setattr__(self, "hop", self.frame_size // 2)
         if not 0 < self.hop <= self.frame_size:
             raise ValueError("hop must be in (0, frame_size]")
-        self._check_cola()
-
-    def _check_cola(self):
-        # Overlap-added window sums must be constant over the interior, where
-        # sample t sums the window taps j = t (mod hop).
-        sums = np.bincount(np.arange(self.frame_size) % self.hop, weights=self.window_samples())
-        level = sums.mean()
-        if level <= 0 or np.max(np.abs(sums - level)) > _COLA_RTOL * level:
+        # Constant overlap-add holds exactly when hop | frame and hop < frame.
+        # Sample t of the interior sums the window taps j = t (mod hop). With
+        # K = frame/hop >= 2 the cosine terms cancel over every residue class,
+        # so each sum is 0.54 K; a hop that does not divide the frame puts
+        # different numbers of taps in the classes.
+        if self.frame_size % self.hop or self.hop == self.frame_size:
             raise ValueError(
                 f"hop {self.hop} does not satisfy constant overlap-add "
                 f"with the Hamming window of {self.frame_size}"
@@ -164,8 +162,8 @@ def synthesize(spec):
     normalized per sample by the accumulated squared window, so unmodified
     spectra reconstruct the input exactly wherever frames overlap.
 
-    Every hop StftConfig accepts divides the frame, so the output is laid
-    out in hop-sized blocks and slice r of every frame is added, in one
+    StftConfig guarantees hop | frame, so the output is laid out in
+    hop-sized blocks and slice r of every frame is added, in one
     shifted slab, to the blocks r to r + num_frames - 1.
     """
     config = spec.config

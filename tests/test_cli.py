@@ -83,6 +83,20 @@ def test_extract_tensor_report_echoes_the_tensors_stft_settings(tmp_path):
     assert "# hop=15" in lines
 
 
+def test_extract_wav_report_echoes_the_files_sample_rate(tmp_path):
+    # an 8 kHz recording is processed at 8 kHz, not the CLI's 16 kHz default
+    in_path = tmp_path / "in.wav"
+    _write_noise_wav(in_path, channels=2, samples=8 * 256, rate=8000)
+    report = tmp_path / "rep.csv"
+    rc = cli.main(["extract", "--input", str(in_path), "--output", str(tmp_path / "out.wav"),
+                   "--frame-size", "512", "--report", str(report)])
+    assert rc == 0
+    assert read_wave(tmp_path / "out.wav").sample_rate == 8000
+    lines = report.read_text().splitlines()
+    assert "# sample_rate=8000" in lines
+    assert "# sample_rate=16000" not in lines
+
+
 def test_extract_rejects_zero_iterations(tmp_path, capsys):
     in_path = tmp_path / "in.wav"
     _write_noise_wav(in_path, samples=6 * 512)

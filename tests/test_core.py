@@ -874,7 +874,7 @@ def test_extract_keeps_band_limited_channel(short_recording):
         assert b <= a + 1e-9 * abs(a)
 
 
-def test_report_csv_round_trip():
+def test_report_csv_round_trip(tmp_path):
     rng = np.random.default_rng(56)
     data = _two_source_mixture(rng, 4, 64)
     from five.stft import SpectralTensor
@@ -882,7 +882,8 @@ def test_report_csv_round_trip():
     spec = SpectralTensor(data, 16000, StftConfig(frame_size=6))
     config = FiveConfig(contrast=ContrastModel("laplace"), max_iterations=2)
     _, report = extract_spectral(spec, config)
-    text = report.to_csv_string(header={"contrast": "laplace"})
+    report.to_csv(tmp_path / "report.csv", header={"contrast": "laplace"})
+    text = (tmp_path / "report.csv").read_text()
     lines = text.strip().splitlines()
     assert lines[0] == "# contrast=laplace"
     assert lines[1] == "iteration,nll,head_residual,wall_time_ms"

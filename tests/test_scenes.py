@@ -18,11 +18,13 @@ from five.scenes import (
     generate_scene,
     load_scene,
     oracle_max_sinr,
+    read_image,
     read_tensor,
     save_scene,
     spec_from_keyvalues,
     write_tensor,
 )
+from five.wavio import MultichannelWave, write_wave
 
 
 def _spec(**kw):
@@ -307,3 +309,25 @@ def test_spec_keyvalue_roundtrip():
     spec = _spec(num_samples=1234, input_sinr_db=-2.5)
     values = {name: str(getattr(spec, name)) for name in spec.__dataclass_fields__}
     assert spec_from_keyvalues(values) == spec
+
+
+def test_spec_keyvalues_none_only_where_the_field_admits_it():
+    values = {"num_channels": "3", "num_samples": "None"}
+    assert spec_from_keyvalues(values).num_samples is None
+    with pytest.raises(ValueError):
+        spec_from_keyvalues({**values, "seed": "None"})
+
+
+def test_read_image_takes_channel_0(tmp_path):
+    rng = np.random.default_rng(33)
+    tensor = rng.standard_normal((5, 7, 3)) + 1j * rng.standard_normal((5, 7, 3))
+    write_tensor(tmp_path / "t.fiv", tensor)
+    image = read_image(tmp_path / "t.fiv")
+    assert image.shape == (5, 7)
+    assert np.array_equal(image, tensor[:, :, 0])
+
+    samples = rng.uniform(-0.5, 0.5, (300, 2))
+    write_wave(tmp_path / "w.wav", MultichannelWave(8000, samples), format="float32")
+    image = read_image(tmp_path / "w.wav")
+    assert image.shape == (300,)
+    assert np.array_equal(image, samples[:, 0].astype(np.float32))
