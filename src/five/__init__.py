@@ -12,7 +12,6 @@ from .core import (
     extract_spectral,
     five_iteration,
     head_residual,
-    head_solutions,
     prewhiten,
     project_back,
     weighted_covariance,
@@ -52,7 +51,6 @@ __all__ = [
     "five_iteration",
     "generate_scene",
     "head_residual",
-    "head_solutions",
     "load_scene",
     "oracle_max_sinr",
     "prewhiten",

@@ -205,7 +205,11 @@ def cmd_simulate(cfg):
 
 def cmd_evaluate(cfg):
     scene = scenes.load_scene(cfg["scene"])
-    estimate = scenes.read_image(cfg["estimate"])
+    estimate, rate = scenes.read_image(cfg["estimate"])
+    if rate is not None and rate != scene.mixture.sample_rate:
+        raise ValueError(
+            f"estimate sample rate {rate} Hz differs from the scene's {scene.mixture.sample_rate} Hz"
+        )
     edge_trim = 0 if scene.is_spectral else cfg["frame_size"]
     report = metrics.evaluate_extraction(scene, estimate, edge_trim=edge_trim)
     row = metrics.metric_csv_row(

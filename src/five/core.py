@@ -1,21 +1,25 @@
 """Single-source blind extraction by iterative whitened max-SINR beamforming.
 
-The input spectrogram is whitened once so the per-bin sample covariance is
-the identity: by Cholesky, after dropping each channel that adds no rank to
-the channels before it in some bin (PCA before ICA). Each iteration then
-reweights the covariance with a strictly decreasing function of the current
-per-frame source magnitude, takes the smallest eigenpair per bin, and uses
-the normalized eigenvector as the new demixing filter. This is a
-majorization-minimization scheme: the monitored negative log-likelihood
-never increases, and fixed points solve a quadratic stationarity system
-exactly (see head_residual). The scale ambiguity is resolved at the end by
-least-squares projection onto a reference channel.
+The per-bin sample covariance is factored once by Cholesky, C = Q^H Q,
+after dropping each channel that adds no rank to the channels before it in
+some bin (PCA before ICA); W = Q^{-1} then whitens, W^H C W = I. The
+whitened data W^H x is never formed: every whitened quantity the update
+needs is an M x M congruence of a raw one. Each iteration reweights the
+raw covariance with a strictly decreasing function of the current
+per-frame source magnitude, whitens it as V = W^H V_raw W, takes the
+smallest eigenpair per bin, and uses the normalized eigenvector w as the
+new demixing filter in whitened coordinates; the estimate is (W w)^H x,
+one pass over the data per update. This is a majorization-minimization
+scheme: the monitored negative log-likelihood never increases, and fixed
+points solve a quadratic stationarity system exactly (see head_residual).
+The scale ambiguity is resolved at the end by least-squares projection
+onto a reference channel.
 
 The monitor takes the background demixing block as the orthonormal
-complement of w, optimal for the identity covariance prewhiten leaves. The
-NLL is then a closed form in values the update already has (evaluate_nll),
-and five_iteration certifies the state it starts from with the covariance
-it builds anyway (head_residual): about one covariance build per run.
+complement of w, optimal for the identity whitened covariance. The NLL is
+then a closed form in values the update already has (evaluate_nll), and
+five_iteration certifies the state it starts from with the covariance it
+builds anyway (head_residual): about one covariance build per run.
 
 Like the STFT's Hamming window, the numerical guards are fixed constants,
 not settings: REGULARIZATION is the update's diagonal loading, relative to
@@ -47,7 +51,6 @@ __all__ = [
     "five_iteration",
     "evaluate_nll",
     "head_residual",
-    "head_solutions",
     "project_back",
     "apply_demixing",
     "extract_spectral",
@@ -120,11 +123,12 @@ class FiveConfig:
 class DemixingState:
     """Per-frequency extraction state in whitened coordinates.
 
-    whiteners holds the per-bin upper-triangular whitening factors Q, w the
-    demixing vectors, activity the per-frame source magnitude of the current
-    estimate. five_iteration also sets power, the per-bin energy
-    sum_n |w_f^H x_fn|^2 of the estimate, and previous_residual, the
-    head_residual of the state it started from. The background demixing
+    whiteners holds the per-bin upper-triangular whitening factors W = Q^{-1}
+    (prewhiten), w the demixing vectors in whitened coordinates, so that W w
+    demixes the raw data, and activity the per-frame source magnitude of the
+    current estimate. The states of a run also carry that estimate, the
+    (F, N) signal (W_f w_f)^H x_fn; five_iteration sets previous_residual,
+    the head_residual of the state it started from. The background demixing
     block is not stored: the monitor takes the orthonormal complement of w.
     """
 
@@ -132,7 +136,7 @@ class DemixingState:
     w: np.ndarray  # (F, M)
     activity: np.ndarray  # (N,)
     iteration: int = 0
-    power: np.ndarray | None = None  # (F,)
+    estimate: np.ndarray | None = None  # (F, N)
     previous_residual: float | None = None
 
 
@@ -183,11 +187,13 @@ def _data_of(spec):
     return spec.data if isinstance(spec, SpectralTensor) else np.asarray(spec)
 
 
-def _covariance_stack(data, weights=None):
-    # (1/N) sum_n weight_n x_fn x_fn^H per bin, hermitized against rounding.
-    # A real product g = X^T (w X) on the interleaved (re, im) view X needs
-    # no conjugate copy: with x = a + ib, Re = g_aa + g_bb, Im = g_ba - g_ab.
-    # Blocks of bins keep the contiguous and weighted copies cache-sized.
+def _covariance_stack(data, weights=None, whiteners=None):
+    # (1/N) sum_n weight_n x_fn x_fn^H per bin, or with whiteners W that of
+    # the whitened y = W^H x, which is W^H (...) W; hermitized against
+    # rounding. A real product g = X^T (w X) on the interleaved (re, im)
+    # view X needs no conjugate copy: with x = a + ib, Re = g_aa + g_bb,
+    # Im = g_ba - g_ab. Blocks of bins keep the contiguous and weighted
+    # copies cache-sized.
     n_bins, n_frames, n_chan = data.shape
     w = None if weights is None else np.repeat(weights, 2 * n_chan).reshape(n_frames, 2 * n_chan)
     g = np.empty((n_bins, 2 * n_chan, 2 * n_chan))
@@ -198,55 +204,50 @@ def _covariance_stack(data, weights=None):
         np.matmul(np.swapaxes(lhs, 1, 2), block, out=g[start : start + step])
     g /= n_frames
     cov = g[:, 0::2, 0::2] + g[:, 1::2, 1::2] + 1j * (g[:, 1::2, 0::2] - g[:, 0::2, 1::2])
+    if whiteners is not None:
+        cov = np.conj(np.swapaxes(whiteners, 1, 2)) @ (cov @ whiteners)
     return 0.5 * (cov + np.conj(np.swapaxes(cov, 1, 2)))
 
 
-def prewhiten(spec):
-    """Whiten the spectrogram so every bin has identity sample covariance.
+def prewhiten(covariance):
+    """Whitening factors of a stack of per-bin sample covariances.
 
-    Factors the per-bin sample covariance as Q^H Q and applies Q^{-H} to the
-    data in one batched real matrix product on the interleaved view. A
-    covariance that is not positive definite raises
-    linalg.NotPositiveDefiniteError, whose pivot_index is the first channel
-    that adds no rank in some bin; extract_spectral drops that channel.
-
-    Returns the whitened tensor and the stack of upper-triangular factors Q.
+    Factors each covariance as C = Q^H Q by Cholesky and returns the stack
+    of W = Q^{-1}, upper triangular with a real positive diagonal, so that
+    W^H C W = I: the whitened data W^H x, which is never formed, has the
+    identity as its sample covariance. A covariance that is not positive
+    definite raises linalg.NotPositiveDefiniteError, whose pivot_index is
+    the first channel that adds no rank in some bin; extract_spectral drops
+    that channel.
     """
-    data = _data_of(spec)
-    _, n_frames, n_chan = data.shape
-    if n_frames < n_chan:
-        raise ValueError(
-            f"need at least as many frames as channels for a full-rank "
-            f"covariance ({n_frames} frames, {n_chan} channels)"
-        )
-    whiteners = linalg.cholesky(_covariance_stack(data))
-    whitened = linalg.apply_inverse_hermitian_transpose(whiteners, data)
-    if isinstance(spec, SpectralTensor):
-        whitened = replace(spec, data=whitened)
-    return whitened, whiteners
+    return linalg.inverse_upper_triangular(linalg.cholesky(covariance))
 
 
-def _activity_and_power(extracted):
-    """Per-frame magnitude across all bins, and per-bin energy, of the (F, N) estimate."""
-    squared = np.abs(extracted) ** 2
-    return np.sqrt(np.sum(squared, axis=0)), np.sum(squared, axis=1)
+def _activity(extracted):
+    """Per-frame magnitude across all bins of the (F, N) estimate."""
+    return np.sqrt(np.sum(np.abs(extracted) ** 2, axis=0))
 
 
-def weighted_covariance(whitened, activity, contrast, f):
-    """Frame-weighted sample covariance V_f of bin f.
+def weighted_covariance(spec, activity, contrast, f):
+    """Frame-weighted sample covariance V_f of bin f of the data given.
 
-    The update builds all bins at once; this single-bin form is the
-    reference that build is tested against. Activities are floored at
-    ACTIVITY_FLOOR before the weight is applied because both contrast
-    weights diverge at zero.
+    The update builds all bins at once, and whitens them; this single-bin
+    form is the reference that build is tested against. Activities are
+    floored at ACTIVITY_FLOOR before the weight is applied because both
+    contrast weights diverge at zero.
     """
-    data = _data_of(whitened)[f : f + 1]
+    data = _data_of(spec)[f : f + 1]
     return _weighted_covariance_stack(data, activity, contrast)[0]
 
 
-def _weighted_covariance_stack(data, activity, contrast):
+def _weighted_covariance_stack(data, activity, contrast, whiteners=None):
     weights = contrast.weight(np.maximum(activity, ACTIVITY_FLOOR))
-    return _covariance_stack(data, weights)
+    return _covariance_stack(data, weights, whiteners)
+
+
+def _demixing_filters(whiteners, w):
+    """Filters W w that demix the raw data, for filters w in whitened coordinates."""
+    return (whiteners @ w[:, :, None])[:, :, 0]
 
 
 def apply_demixing(w, spec):
@@ -254,25 +255,25 @@ def apply_demixing(w, spec):
     return linalg._complex_matmul(_data_of(spec), np.conj(w)[:, :, None])[:, :, 0]
 
 
-def five_iteration(state, whitened, contrast):
-    """One demixing update.
+def five_iteration(state, data, contrast):
+    """One demixing update of the raw (F, N, M) data.
 
-    Per bin: build the weighted covariance from the current activity, take
-    its smallest eigenpair (lambda, r) and set w = r / sqrt(lambda), which
-    makes w^H V w = 1 exactly. The pair is exact, the global minimizer of
-    the majorizer: linalg.smallest_eigenpair takes the eigenvalues from
-    LAPACK and r by shifted inverse iteration started from the current w,
-    under a residual guard. V is Hermitian by construction, so it is not
-    checked. The extracted signal, the activity and the per-bin power are
-    then recomputed from the new filters. A bin whose smallest eigenvalue
-    is at or below t = REGULARIZATION * trace/M is loaded to V + tI in
-    closed form (same eigenvectors, lambda + t); the update aborts where
-    lambda + t is still at the loaded matrix's threshold, that is
-    lambda <= REGULARIZATION * t. V is also the matrix that certifies the
-    incoming state (see DemixingState).
+    Per bin: build the weighted covariance from the current activity and
+    whiten it, V = W^H V_raw W; take its smallest eigenpair (lambda, r) and
+    set w = r / sqrt(lambda), which makes w^H V w = 1 exactly. The pair is
+    exact, the global minimizer of the majorizer: linalg.smallest_eigenpair
+    takes the eigenvalues from LAPACK and r by shifted inverse iteration
+    started from the current w, under a residual guard. V is Hermitian by
+    construction, so it is not checked. The estimate (W w)^H x, one pass
+    over the data, and its activity come from the new filters. A bin whose
+    smallest eigenvalue is at or below t = REGULARIZATION * trace/M is
+    loaded to V + tI in closed form (same eigenvectors, lambda + t); the
+    update aborts where lambda + t is still at the loaded matrix's
+    threshold, that is lambda <= REGULARIZATION * t. V is also the matrix
+    that certifies the incoming state (see DemixingState).
     """
-    data = _data_of(whitened)
-    cov = _weighted_covariance_stack(data, state.activity, contrast)
+    data = _data_of(data)
+    cov = _weighted_covariance_stack(data, state.activity, contrast, state.whiteners)
     values, vector = linalg.smallest_eigenpair(cov, state.w)
     smallest = values[:, -1]
     load = REGULARIZATION * np.sum(values, axis=-1) / data.shape[2]
@@ -286,22 +287,28 @@ def five_iteration(state, whitened, contrast):
         smallest = np.where(bad, smallest + load, smallest)
 
     w = vector / np.sqrt(smallest)[:, None]
-    activity, power = _activity_and_power(apply_demixing(w, data))
+    estimate = apply_demixing(_demixing_filters(state.whiteners, w), data)
     return DemixingState(
         whiteners=state.whiteners,
         w=w,
-        activity=activity,
+        activity=_activity(estimate),
         iteration=state.iteration + 1,
-        power=power,
+        estimate=estimate,
         previous_residual=_certificate(state.w, cov),
     )
 
 
-def _nll(state, power, energy, contrast):
+def _whitened_energy(whiteners, cov, n_frames):
+    """sum_{f,n} ||W_f^H x_fn||^2 = N sum_f tr(W_f^H C_f W_f), from the sample covariances C."""
+    return n_frames * np.vdot(whiteners, cov @ whiteners).real
+
+
+def _nll(state, energy, contrast):
     n_frames = state.activity.shape[0]
     norms2 = np.sum(np.abs(state.w) ** 2, axis=1)
+    power = np.vecdot(state.estimate, state.estimate).real
     floored = np.maximum(state.activity, ACTIVITY_FLOOR)
-    whiten_logdet = np.sum(np.log(np.real(np.diagonal(state.whiteners, axis1=1, axis2=2))))
+    whiten_logdet = -np.sum(np.log(np.real(np.diagonal(state.whiteners, axis1=1, axis2=2))))
     return float(
         -n_frames * np.sum(np.log(norms2))
         + np.sum(contrast.gain(floored))
@@ -310,29 +317,32 @@ def _nll(state, power, energy, contrast):
     )
 
 
-def evaluate_nll(state, whitened, contrast):
-    """Monitored negative log-likelihood of the observed signal.
+def evaluate_nll(state, data, contrast):
+    """Monitored negative log-likelihood of the raw (F, N, M) data.
 
-    Evaluated in whitened coordinates with an identity background covariance
-    (prewhiten makes it so). The background demixing block J_f is the
-    orthonormal complement of w_f, which minimizes the likelihood for that
-    w_f. Then |det [w_f, J_f]| = ||w_f|| and ||J_f^H x||^2 = ||x||^2 - |u^H x|^2
-    with u = w_f/||w_f||, so
+    Evaluated in whitened coordinates x = W^H x_raw, with an identity
+    background covariance (prewhiten makes it so). The background demixing
+    block J_f is the orthonormal complement of w_f, which minimizes the
+    likelihood for that w_f. Then |det [w_f, J_f]| = ||w_f|| and
+    ||J_f^H x||^2 = ||x||^2 - |u^H x|^2 with u = w_f/||w_f||, so
 
         L = -2N sum_f log|det [w_f, J_f]^H| + sum_n G(r_n)
             + sum_{f,n} ||J_f^H x_fn||^2 + 2N sum_f log det Q_f
           = -N sum_f log ||w_f||^2 + sum_n G(r_n)
             + (E - sum_f p_f / ||w_f||^2) + 2N sum_f log det Q_f
 
-    with E = sum_{f,n} ||x_fn||^2 and p_f = sum_n |w_f^H x_fn|^2. The last
-    term is the constant whitening log-determinant, included so values are
-    comparable on the original data scale. The sequence of values across
-    iterations is non-increasing. For the initial filter e_ref, J is the
-    complement of e_ref, not an eigenbasis of V, which lowers record 0.
+    with E = sum_{f,n} ||x_fn||^2 = N sum_f tr(W_f^H C_f W_f), C_f the raw
+    sample covariance, and p_f = sum_n |w_f^H x_fn|^2. The last term is the
+    constant whitening log-determinant, log det Q_f = -log det W_f, included
+    so values are comparable on the original data scale. The sequence of
+    values across iterations is non-increasing. For the initial filter
+    e_ref, J is the complement of e_ref, not an eigenbasis of V, which
+    lowers record 0.
     """
-    data = _data_of(whitened)
-    _, power = _activity_and_power(apply_demixing(state.w, data))
-    return _nll(state, power, np.vdot(data, data).real, contrast)
+    data = _data_of(data)
+    estimate = apply_demixing(_demixing_filters(state.whiteners, state.w), data)
+    energy = _whitened_energy(state.whiteners, _covariance_stack(data), data.shape[1])
+    return _nll(replace(state, estimate=estimate), energy, contrast)
 
 
 def _certificate(w, v_cov):
@@ -345,37 +355,17 @@ def _certificate(w, v_cov):
     return float(np.sqrt(np.abs(scale - 1.0) ** 2 + np.sum(np.abs(perp) ** 2, axis=1)).max())
 
 
-def head_residual(state, whitened, contrast):
+def head_residual(state, data, contrast):
     """Stationarity certificate: max over bins of || [w,J]^H [Vw, CJ] - I ||_F.
 
-    V is the weighted covariance under the current activity, C the plain
-    sample covariance of the whitened data (the identity, by prewhiten) and
-    J the orthonormal complement of w, as in evaluate_nll. Per bin this is
-    sqrt(|w^H V w - 1|^2 + ||(I - u u^H) V w||^2) with u = w/||w||. At a
-    fixed point of five_iteration the residual vanishes.
+    V is the whitened weighted covariance W^H V_raw W of the raw data under
+    the current activity, C the whitened sample covariance (the identity, by
+    prewhiten) and J the orthonormal complement of w, as in evaluate_nll.
+    Per bin this is sqrt(|w^H V w - 1|^2 + ||(I - u u^H) V w||^2) with
+    u = w/||w||. At a fixed point of five_iteration the residual vanishes.
     """
-    v_cov = _weighted_covariance_stack(_data_of(whitened), state.activity, contrast)
+    v_cov = _weighted_covariance_stack(_data_of(data), state.activity, contrast, state.whiteners)
     return _certificate(state.w, v_cov)
-
-
-def head_solutions(weighted_cov):
-    """All M candidate stationary demixing pairs for one bin.
-
-    For a whitened bin (identity sample covariance) every eigenpair
-    (lambda_k, r_k) of the weighted covariance yields an exact solution
-    w = r_k / sqrt(lambda_k), J = remaining eigenvectors. Returned in
-    descending eigenvalue order; the update picks the last (smallest)
-    candidate, which globally minimizes the majorizer.
-    """
-    values, vectors = linalg.eig_hermitian(weighted_cov)
-    if np.any(values <= 0):
-        raise ValueError("weighted covariance must be positive definite")
-    out = []
-    for k in range(values.shape[-1]):
-        w = vectors[:, k] / np.sqrt(values[k])
-        basis = np.delete(vectors, k, axis=1)
-        out.append((float(values[k]), w, basis))
-    return out
 
 
 def project_back(extracted, original_spec, ref_channel=0):
@@ -394,21 +384,32 @@ def project_back(extracted, original_spec, ref_channel=0):
     return scale[:, None] * extracted
 
 
+def _initial_state(whiteners, data, ref):
+    """The state of the filter e_ref: the whitened reference channel."""
+    # W is upper triangular, so W e_ref mixes channels 0..ref only
+    estimate = sum(np.conj(whiteners[:, k, ref, None]) * data[:, :, k] for k in range(ref + 1))
+    w = np.zeros(whiteners.shape[:2], dtype=np.complex128)
+    w[:, ref] = 1.0
+    return DemixingState(whiteners, w, _activity(estimate), estimate=estimate)
+
+
 def extract_spectral(spec, config, callback=None):
     """Run the full extraction on a spectrogram tensor.
 
-    Pipeline: prewhiten, initialize the estimate as the whitened reference
-    channel, iterate demixing updates (optionally stopping early once the
-    filters move less than early_stop_tol), then project the result back
-    onto the original reference channel. Whenever whitening names a channel
-    that adds no rank in some bin (silent, or a combination of the channels
-    before it), that channel is dropped and the kept channels are whitened
-    again; the state then has one entry per kept channel. A dropped
-    reference channel raises SilentReferenceChannelError.
+    Pipeline: build the sample covariance once and whiten it (prewhiten),
+    initialize the estimate as the whitened reference channel, iterate
+    demixing updates (optionally stopping early once the filters move less
+    than early_stop_tol), then project the last estimate back onto the
+    original reference channel. Whenever whitening names a channel that
+    adds no rank in some bin (silent, or a combination of the channels
+    before it), that channel is dropped and the principal submatrix of the
+    kept channels is factored again; the kept channels are copied once, and
+    the state has one entry per kept channel. A dropped reference channel
+    raises SilentReferenceChannelError.
 
     callback(iteration, state, extracted) is invoked for the initial state
     (iteration 0) and after every iteration with the raw (un-projected)
-    extracted signal.
+    extracted signal, state.estimate.
 
     Returns the projected (F, N) extracted signal and an ExtractionReport
     with one record per iteration (record 0 covers whitening and the
@@ -418,13 +419,18 @@ def extract_spectral(spec, config, callback=None):
     """
     t0 = time.perf_counter()
     original = _data_of(spec)
-    n_bins, _, n_chan = original.shape
+    _, n_frames, n_chan = original.shape
     if config.ref_channel >= n_chan:
         raise ValueError(f"ref_channel {config.ref_channel} out of range for {n_chan} channels")
-    kept, data = np.arange(n_chan), original
+    if n_frames < n_chan:
+        raise ValueError(
+            f"need at least as many frames as channels for a full-rank "
+            f"covariance ({n_frames} frames, {n_chan} channels)"
+        )
+    cov, kept = _covariance_stack(original), np.arange(n_chan)
     while True:
         try:
-            data, whiteners = prewhiten(data)
+            whiteners = prewhiten(cov)
             break
         except linalg.NotPositiveDefiniteError as exc:
             if kept[exc.pivot_index] == config.ref_channel:
@@ -432,26 +438,24 @@ def extract_spectral(spec, config, callback=None):
                     f"reference channel {config.ref_channel} is silent or adds no rank "
                     f"to the channels before it"
                 ) from exc
-            kept = np.delete(kept, exc.pivot_index)
-            data = np.take(original, kept, axis=2)  # C-contiguous, unlike original[:, :, kept]
+            rest = np.delete(np.arange(len(kept)), exc.pivot_index)
+            cov, kept = cov[:, rest[:, None], rest], kept[rest]
+    data = original if len(kept) == n_chan else np.take(original, kept, axis=2)
     ref = int(np.searchsorted(kept, config.ref_channel))
 
-    w0 = np.zeros((n_bins, len(kept)), dtype=np.complex128)
-    w0[:, ref] = 1.0
-    activity, power = _activity_and_power(data[:, :, ref])
-    state = DemixingState(whiteners=whiteners, w=w0, activity=activity, power=power)
+    state = _initial_state(whiteners, data, ref)
     setup_ms = (time.perf_counter() - t0) * 1e3
 
     contrast = config.contrast
     monitoring = config.nll_monitoring
-    energy = np.vdot(data, data).real if monitoring else None
+    energy = _whitened_energy(whiteners, cov, n_frames) if monitoring else None
     report = ExtractionReport()
 
     def _record(wall_ms):
-        nll = _nll(state, state.power, energy, contrast) if monitoring else None
+        nll = _nll(state, energy, contrast) if monitoring else None
         report.records.append(IterationRecord(state.iteration, nll, None, wall_ms))
         if callback is not None:
-            callback(state.iteration, state, apply_demixing(state.w, data))
+            callback(state.iteration, state, state.estimate)
 
     def _certify(residual):
         report.records[-1] = replace(report.records[-1], head_residual=residual)
@@ -474,8 +478,7 @@ def extract_spectral(spec, config, callback=None):
     if monitoring:
         _certify(head_residual(state, data, contrast))
     report.iterations_run = state.iteration
-    extracted = apply_demixing(state.w, data)
-    projected = project_back(extracted, original, config.ref_channel)
+    projected = project_back(state.estimate, original, config.ref_channel)
     return projected, report
 
 

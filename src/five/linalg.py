@@ -26,6 +26,7 @@ __all__ = [
     "cholesky",
     "eig_hermitian",
     "smallest_eigenpair",
+    "inverse_upper_triangular",
     "apply_inverse_hermitian_transpose",
 ]
 
@@ -103,6 +104,25 @@ def cholesky(a, pivot_rtol=_PIVOT_RTOL):
     if lower is None or np.any(failing):
         raise NotPositiveDefiniteError(int(np.argmax(failing.reshape(-1, a.shape[-1]).any(axis=0))))
     return _conj_t(lower)
+
+
+def inverse_upper_triangular(q):
+    """Inverse w = q^{-1} of upper-triangular matrices q (..., M, M), by back-substitution.
+
+    numpy has no triangular inverse. From q w = I, row i of w is
+    (e_i - sum_{k>i} q_ik w_k) / q_ii: the rows come out from the last one
+    up, each from one batched product with the rows already found, and w is
+    upper triangular too. The diagonal of q must be nonzero.
+    """
+    q = np.asarray(q, dtype=np.complex128)
+    m = q.shape[-1]
+    w = np.zeros_like(q)
+    inverse_diagonal = 1.0 / np.diagonal(q, axis1=-2, axis2=-1)
+    for i in range(m - 1, -1, -1):
+        w[..., i, i] = inverse_diagonal[..., i]
+        tail = (q[..., i : i + 1, i + 1 :] @ w[..., i + 1 :, i + 1 :])[..., 0, :]
+        w[..., i, i + 1 :] = -tail * inverse_diagonal[..., i, None]
+    return w
 
 
 def _fix_phase(vectors):
@@ -199,6 +219,7 @@ def apply_inverse_hermitian_transpose(q, x):
     """Solve q^H y = x row by row, that is y = x conj(q^{-1}).
 
     q (..., M, M) and x (..., N, M) broadcast over the leading axes, so the
-    N rows sharing a matrix go through one real matrix product.
+    N rows sharing a matrix go through one real matrix product. The tests
+    whiten data explicitly with it; the extraction whitens covariances.
     """
     return _complex_matmul(x, np.conj(np.linalg.inv(q)))

@@ -278,7 +278,7 @@ def oracle_max_sinr(scene):
     background = scene.true_background_covariance
     mixture_cov = scene.true_target_covariance + background
     factor = linalg.cholesky(background)
-    factor_inv = np.linalg.inv(factor)
+    factor_inv = linalg.inverse_upper_triangular(factor)
     whitened = np.conj(np.swapaxes(factor_inv, 1, 2)) @ mixture_cov @ factor_inv
     whitened = 0.5 * (whitened + np.conj(np.swapaxes(whitened, 1, 2)))
     _, vectors = linalg.eig_hermitian(whitened)
@@ -349,10 +349,15 @@ def spec_from_keyvalues(values):
 
 
 def read_image(path):
-    """Channel 0 of an image file: (F, N) from a .fiv tensor, (T,) from a WAV."""
+    """Channel 0 of an image file and its sample rate.
+
+    (F, N) and None from a .fiv tensor, which records no rate; (T,) and the
+    header's rate from a WAV.
+    """
     if str(path).endswith(".fiv"):
-        return read_tensor(path)[:, :, 0]
-    return read_wave(path).samples[:, 0]
+        return read_tensor(path)[:, :, 0], None
+    wave = read_wave(path)
+    return wave.samples[:, 0], wave.sample_rate
 
 
 def save_scene(scene, directory):
@@ -396,6 +401,6 @@ def load_scene(directory):
     return GroundTruthScene(
         spec=spec,
         mixture=mixture,
-        target_image=read_image(directory / f"target_image{suffix}"),
-        background_image=read_image(directory / f"background_image{suffix}"),
+        target_image=read_image(directory / f"target_image{suffix}")[0],
+        background_image=read_image(directory / f"background_image{suffix}")[0],
     )

@@ -213,6 +213,27 @@ def test_evaluate_missing_scene_fails(tmp_path):
     assert rc == 2
 
 
+def test_evaluate_rejects_estimate_at_another_sample_rate(tmp_path, capsys):
+    # an 8 kHz scene's own target image, relabelled as 16 kHz
+    scene_path = tmp_path / "scene"
+    assert cli.main(
+        ["simulate", "--output", str(scene_path), "--mixing", "convolutive_fir",
+         "--channels", "2", "--duration", "0.5", "--sample-rate", "8000", "--seed", "1"]
+    ) == 0
+    target = read_wave(scene_path / "target_image.wav")
+    assert target.sample_rate == 8000
+    est = tmp_path / "relabelled.wav"
+    write_wave(est, MultichannelWave(16000, target.samples), format="float32")
+    report = tmp_path / "metrics.csv"
+    rc = cli.main(
+        ["evaluate", "--scene", str(scene_path), "--estimate", str(est),
+         "--report", str(report)]
+    )
+    assert rc == 2
+    assert "sample rate 16000 Hz differs from the scene's 8000 Hz" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_extract_honors_hop_flag(tmp_path):
     in_path = tmp_path / "in.wav"
     _write_noise_wav(in_path, samples=8 * 256)

@@ -13,13 +13,13 @@ from five.core import (
     extract_spectral,
     five_iteration,
     head_residual,
-    head_solutions,
     prewhiten,
     project_back,
     weighted_covariance,
 )
-from five.stft import StftConfig, analyze, synthesize
+from five.stft import SpectralTensor, StftConfig, analyze, synthesize
 from five.wavio import MultichannelWave
+from oracles import head_solutions, sample_covariance, whiten, whiten_by_cholesky
 
 
 def _cnormal(rng, shape):
@@ -56,11 +56,8 @@ def _two_source_mixture(rng, n_bins, n_frames, noise_floor=0.0):
     return data
 
 
-def _initial_state(whitened, whiteners, ref=0):
-    n_bins, _, n_chan = whitened.shape
-    w0 = np.zeros((n_bins, n_chan), dtype=np.complex128)
-    w0[:, ref] = 1.0
-    return DemixingState(whiteners, w0, core._activity_and_power(whitened[:, :, ref])[0])
+def _whiteners(data):
+    return prewhiten(sample_covariance(data))
 
 
 # ---------------------------------------------------------------- contrast models
@@ -103,18 +100,20 @@ def test_config_validation():
 def test_prewhiten_identity_covariance_is_noop():
     rng = np.random.default_rng(30)
     data = _identity_cov_data(rng, 3, 64, 4)
-    whitened, whiteners = prewhiten(data)
+    whiteners = _whiteners(data)
     assert np.max(np.abs(whiteners - np.eye(4))) <= 1e-10
-    assert np.max(np.abs(whitened - data)) <= 1e-10
+    assert np.max(np.abs(whiten(data, whiteners) - data)) <= 1e-10
 
 
 def test_prewhiten_single_channel_rms():
+    # W = Q^{-1}, and Q of one channel is its rms
     rng = np.random.default_rng(31)
     data = _cnormal(rng, (5, 128, 1)) * 3.0
-    whitened, whiteners = prewhiten(data)
+    whiteners = _whiteners(data)
+    whitened = whiten(data, whiteners)
     for f in range(5):
         rms = np.sqrt(np.mean(np.abs(data[f, :, 0]) ** 2))
-        assert whiteners[f, 0, 0] == pytest.approx(rms, rel=1e-12)
+        assert 1.0 / whiteners[f, 0, 0] == pytest.approx(rms, rel=1e-12)
         power = np.mean(np.abs(whitened[f, :, 0]) ** 2)
         assert power == pytest.approx(1.0, abs=1e-10)
 
@@ -122,20 +121,21 @@ def test_prewhiten_single_channel_rms():
 def test_prewhiten_covariance_oracle():
     rng = np.random.default_rng(32)
     data = _cnormal(rng, (6, 256, 3)) @ (np.eye(3) + 0.5j * np.eye(3, k=1))
-    whitened, _ = prewhiten(data)
+    whitened = whiten(data, _whiteners(data))
     for f in range(6):
         cov = whitened[f].T @ np.conj(whitened[f]) / 256
         assert np.linalg.norm(cov - np.eye(3)) <= 1e-8
 
 
-def test_prewhiten_needs_enough_frames():
+def test_extract_needs_enough_frames():
+    spec = SpectralTensor(np.ones((2, 3, 4), dtype=complex), 16000, StftConfig(frame_size=2))
     with pytest.raises(ValueError, match="frames"):
-        prewhiten(np.zeros((2, 3, 4), dtype=complex))
+        extract_spectral(spec, FiveConfig(contrast=ContrastModel("laplace")))
 
 
 def test_prewhiten_rank_deficient_rejected():
     with pytest.raises(linalg.NotPositiveDefiniteError) as info:
-        prewhiten(np.zeros((2, 8, 2), dtype=complex))
+        prewhiten(sample_covariance(np.zeros((2, 8, 2), dtype=complex)))
     assert info.value.pivot_index == 0
 
 
@@ -144,7 +144,7 @@ def test_prewhiten_tolerance_is_per_bin():
     rng = np.random.default_rng(39)
     data = _cnormal(rng, (2, 64, 3))
     data[0] *= 1e-14
-    whitened, _ = prewhiten(data)
+    whitened = whiten(data, _whiteners(data))
     for f in range(2):
         cov = whitened[f].T @ np.conj(whitened[f]) / 64
         assert np.linalg.norm(cov - np.eye(3)) <= 1e-8
@@ -227,17 +227,17 @@ def test_weighted_covariance_floors_activity():
 
 def test_activity_pythagorean():
     extracted = np.array([[3.0 + 4.0j]])
-    assert core._activity_and_power(extracted)[0][0] == pytest.approx(5.0, abs=0)
+    assert core._activity(extracted)[0] == pytest.approx(5.0, abs=0)
 
 
 def test_activity_zero_frame():
-    assert core._activity_and_power(np.zeros((4, 3), dtype=complex))[0][1] == 0.0
+    assert core._activity(np.zeros((4, 3), dtype=complex))[1] == 0.0
 
 
 def test_activity_matches_elementwise_oracle():
     rng = np.random.default_rng(35)
     extracted = _cnormal(rng, (16, 4))
-    got = core._activity_and_power(extracted)[0]
+    got = core._activity(extracted)
     for n in range(4):
         want = np.sqrt(sum(abs(extracted[f, n]) ** 2 for f in range(16)))
         assert abs(got[n] - want) <= 1e-12
@@ -249,11 +249,10 @@ def test_activity_matches_elementwise_oracle():
 def test_iteration_single_channel_is_rescale():
     rng = np.random.default_rng(36)
     data = _cnormal(rng, (4, 64, 1))
-    whitened, whiteners = prewhiten(data)
-    state = five_iteration(
-        _initial_state(whitened, whiteners), whitened, ContrastModel("laplace")
-    )
-    extracted = apply_demixing(state.w, whitened)
+    whiteners = _whiteners(data)
+    whitened = whiten(data, whiteners)
+    state = five_iteration(core._initial_state(whiteners, data, 0), data, ContrastModel("laplace"))
+    extracted = state.estimate
     for f in range(4):
         ratio = extracted[f] / whitened[f, :, 0]
         assert np.max(np.abs(ratio - ratio[0])) <= 1e-12
@@ -266,12 +265,13 @@ def test_iteration_scaling_row_holds_exactly():
     # produced the update
     rng = np.random.default_rng(37)
     data = _two_source_mixture(rng, 8, 400)
-    whitened, whiteners = prewhiten(data)
+    whiteners = _whiteners(data)
+    whitened = whiten(data, whiteners)
     contrast = ContrastModel("laplace")
-    state = _initial_state(whitened, whiteners)
+    state = core._initial_state(whiteners, data, 0)
     for _ in range(3):
         anchor_activity = state.activity
-        state = five_iteration(state, whitened, contrast)
+        state = five_iteration(state, data, contrast)
         for f in range(8):
             v = weighted_covariance(whitened, anchor_activity, contrast, f)
             scale = state.w[f].conj() @ v @ state.w[f]
@@ -281,12 +281,11 @@ def test_iteration_scaling_row_holds_exactly():
 def test_iteration_activity_consistent_with_estimate():
     rng = np.random.default_rng(38)
     data = _two_source_mixture(rng, 8, 200)
-    whitened, whiteners = prewhiten(data)
-    state = five_iteration(
-        _initial_state(whitened, whiteners), whitened, ContrastModel("laplace")
-    )
-    recomputed = core._activity_and_power(apply_demixing(state.w, whitened))[0]
+    whiteners = _whiteners(data)
+    state = five_iteration(core._initial_state(whiteners, data, 0), data, ContrastModel("laplace"))
+    recomputed = core._activity(apply_demixing(core._demixing_filters(whiteners, state.w), data))
     assert np.max(np.abs(recomputed - state.activity)) <= 1e-10
+    assert np.max(np.abs(apply_demixing(state.w, whiten(data, whiteners)) - state.estimate)) <= 1e-10
 
 
 def test_iteration_reaches_fixed_point_two_channels():
@@ -296,11 +295,12 @@ def test_iteration_reaches_fixed_point_two_channels():
     # land far below the 1e-8 requirement)
     rng = np.random.default_rng(42)
     data = _two_source_mixture(rng, 32, 2000)
-    whitened, whiteners = prewhiten(data)
+    whiteners = _whiteners(data)
+    whitened = whiten(data, whiteners)
     contrast = ContrastModel("laplace")
-    state = _initial_state(whitened, whiteners)
+    state = core._initial_state(whiteners, data, 0)
     for _ in range(40):
-        state = five_iteration(state, whitened, contrast)
+        state = five_iteration(state, data, contrast)
     for f in range(32):
         v = weighted_covariance(whitened, state.activity, contrast, f)
         assert abs(state.w[f].conj() @ v @ state.w[f] - 1.0) <= 1e-8
@@ -360,29 +360,30 @@ def test_iteration_equivariant_under_unitary():
     s2 = five_iteration(base, rotated, contrast)
 
     assert np.max(np.abs(_fix_phase_vec(s2.w[2]) - _fix_phase_vec(unitary @ s1.w[2]))) <= 1e-10
-    e1 = apply_demixing(s1.w, data)[2]
-    e2 = apply_demixing(s2.w, rotated)[2]
+    e1 = s1.estimate[2]
+    e2 = s2.estimate[2]
     assert np.max(np.abs(np.abs(e2) - np.abs(e1))) <= 1e-10
     corr = np.vdot(e2, e1)
     assert abs(abs(corr) - np.linalg.norm(e1) * np.linalg.norm(e2)) <= 1e-10 * abs(corr)
 
 
 def test_gauss_iterates_scale_invariant():
-    # scaling the whitened input leaves the normalized extraction sequence
-    # unchanged under the gauss contrast
+    # scaling the whitened input (here: the data, under the same whiteners)
+    # leaves the normalized extraction sequence unchanged under the gauss
+    # contrast
     rng = np.random.default_rng(40)
     data = _two_source_mixture(rng, 8, 300)
-    whitened, whiteners = prewhiten(data)
+    whiteners = _whiteners(data)
     contrast = ContrastModel("gauss", num_bins=8)
-    scaled = 7.5 * whitened
+    scaled = 7.5 * data
 
-    state_a = _initial_state(whitened, whiteners)
-    state_b = _initial_state(scaled, whiteners)
+    state_a = core._initial_state(whiteners, data, 0)
+    state_b = core._initial_state(whiteners, scaled, 0)
     for _ in range(4):
-        state_a = five_iteration(state_a, whitened, contrast)
+        state_a = five_iteration(state_a, data, contrast)
         state_b = five_iteration(state_b, scaled, contrast)
-        ea = apply_demixing(state_a.w, whitened)
-        eb = apply_demixing(state_b.w, scaled)
+        ea = state_a.estimate
+        eb = state_b.estimate
         assert np.max(np.abs(ea / np.linalg.norm(ea) - eb / np.linalg.norm(eb))) <= 1e-10
 
 
@@ -404,13 +405,13 @@ def test_nll_scalar_case_by_hand():
 def test_nll_non_increasing_over_iterations(kind):
     rng = np.random.default_rng(41)
     data = _two_source_mixture(rng, 16, 500, noise_floor=0.01)
-    whitened, whiteners = prewhiten(data)
+    whiteners = _whiteners(data)
     contrast = ContrastModel(kind, num_bins=16)
-    state = _initial_state(whitened, whiteners)
-    previous = evaluate_nll(state, whitened, contrast)
+    state = core._initial_state(whiteners, data, 0)
+    previous = evaluate_nll(state, data, contrast)
     for _ in range(25):
-        state = five_iteration(state, whitened, contrast)
-        current = evaluate_nll(state, whitened, contrast)
+        state = five_iteration(state, data, contrast)
+        current = evaluate_nll(state, data, contrast)
         assert current <= previous + 1e-9 * abs(previous)
         previous = current
 
@@ -418,40 +419,41 @@ def test_nll_non_increasing_over_iterations(kind):
 def test_nll_doubles_under_frame_duplication():
     rng = np.random.default_rng(43)
     data = _two_source_mixture(rng, 8, 100)
-    whitened, whiteners = prewhiten(data)
+    whiteners = _whiteners(data)
     contrast = ContrastModel("laplace")
-    state = five_iteration(_initial_state(whitened, whiteners), whitened, contrast)
+    state = five_iteration(core._initial_state(whiteners, data, 0), data, contrast)
 
-    doubled = np.concatenate([whitened, whitened], axis=1)
+    doubled = np.concatenate([data, data], axis=1)
     doubled_state = DemixingState(
         whiteners=whiteners,
         w=state.w,
         activity=np.concatenate([state.activity, state.activity]),
         iteration=state.iteration,
     )
-    single = evaluate_nll(state, whitened, contrast)
+    single = evaluate_nll(state, data, contrast)
     double = evaluate_nll(doubled_state, doubled, contrast)
     assert double == pytest.approx(2.0 * single, rel=1e-10)
 
 
 def test_nll_includes_whitening_constant():
-    # same data, but expressed with a non-identity whitener: the recorded
-    # whitening log-determinant must shift the value accordingly
+    # same whitened data, but from twice the input with the whitener W = I/2
+    # (Q = 2I): the recorded whitening log-determinant must shift the value
+    # accordingly
     rng = np.random.default_rng(44)
     data = _identity_cov_data(rng, 2, 50, 2)
     base = DemixingState(
         whiteners=np.broadcast_to(np.eye(2, dtype=complex), (2, 2, 2)),
         w=np.ones((2, 2), dtype=complex) / np.sqrt(2),
-        activity=core._activity_and_power(data[:, :, 0])[0],
+        activity=core._activity(data[:, :, 0]),
     )
     scaled = DemixingState(
-        whiteners=np.broadcast_to(2.0 * np.eye(2, dtype=complex), (2, 2, 2)),
+        whiteners=np.broadcast_to(0.5 * np.eye(2, dtype=complex), (2, 2, 2)),
         w=base.w,
         activity=base.activity,
     )
     contrast = ContrastModel("laplace")
     shift = 2.0 * 50 * 2 * 2 * np.log(2.0)  # 2N * (bins * dim) * log 2
-    got = evaluate_nll(scaled, data, contrast) - evaluate_nll(base, data, contrast)
+    got = evaluate_nll(scaled, 2.0 * data, contrast) - evaluate_nll(base, data, contrast)
     assert got == pytest.approx(shift, rel=1e-12)
 
 
@@ -461,15 +463,16 @@ def _complement(w):
     return q[:, 1:]
 
 
-def _monitor_states(rng, whitened, whiteners, contrast):
+def _monitor_states(rng, data, whiteners, contrast):
     # the initial e_ref state, random filters, and the iterates of a short run
-    n_bins, _, n_chan = whitened.shape
-    states = [_initial_state(whitened, whiteners)]
+    n_bins, _, n_chan = data.shape
+    states = [core._initial_state(whiteners, data, 0)]
     for _ in range(2):
         w = _cnormal(rng, (n_bins, n_chan))
-        states.append(DemixingState(whiteners, w, core._activity_and_power(apply_demixing(w, whitened))[0]))
+        activity = core._activity(apply_demixing(core._demixing_filters(whiteners, w), data))
+        states.append(DemixingState(whiteners, w, activity))
     for _ in range(3):
-        states.append(five_iteration(states[-1], whitened, contrast))
+        states.append(five_iteration(states[-1], data, contrast))
     return states
 
 
@@ -478,17 +481,18 @@ def test_nll_matches_explicit_complement_formula(kind):
     rng = np.random.default_rng(57)
     n_bins, n_frames, n_chan = 6, 120, 4
     data = _cnormal(rng, (n_bins, n_frames, n_chan)) @ _cnormal(rng, (n_chan, n_chan))
-    whitened, whiteners = prewhiten(data)
+    whitened, factors = whiten_by_cholesky(data)
+    whiteners = _whiteners(data)
     contrast = ContrastModel(kind, num_bins=n_bins)
-    for state in _monitor_states(rng, whitened, whiteners, contrast):
+    for state in _monitor_states(rng, data, whiteners, contrast):
         want = np.sum(contrast.gain(np.maximum(state.activity, core.ACTIVITY_FLOOR)))
         for f in range(n_bins):
             basis = _complement(state.w[f])
             _, logdet = np.linalg.slogdet(np.column_stack([state.w[f], basis]))
             want += -2.0 * n_frames * logdet
             want += np.sum(np.abs(whitened[f] @ np.conj(basis)) ** 2)
-            want += 2.0 * n_frames * np.sum(np.log(np.real(np.diag(whiteners[f]))))
-        got = evaluate_nll(state, whitened, contrast)
+            want += 2.0 * n_frames * np.sum(np.log(np.real(np.diag(factors[f]))))
+        got = evaluate_nll(state, data, contrast)
         assert abs(got - want) <= 1e-12 * abs(want)
 
 
@@ -548,14 +552,14 @@ def test_head_residual_small_after_convergence():
     # residual must certify the fixed point
     rng = np.random.default_rng(47)
     data = _two_source_mixture(rng, 32, 2000)
-    whitened, whiteners = prewhiten(data)
+    whiteners = _whiteners(data)
     contrast = ContrastModel("laplace")
-    state = _initial_state(whitened, whiteners)
+    state = core._initial_state(whiteners, data, 0)
     for _ in range(60):
         previous_w = state.w
-        state = five_iteration(state, whitened, contrast)
+        state = five_iteration(state, data, contrast)
     assert np.max(np.linalg.norm(state.w - previous_w, axis=1)) < 1e-10
-    assert head_residual(state, whitened, contrast) <= 1e-6
+    assert head_residual(state, data, contrast) <= 1e-6
 
 
 def test_head_residual_matches_explicit_gram_on_prewhiten_output():
@@ -564,9 +568,10 @@ def test_head_residual_matches_explicit_gram_on_prewhiten_output():
     rng = np.random.default_rng(58)
     n_bins, n_frames, n_chan = 6, 120, 4
     data = _cnormal(rng, (n_bins, n_frames, n_chan)) @ _cnormal(rng, (n_chan, n_chan))
-    whitened, whiteners = prewhiten(data)
+    whiteners = _whiteners(data)
+    whitened = whiten(data, whiteners)
     contrast = ContrastModel("gauss", num_bins=n_bins)
-    for state in _monitor_states(rng, whitened, whiteners, contrast):
+    for state in _monitor_states(rng, data, whiteners, contrast):
         want = 0.0
         for f in range(n_bins):
             v = weighted_covariance(whitened, state.activity, contrast, f)
@@ -575,18 +580,18 @@ def test_head_residual_matches_explicit_gram_on_prewhiten_output():
             lhs = np.column_stack([state.w[f], basis])
             rhs = np.column_stack([v @ state.w[f], c @ basis])
             want = max(want, np.linalg.norm(lhs.conj().T @ rhs - np.eye(n_chan)))
-        assert abs(head_residual(state, whitened, contrast) - want) <= 1e-12
+        assert abs(head_residual(state, data, contrast) - want) <= 1e-12
 
 
 def test_iteration_carries_certificate_of_incoming_state():
     rng = np.random.default_rng(59)
     data = _two_source_mixture(rng, 8, 200)
-    whitened, whiteners = prewhiten(data)
+    whiteners = _whiteners(data)
     contrast = ContrastModel("gauss", num_bins=8)
-    state = _initial_state(whitened, whiteners)
+    state = core._initial_state(whiteners, data, 0)
     for _ in range(3):
-        expected = head_residual(state, whitened, contrast)
-        state = five_iteration(state, whitened, contrast)
+        expected = head_residual(state, data, contrast)
+        state = five_iteration(state, data, contrast)
         assert state.previous_residual == expected
 
 
@@ -604,13 +609,12 @@ def test_report_records_certify_their_own_state():
         FiveConfig(contrast=contrast, max_iterations=3),
         callback=lambda iteration, state, raw: states.append(state),
     )
-    whitened, _ = prewhiten(spec)
     assert [s.iteration for s in states] == [r.iteration for r in report.records] == [0, 1, 2, 3]
     for state, record in zip(states, report.records):
-        nll = evaluate_nll(state, whitened, contrast)
+        nll = evaluate_nll(state, data, contrast)
         assert record.nll == pytest.approx(nll, rel=1e-12)
         assert record.head_residual == pytest.approx(
-            head_residual(state, whitened, contrast), rel=1e-12, abs=1e-15
+            head_residual(state, data, contrast), rel=1e-12, abs=1e-15
         )
 
 
@@ -648,6 +652,33 @@ def test_monitored_run_costs_one_covariance_build(monkeypatch, monitoring):
     _, report = extract_spectral(spec, config)
     assert report.iterations_run == 4
     assert counts == {"pair": 4, "eig": 0, "cov": 5 if monitoring else 4}
+
+
+@pytest.mark.parametrize("monitoring", [True, False])
+def test_run_makes_one_demixing_product_per_update(monkeypatch, monitoring):
+    # K updates read the data K times: the initial estimate mixes channels
+    # 0..ref only, the callback gets the estimate the update made, and the
+    # output is the last update's estimate
+    counts = {"demix": 0, "raw": 0}
+    demix = core.apply_demixing
+
+    def counting_demix(*args, **kwargs):
+        counts["demix"] += 1
+        return demix(*args, **kwargs)
+
+    monkeypatch.setattr(core, "apply_demixing", counting_demix)
+    rng = np.random.default_rng(62)
+    data = _two_source_mixture(rng, 8, 200, noise_floor=0.01)
+    spec = SpectralTensor(data, 16000, StftConfig(frame_size=14))
+    config = FiveConfig(
+        contrast=ContrastModel("gauss", num_bins=8), max_iterations=4, nll_monitoring=monitoring
+    )
+    raw = []
+    extracted, report = extract_spectral(spec, config, callback=lambda it, state, est: raw.append(est))
+    assert report.iterations_run == 4
+    assert counts["demix"] == 4
+    assert len(raw) == 5
+    assert np.array_equal(extracted, project_back(raw[-1], data))
 
 
 def test_head_solutions_all_satisfy_system():
@@ -846,6 +877,29 @@ def test_extract_drops_channel_that_adds_no_rank(short_recording, position, make
         assert b <= a + 1e-9 * abs(a)
 
 
+def test_dead_channel_costs_one_covariance_build(monkeypatch, short_recording):
+    # the drop loop factors principal submatrices of the one plain sample
+    # covariance it built, not a covariance of the kept channels' copy
+    plain = []
+    build = core._covariance_stack
+
+    def counting_build(data, weights=None, whiteners=None):
+        if weights is None:
+            plain.append(data.shape)
+        return build(data, weights, whiteners)
+
+    monkeypatch.setattr(core, "_covariance_stack", counting_build)
+    sample_rate, samples = short_recording
+    widths = []
+    _extract_short(
+        sample_rate,
+        np.insert(samples, 2, 0.0, axis=1),
+        callback=lambda it, state, est: widths.append(state.w.shape[1]),
+    )
+    assert set(widths) == {4}
+    assert len(plain) == 1 and plain[0][2] == 5
+
+
 def test_extract_reference_duplicating_another_channel_names_it(short_recording):
     from five import SilentReferenceChannelError
 
@@ -872,6 +926,75 @@ def test_extract_keeps_band_limited_channel(short_recording):
     nll = report.nll_values
     for a, b in zip(nll, nll[1:]):
         assert b <= a + 1e-9 * abs(a)
+
+
+# ------------------------------------------------- whitening by congruence
+
+
+def _updates_on_explicitly_whitened_data(data, contrast, iterations):
+    # the reference path: whiten the data itself by Q^{-H}, then run the same
+    # update with W = I, for which the congruence is exact
+    whitened, _ = whiten_by_cholesky(data)
+    n_bins, _, n_chan = data.shape
+    identity = np.broadcast_to(np.eye(n_chan, dtype=complex), (n_bins, n_chan, n_chan))
+    state = core._initial_state(identity, whitened, 0)
+    for _ in range(iterations):
+        state = five_iteration(state, whitened, contrast)
+    return state.estimate
+
+
+def _congruence_against_explicit(samples, frame_size=1024, iterations=3):
+    spec = analyze(MultichannelWave(16000, samples), StftConfig(frame_size=frame_size))
+    contrast = ContrastModel("gauss", num_bins=spec.num_bins)
+    raw = []
+    extract_spectral(
+        spec,
+        FiveConfig(contrast=contrast, max_iterations=iterations),
+        callback=lambda it, state, est: raw.append(est),
+    )
+    want = _updates_on_explicitly_whitened_data(spec.data, contrast, iterations)
+    relative = np.max(np.abs(raw[-1] - want)) / np.max(np.abs(want))
+    return relative, spec, raw[-1], want
+
+
+def test_congruence_matches_explicit_whitening(short_recording):
+    sample_rate, samples = short_recording
+    relative, _, _, _ = _congruence_against_explicit(samples)
+    assert relative <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def eight_channel_scene():
+    from five import SceneSpec, generate_scene
+
+    return generate_scene(
+        SceneSpec(num_channels=8, mixing="convolutive_fir", num_samples=48000, seed=7)
+    )
+
+
+@pytest.mark.parametrize("level, bound", [(1e-2, 1e-11), (1e-4, 1e-7), (1e-5, 1e-5)])
+def test_congruence_accuracy_on_near_duplicate_channel(eight_channel_scene, level, bound):
+    # Accuracy statement: the whitened covariances are congruences of C,
+    # whose condition number is the square of the data's, so the estimate
+    # differs from the explicitly whitened one by about u kappa(C). With
+    # channel 7 = channel 0 + noise at `level` of its rms, kappa(C) grows as
+    # 1/level^2, and the bound pinned is about 5 u / level^2 (u = 2.2e-16).
+    # The difference stays far below what SI-SDR resolves.
+    from five.metrics import evaluate_extraction
+    from five.stft import SpectralTensor
+
+    samples = eight_channel_scene.mixture.samples.copy()
+    noise = np.random.default_rng(0).standard_normal(len(samples))
+    samples[:, 7] = samples[:, 0] + level * np.sqrt(np.mean(samples[:, 0] ** 2)) * noise
+    relative, spec, got, want = _congruence_against_explicit(samples)
+    assert relative <= bound
+
+    def si_sdr_db(estimate):
+        projected = project_back(estimate, spec)[:, :, None]
+        wave = synthesize(SpectralTensor(projected, spec.sample_rate, spec.config))
+        return evaluate_extraction(eight_channel_scene, wave.samples[:, 0], edge_trim=1024).si_sdr_db
+
+    assert abs(si_sdr_db(got) - si_sdr_db(want)) <= 5e-4
 
 
 def test_report_csv_round_trip(tmp_path):

@@ -9,6 +9,7 @@ from five.linalg import (
     apply_inverse_hermitian_transpose,
     cholesky,
     eig_hermitian,
+    inverse_upper_triangular,
     smallest_eigenpair,
 )
 
@@ -315,9 +316,25 @@ def test_apply_inverse_hermitian_transpose_residual_oracle():
     assert np.linalg.norm(q.conj().T @ y - x) <= 1e-10 * np.linalg.norm(x)
 
 
+@pytest.mark.parametrize("m", [1, 2, 5, 8])
+def test_inverse_upper_triangular_matches_inverse(m):
+    rng = np.random.default_rng(23 + m)
+    q = cholesky(np.stack([_random_spd(rng, m) for _ in range(7)]))
+    w = inverse_upper_triangular(q)
+    want = np.linalg.inv(q)
+    assert np.array_equal(w, np.triu(w))
+    assert np.max(np.abs(w - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.array_equal(inverse_upper_triangular(q[3]), w[3])  # one matrix, no stack
+
+
+def test_inverse_upper_triangular_diagonal_by_hand():
+    w = inverse_upper_triangular(np.array([[2.0, 1.0], [0.0, 4.0]]))
+    assert np.array_equal(w, [[0.5, -0.125], [0.0, 0.25]])
+
+
 @pytest.mark.parametrize("q_shape, x_shape", [((6, 4, 4), (6, 9, 4))])
 def test_apply_inverse_hermitian_transpose_matches_per_vector_solve(q_shape, x_shape):
-    # (F, M, M) against (F, N, M) is how prewhiten whitens
+    # (F, M, M) against (F, N, M) is how the tests' oracle whitens data
     rng = np.random.default_rng(22)
     q = cholesky(np.stack([_random_spd(rng, 4) for _ in range(q_shape[0])]))
     x = rng.standard_normal(x_shape) + 1j * rng.standard_normal(x_shape)

@@ -201,14 +201,15 @@ def test_oracle_dominates_random_probes_and_five():
     )
     assert np.all(num / den <= sinr_oracle[:, None] * (1 + 1e-9))
 
-    whitened, whiteners = prewhiten(scene.mixture.data)
+    data = scene.mixture.data
+    whiteners = prewhiten(core._covariance_stack(data))
     contrast = ContrastModel("gauss", num_bins=16)
     w0 = np.zeros((16, 3), dtype=complex)
     w0[:, 0] = 1.0
-    state = DemixingState(whiteners, w0, core._activity_and_power(whitened[:, :, 0])[0])
+    state = DemixingState(whiteners, w0, core._activity(apply_demixing(whiteners[:, :, 0], data)))
     for _ in range(10):
-        state = five_iteration(state, whitened, contrast)
-    w_five = np.linalg.solve(whiteners, state.w[:, :, None])[:, :, 0]  # back to input coordinates
+        state = five_iteration(state, data, contrast)
+    w_five = (whiteners @ state.w[:, :, None])[:, :, 0]  # back to input coordinates
     sinr_five = beamformer_sinr(
         w_five, scene.true_target_covariance, scene.true_background_covariance
     )
@@ -322,12 +323,14 @@ def test_read_image_takes_channel_0(tmp_path):
     rng = np.random.default_rng(33)
     tensor = rng.standard_normal((5, 7, 3)) + 1j * rng.standard_normal((5, 7, 3))
     write_tensor(tmp_path / "t.fiv", tensor)
-    image = read_image(tmp_path / "t.fiv")
+    image, rate = read_image(tmp_path / "t.fiv")
     assert image.shape == (5, 7)
     assert np.array_equal(image, tensor[:, :, 0])
+    assert rate is None
 
     samples = rng.uniform(-0.5, 0.5, (300, 2))
     write_wave(tmp_path / "w.wav", MultichannelWave(8000, samples), format="float32")
-    image = read_image(tmp_path / "w.wav")
+    image, rate = read_image(tmp_path / "w.wav")
     assert image.shape == (300,)
     assert np.array_equal(image, samples[:, 0].astype(np.float32))
+    assert rate == 8000
