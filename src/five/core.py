@@ -21,11 +21,11 @@ then a closed form in values the update already has (evaluate_nll), and
 five_iteration certifies the state it starts from with the covariance it
 builds anyway (head_residual): about one covariance build per run.
 
-Like the STFT's Hamming window, the numerical guards are fixed constants,
-not settings: REGULARIZATION is the update's diagonal loading, relative to
-trace/M, of a weighted covariance at the noise floor (the input covariance
-is never loaded), and ACTIVITY_FLOOR bounds the frame activities before the
-contrast weight, which diverges at zero.
+The contrast is bounded below, so the update needs no floor, load or retry:
+the model adds ACTIVITY_OFFSET times the mean squared frame activity to each
+one (_offset_activity), which keeps the majorizer exact, the gauss model
+scale invariant and V above a multiple of I (weighted_covariance). Like the
+STFT's Hamming window, the offset is a fixed constant, not a setting.
 """
 
 import csv
@@ -57,15 +57,14 @@ __all__ = [
     "extract",
 ]
 
-REGULARIZATION = 1e-10
-ACTIVITY_FLOOR = 1e-12
+ACTIVITY_OFFSET = 1e-4
 # Data bytes per block of bins in a covariance build: the block's contiguous
 # and weighted copies together stay inside a 2 MiB per-core L2 cache.
 _BLOCK_BYTES = 1 << 19
 
 
 class DegenerateCovarianceError(RuntimeError):
-    """Weighted covariance collapsed (smallest eigenvalue at the noise floor)."""
+    """Weighted covariance not positive definite: the whiteners do not whiten the data."""
 
 
 class SilentReferenceChannelError(ValueError):
@@ -232,17 +231,25 @@ def weighted_covariance(spec, activity, contrast, f):
     """Frame-weighted sample covariance V_f of bin f of the data given.
 
     The update builds all bins at once, and whitens them; this single-bin
-    form is the reference that build is tested against. Activities are
-    floored at ACTIVITY_FLOOR before the weight is applied because both
-    contrast weights diverge at zero.
+    form is the reference that build is tested against. The gain
+    sum_n G(r~_n) of the offset activities is concave in the r_n^2, so its
+    tangent plane, the exact majorizer, weights frame n by
+    phi(r~_n) + ACTIVITY_OFFSET * mean_k phi(r~_k): finite for a silent
+    frame, and for whitened data V >= ACTIVITY_OFFSET * mean_k phi(r~_k) I.
     """
     data = _data_of(spec)[f : f + 1]
     return _weighted_covariance_stack(data, activity, contrast)[0]
 
 
+def _offset_activity(activity):
+    """r~_n = sqrt(r_n^2 + ACTIVITY_OFFSET * mean_k r_k^2): bounded gain, and scale invariant."""
+    power = np.square(activity)
+    return np.sqrt(power + ACTIVITY_OFFSET * np.mean(power))
+
+
 def _weighted_covariance_stack(data, activity, contrast, whiteners=None):
-    weights = contrast.weight(np.maximum(activity, ACTIVITY_FLOOR))
-    return _covariance_stack(data, weights, whiteners)
+    weights = contrast.weight(_offset_activity(activity))
+    return _covariance_stack(data, weights + ACTIVITY_OFFSET * np.mean(weights), whiteners)
 
 
 def _demixing_filters(whiteners, w):
@@ -265,26 +272,19 @@ def five_iteration(state, data, contrast):
     takes the eigenvalues from LAPACK and r by shifted inverse iteration
     started from the current w, under a residual guard. V is Hermitian by
     construction, so it is not checked. The estimate (W w)^H x, one pass
-    over the data, and its activity come from the new filters. A bin whose
-    smallest eigenvalue is at or below t = REGULARIZATION * trace/M is
-    loaded to V + tI in closed form (same eigenvectors, lambda + t); the
-    update aborts where lambda + t is still at the loaded matrix's
-    threshold, that is lambda <= REGULARIZATION * t. V is also the matrix
-    that certifies the incoming state (see DemixingState).
+    over the data, and its activity come from the new filters. Whitened V
+    is bounded below (weighted_covariance), so lambda > 0; a bin where it
+    is not, which only whiteners that do not whiten the data can produce,
+    raises DegenerateCovarianceError. V is also the matrix that certifies
+    the incoming state (see DemixingState).
     """
     data = _data_of(data)
     cov = _weighted_covariance_stack(data, state.activity, contrast, state.whiteners)
     values, vector = linalg.smallest_eigenpair(cov, state.w)
     smallest = values[:, -1]
-    load = REGULARIZATION * np.sum(values, axis=-1) / data.shape[2]
-    bad = smallest <= load
+    bad = ~(smallest > 0)
     if np.any(bad):
-        still_bad = smallest <= REGULARIZATION * load
-        if np.any(still_bad):
-            raise DegenerateCovarianceError(
-                f"weighted covariance degenerate at bin {int(np.flatnonzero(still_bad)[0])}"
-            )
-        smallest = np.where(bad, smallest + load, smallest)
+        raise DegenerateCovarianceError(f"weighted covariance degenerate at bin {np.flatnonzero(bad)[0]}")
 
     w = vector / np.sqrt(smallest)[:, None]
     estimate = apply_demixing(_demixing_filters(state.whiteners, w), data)
@@ -307,11 +307,10 @@ def _nll(state, energy, contrast):
     n_frames = state.activity.shape[0]
     norms2 = np.sum(np.abs(state.w) ** 2, axis=1)
     power = np.vecdot(state.estimate, state.estimate).real
-    floored = np.maximum(state.activity, ACTIVITY_FLOOR)
     whiten_logdet = -np.sum(np.log(np.real(np.diagonal(state.whiteners, axis1=1, axis2=2))))
     return float(
         -n_frames * np.sum(np.log(norms2))
-        + np.sum(contrast.gain(floored))
+        + np.sum(contrast.gain(_offset_activity(state.activity)))
         + (energy - np.sum(power / norms2))
         + 2.0 * n_frames * whiten_logdet
     )
@@ -326,18 +325,18 @@ def evaluate_nll(state, data, contrast):
     likelihood for that w_f. Then |det [w_f, J_f]| = ||w_f|| and
     ||J_f^H x||^2 = ||x||^2 - |u^H x|^2 with u = w_f/||w_f||, so
 
-        L = -2N sum_f log|det [w_f, J_f]^H| + sum_n G(r_n)
+        L = -2N sum_f log|det [w_f, J_f]^H| + sum_n G(r~_n)
             + sum_{f,n} ||J_f^H x_fn||^2 + 2N sum_f log det Q_f
-          = -N sum_f log ||w_f||^2 + sum_n G(r_n)
+          = -N sum_f log ||w_f||^2 + sum_n G(r~_n)
             + (E - sum_f p_f / ||w_f||^2) + 2N sum_f log det Q_f
 
-    with E = sum_{f,n} ||x_fn||^2 = N sum_f tr(W_f^H C_f W_f), C_f the raw
-    sample covariance, and p_f = sum_n |w_f^H x_fn|^2. The last term is the
-    constant whitening log-determinant, log det Q_f = -log det W_f, included
-    so values are comparable on the original data scale. The sequence of
-    values across iterations is non-increasing. For the initial filter
-    e_ref, J is the complement of e_ref, not an eigenbasis of V, which
-    lowers record 0.
+    with r~ the offset activities, E = sum_{f,n} ||x_fn||^2 =
+    N sum_f tr(W_f^H C_f W_f), C_f the raw sample covariance, and
+    p_f = sum_n |w_f^H x_fn|^2. The last term is the constant whitening
+    log-determinant, log det Q_f = -log det W_f, included so values are
+    comparable on the original data scale. The sequence of values across
+    iterations is non-increasing. For the initial filter e_ref, J is the
+    complement of e_ref, not an eigenbasis of V, which lowers record 0.
     """
     data = _data_of(data)
     estimate = apply_demixing(_demixing_filters(state.whiteners, state.w), data)
@@ -372,14 +371,14 @@ def project_back(extracted, original_spec, ref_channel=0):
     """Least-squares rescaling of the extracted signal onto a reference channel.
 
     Per bin the complex scale a = sum_n x_ref conj(s) / sum_n |s|^2 minimizes
-    ||x_ref - a s||^2; bins with extracted energy below ACTIVITY_FLOOR pass
-    through.
+    ||x_ref - a s||^2; bins where the extracted signal is exactly zero pass
+    through. Any nonzero energy, however small, is rescaled.
     """
     extracted = np.asarray(extracted)
     reference = _data_of(original_spec)[:, :, ref_channel]
     power = np.vecdot(extracted, extracted).real
     corr = np.vecdot(extracted, reference)
-    safe = power >= ACTIVITY_FLOOR
+    safe = power > 0
     scale = np.where(safe, corr / np.where(safe, power, 1.0), 1.0)
     return scale[:, None] * extracted
 

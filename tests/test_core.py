@@ -44,7 +44,7 @@ def _fix_phase_vec(v):
 def _two_source_mixture(rng, n_bins, n_frames, noise_floor=0.0):
     # unit-variance envelope-modulated source plus an independent Gaussian;
     # noise_floor adds uncorrelated sensor noise so extraction cannot become
-    # exact (the gauss contrast diverges when frames go fully silent)
+    # exact
     g = rng.exponential(1.0, n_frames)
     g /= np.sqrt(np.mean(g * g))
     target = g[None, :] * _cnormal(rng, (n_bins, n_frames))
@@ -160,22 +160,26 @@ class _UnitWeight:
 
 
 def test_weighted_covariance_unit_weights_reduce_to_sample_covariance():
+    # unit phi gives every frame phi + offset * mean(phi) = 1 + offset
     rng = np.random.default_rng(33)
     data = _cnormal(rng, (4, 64, 3))
     activity = rng.uniform(0.5, 2.0, 64)
     for f in range(4):
         got = weighted_covariance(data, activity, _UnitWeight(), f)
-        want = data[f].T @ np.conj(data[f]) / 64
+        want = (1.0 + core.ACTIVITY_OFFSET) * data[f].T @ np.conj(data[f]) / 64
         assert np.linalg.norm(got - want) <= 1e-13
 
 
 def test_weighted_covariance_single_frame_by_hand():
-    # one frame, laplace weight at r=2 is 1/4, unit vector on channel 1
+    # one frame at r=2, unit vector on channel 1: the offset activity is
+    # sqrt(4 + 4 offset), its laplace weight phi = 1/(2 r~), and the frame
+    # weight phi + offset * phi
     data = np.zeros((1, 1, 3), dtype=complex)
     data[0, 0, 0] = 1.0
     got = weighted_covariance(data, np.array([2.0]), ContrastModel("laplace"), 0)
+    phi = 0.5 / np.sqrt(4.0 + core.ACTIVITY_OFFSET * 4.0)
     want = np.zeros((3, 3))
-    want[0, 0] = 0.25
+    want[0, 0] = phi + core.ACTIVITY_OFFSET * phi
     assert np.linalg.norm(got - want) == 0.0
 
 
@@ -185,11 +189,14 @@ def test_weighted_covariance_matches_triple_loop():
     data = _cnormal(rng, (n_bins, n_frames, n_chan))
     activity = rng.uniform(0.1, 3.0, n_frames)
     contrast = ContrastModel("gauss", num_bins=n_bins)
-    floor = 1e-12
+    offset = core.ACTIVITY_OFFSET
+    mean_power = sum(r * r for r in activity) / n_frames
+    phis = [contrast.weight(np.sqrt(r * r + offset * mean_power)) for r in activity]
+    mean_phi = sum(phis) / n_frames
     for f in range(n_bins):
         brute = np.zeros((n_chan, n_chan), dtype=complex)
         for n in range(n_frames):
-            phi = contrast.weight(max(activity[n], floor))
+            phi = phis[n] + offset * mean_phi
             for a in range(n_chan):
                 for b in range(n_chan):
                     brute[a, b] += phi * data[f, n, a] * np.conj(data[f, n, b])
@@ -216,10 +223,17 @@ def test_covariance_stack_matches_einsum_on_stft_layout(weighted):
 
 
 def test_weighted_covariance_floors_activity():
+    # a silent frame sees the offset activity sqrt(offset * m), m the mean
+    # r^2, so it gets the finite weight phi(sqrt(offset m)) + offset mean(phi)
     data = np.ones((1, 2, 1), dtype=complex)
-    activity = np.array([0.0, 1.0])  # zero would make the weight blow up
+    activity = np.array([0.0, 1.0])  # plain phi(0) would blow up
+    offset = core.ACTIVITY_OFFSET
+    mean_power = 0.5
+    phis = [0.5 / np.sqrt(offset * mean_power), 0.5 / np.sqrt(1.0 + offset * mean_power)]
+    weights = [phi + offset * (phis[0] + phis[1]) / 2 for phi in phis]
     got = weighted_covariance(data, activity, ContrastModel("laplace"), 0)
-    assert got[0, 0] == pytest.approx((0.5 / core.ACTIVITY_FLOOR + 0.5) / 2)
+    assert np.isfinite(got[0, 0])
+    assert got[0, 0] == pytest.approx((weights[0] + weights[1]) / 2, rel=1e-12)
 
 
 # ---------------------------------------------------------------- activity
@@ -316,33 +330,27 @@ def test_iteration_degenerate_covariance_rejected():
         five_iteration(state, np.zeros((3, 8, 2), dtype=complex), ContrastModel("laplace"))
 
 
-def test_iteration_reloads_near_singular_bin_in_closed_form(monkeypatch):
-    # bin 1 has 0 < lambda_min <= t = REGULARIZATION * trace/M. Loaded to
-    # V + tI it keeps V's eigenvector r and gets lambda_min + t, with one
-    # eigenpair call and no eig_hermitian fallback.
+@pytest.mark.parametrize("kind", ["laplace", "gauss"])
+def test_weighted_covariance_bounded_below_on_prewhitened_stack(kind):
+    # W^H C W = I, so the offset share of every frame weight puts V at or
+    # above offset * mean_k phi(r~_k) times I, even with a silent frame whose
+    # plain weight would diverge; the update then needs no load
     rng = np.random.default_rng(41)
-    data = _identity_cov_data(rng, 2, 64, 3)
-    data[1, :, 2] *= 1e-6
-    contrast = ContrastModel("laplace")
-    state = DemixingState(
-        whiteners=np.broadcast_to(np.eye(3, dtype=complex), (2, 3, 3)),
-        w=np.ones((2, 3), dtype=complex),
-        activity=rng.uniform(0.5, 2.0, 64),
-    )
-    values, vectors = core.linalg.eig_hermitian(weighted_covariance(data, state.activity, contrast, 1))
-    load = core.REGULARIZATION * np.sum(values) / 3
-    assert 0 < values[-1] <= load
-
-    calls = {"pair": 0, "eig": 0}
-    pair, eig = core.linalg.smallest_eigenpair, core.linalg.eig_hermitian
-    monkeypatch.setattr(
-        core.linalg, "smallest_eigenpair", lambda *a: calls.update(pair=calls["pair"] + 1) or pair(*a)
-    )
-    monkeypatch.setattr(core.linalg, "eig_hermitian", lambda a: calls.update(eig=calls["eig"] + 1) or eig(a))
-    new = five_iteration(state, data, contrast)
-    assert calls == {"pair": 1, "eig": 0}
-    want = vectors[:, -1] / np.sqrt(values[-1] + load)
-    assert np.max(np.abs(new.w[1] - want)) <= 1e-12 * np.linalg.norm(want)
+    data = _two_source_mixture(rng, 8, 64)
+    whiteners = _whiteners(data)
+    activity = rng.uniform(0.5, 2.0, 64)
+    activity[5] = 0.0
+    contrast = ContrastModel(kind, num_bins=8)
+    v_cov = core._weighted_covariance_stack(data, activity, contrast, whiteners)
+    power = activity**2
+    phi = contrast.weight(np.sqrt(power + core.ACTIVITY_OFFSET * np.mean(power)))
+    bound = core.ACTIVITY_OFFSET * np.mean(phi)
+    raw = np.einsum("fni,fnj,n->fij", data, np.conj(data), phi) / 64
+    plain = np.conj(np.swapaxes(whiteners, 1, 2)) @ raw @ whiteners
+    assert np.max(np.abs(v_cov - plain - bound * np.eye(2))) <= 1e-12 * np.max(np.abs(v_cov))
+    assert np.all(np.linalg.eigvalsh(v_cov)[:, 0] >= bound * (1.0 - 1e-9))
+    state = DemixingState(whiteners, np.ones((8, 2), dtype=complex), activity)
+    assert np.all(np.isfinite(five_iteration(state, data, contrast).w))
 
 
 def test_iteration_equivariant_under_unitary():
@@ -391,14 +399,16 @@ def test_gauss_iterates_scale_invariant():
 
 
 def test_nll_scalar_case_by_hand():
-    # M=1, F=1, N=1, laplace, estimate 1 and unit filter: L = G(1) = 1
+    # M=1, F=1, N=1, laplace, estimate 1 and unit filter: the offset
+    # activity is sqrt(1 + offset), so L = G(sqrt(1 + offset))
     whitened = np.ones((1, 1, 1), dtype=complex)
     state = DemixingState(
         whiteners=np.eye(1, dtype=complex)[None],
         w=np.ones((1, 1), dtype=complex),
         activity=np.ones(1),
     )
-    assert evaluate_nll(state, whitened, ContrastModel("laplace")) == pytest.approx(1.0, abs=1e-12)
+    want = np.sqrt(1.0 + core.ACTIVITY_OFFSET)
+    assert evaluate_nll(state, whitened, ContrastModel("laplace")) == pytest.approx(want, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["laplace", "gauss"])
@@ -485,7 +495,8 @@ def test_nll_matches_explicit_complement_formula(kind):
     whiteners = _whiteners(data)
     contrast = ContrastModel(kind, num_bins=n_bins)
     for state in _monitor_states(rng, data, whiteners, contrast):
-        want = np.sum(contrast.gain(np.maximum(state.activity, core.ACTIVITY_FLOOR)))
+        power = state.activity**2
+        want = np.sum(contrast.gain(np.sqrt(power + core.ACTIVITY_OFFSET * np.mean(power))))
         for f in range(n_bins):
             basis = _complement(state.w[f])
             _, logdet = np.linalg.slogdet(np.column_stack([state.w[f], basis]))
@@ -753,6 +764,15 @@ def test_project_back_least_squares_oracle():
         assert analytic_residual <= grid_residual + 1e-9 * grid_residual
 
 
+def test_project_back_rescales_quiet_bins():
+    # any nonzero energy is projected, however small: 1e-8 of the reference
+    # has a per-bin energy near 1e-15
+    rng = np.random.default_rng(58)
+    data = _cnormal(rng, (4, 32, 2))
+    out = project_back(1e-8 * data[:, :, 0], data)
+    assert np.max(np.abs(out - data[:, :, 0])) <= 1e-12
+
+
 def test_project_back_passes_through_silent_bins():
     data = np.ones((2, 8, 1), dtype=complex)
     estimate = np.zeros((2, 8), dtype=complex)
@@ -813,8 +833,7 @@ def test_extract_spectral_ref_channel_validated():
 
 
 def test_extract_silent_reference_channel_names_it():
-    # whitening and the update would otherwise abort with a degenerate
-    # weighted covariance at bin 0
+    # whitening would drop the all-zero reference channel; the error names it
     from five import SceneSpec, SilentReferenceChannelError, generate_scene
 
     scene = generate_scene(
@@ -926,6 +945,62 @@ def test_extract_keeps_band_limited_channel(short_recording):
     nll = report.nll_values
     for a, b in zip(nll, nll[1:]):
         assert b <= a + 1e-9 * abs(a)
+
+
+# ------------------------------------------------------- bounded contrast
+
+
+def _w1_shape_scene(seed):
+    # 8 ch, 10 s, frame 4096: 2049 bins and only 78 frames
+    from five import SceneSpec, generate_scene
+
+    return generate_scene(
+        SceneSpec(num_channels=8, mixing="convolutive_fir", num_samples=160000, seed=seed)
+    )
+
+
+def test_gauss_runs_thirty_updates_on_w1_shape_scene():
+    # the plain gauss gain 2F log r is unbounded below: one frame's activity
+    # collapsed towards zero over updates 1-8 and update 9 aborted; offset
+    # activities keep every frame's gain bounded below
+    scene = _w1_shape_scene(1000)
+    spec = analyze(scene.mixture, StftConfig(frame_size=4096))
+    config = FiveConfig(contrast=ContrastModel("gauss", num_bins=spec.num_bins), max_iterations=30)
+    extracted, report = extract_spectral(spec, config)
+    assert report.iterations_run == 30
+    assert np.all(np.isfinite(extracted))
+    nll = report.nll_values
+    assert len(nll) == 31
+    for a, b in zip(nll, nll[1:]):
+        assert b <= a + 1e-9 * abs(a)
+
+
+def test_extract_reference_mic_dropout():
+    # channel 1 (the reference) drops to digital zeros for 2 s. The initial
+    # filter e_ref gives those frames zero activity, which once made the
+    # weighted covariance degenerate at bin 0. Quality statement: the run
+    # gains nothing, but loses nothing either; outside the gap the output
+    # scores what the raw reference channel scores (both 4.25 dB here, where
+    # the healthy recording's output scores 9.39 dB)
+    from five.metrics import si_sdr
+    from five.stft import SpectralTensor
+
+    scene = _w1_shape_scene(7)
+    samples = scene.mixture.samples.copy()
+    samples[48000:80000, 0] = 0.0
+    spec = analyze(MultichannelWave(scene.mixture.sample_rate, samples), StftConfig(frame_size=4096))
+    outside = np.r_[4096:44000, 84000:155904]
+    raw_db = si_sdr(samples[outside, 0], scene.target_image[outside])
+    for iterations in (3, 10):
+        config = FiveConfig(
+            contrast=ContrastModel("gauss", num_bins=spec.num_bins), max_iterations=iterations
+        )
+        extracted, report = extract_spectral(spec, config)
+        nll = report.nll_values
+        for a, b in zip(nll, nll[1:]):
+            assert b <= a + 1e-9 * abs(a)
+        wave = synthesize(SpectralTensor(extracted[:, :, None], spec.sample_rate, spec.config))
+        assert si_sdr(wave.samples[outside, 0], scene.target_image[outside]) >= raw_db - 0.01
 
 
 # ------------------------------------------------- whitening by congruence
