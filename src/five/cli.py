@@ -14,7 +14,7 @@ import argparse
 import csv
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import core, metrics, scenes
@@ -113,6 +113,7 @@ def build_parser():
     _add_scene_args(p_bench)
     for command in sub.choices.values():
         command.add_argument("--config", default=None, help="key=value file, read as flags before the command line's")
+    parser.commands = sub.choices
     return parser
 
 
@@ -125,11 +126,14 @@ def _config_tokens(args):
     ]
 
 
-def _resolve(args):
-    """The full configuration, with hop resolved against frame_size."""
+def _resolve(parser, args):
+    """The full configuration, hop from StftConfig; a frame or hop StftConfig rejects is a usage error of parser."""
     cfg = {key: value for key, value in vars(args).items() if key not in ("command", "config")}
-    if "hop" in cfg and cfg["hop"] is None:
-        cfg["hop"] = cfg["frame_size"] // 2
+    if "frame_size" in cfg:
+        try:
+            cfg["hop"] = _stft_config(cfg).hop
+        except ValueError as exc:
+            parser.error(f"argument --frame-size/--hop: {exc}")
     return cfg
 
 
@@ -181,7 +185,7 @@ def cmd_extract(cfg):
         extracted, report = core.extract_spectral(spec, five_cfg)
         scenes.write_tensor(cfg["output"], extracted)
         # the report echoes the tensor's own STFT settings, the ones used
-        cfg = {**cfg, "frame_size": spec.config.frame_size, "hop": spec.config.hop}
+        cfg = {**cfg, **asdict(spec.config)}
     else:
         wave = read_wave(in_path)
         stft_cfg = _stft_config(cfg)
@@ -220,7 +224,7 @@ def cmd_evaluate(cfg):
     with open(report_path, "a") as fh:
         if write_header:
             core.write_config_header(fh, cfg)
-            fh.write("scene_id,algorithm,iterations,si_sdr,si_sir,delta_si_sdr,delta_si_sir\n")
+            fh.write(metrics.METRIC_CSV_HEADER + "\n")
         fh.write(row + "\n")
     return 0
 
@@ -272,6 +276,8 @@ def bench_one_seed(cfg, seed):
 
 def cmd_bench(cfg):
     traces = [bench_one_seed(cfg, cfg["seed"] + k) for k in range(cfg["scenes"])]
+    if cfg["mixing"] != "convolutive_fir":  # tensor scenes run at their own STFT settings: echo those
+        cfg = {**cfg, **asdict(scenes.tensor_config(cfg["bins"]))}
     with open(cfg["output"], "w", newline="") as fh:
         core.write_config_header(fh, cfg)
         writer = csv.writer(fh)
@@ -297,7 +303,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
         if args.config is not None:  # the subcommand is argv[0]: the top level has no other option
             args = parser.parse_args(argv[:1] + _config_tokens(args) + argv[1:])
-        return _COMMANDS[args.command](_resolve(args))
+        return _COMMANDS[args.command](_resolve(parser.commands[args.command], args))
     except SystemExit as exc:  # usage error in a flag or a config-file value, or --help
         return int(exc.code or 0)
     except BrokenPipeError:

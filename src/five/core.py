@@ -16,10 +16,12 @@ The scale ambiguity is resolved at the end by least-squares projection
 onto a reference channel.
 
 The monitor takes the background demixing block as the orthonormal
-complement of w, optimal for the identity whitened covariance. The NLL is
-then a closed form in values the update already has (evaluate_nll), and
-five_iteration certifies the state it starts from with the covariance it
-builds anyway (head_residual): about one covariance build per run.
+complement J of w, optimal for the identity whitened covariance. Since
+W^H C W = I, the background energy sum_n ||J^H W^H x_n||^2 is N (K - 1) in
+every bin, so the NLL is a closed form in the filters, the activities and
+the whiteners that reads no data (evaluate_nll), and five_iteration
+certifies the state it starts from with the covariance it builds anyway
+(head_residual): about one covariance build per run.
 
 The contrast is bounded below, so the update needs no floor, load or retry:
 the model adds ACTIVITY_OFFSET times the mean squared frame activity to each
@@ -230,8 +232,8 @@ def _activity(extracted):
 def weighted_covariance(spec, activity, contrast, f):
     """Frame-weighted sample covariance V_f of bin f of the data given.
 
-    The update builds all bins at once, and whitens them; this single-bin
-    form is the reference that build is tested against. The gain
+    This runs the update's all-bin build on bin f alone, unwhitened; the
+    triple loop in tests/test_core.py is its reference. The gain
     sum_n G(r~_n) of the offset activities is concave in the r_n^2, so its
     tangent plane, the exact majorizer, weights frame n by
     phi(r~_n) + ACTIVITY_OFFSET * mean_k phi(r~_k): finite for a silent
@@ -298,50 +300,41 @@ def five_iteration(state, data, contrast):
     )
 
 
-def _whitened_energy(whiteners, cov, n_frames):
-    """sum_{f,n} ||W_f^H x_fn||^2 = N sum_f tr(W_f^H C_f W_f), from the sample covariances C."""
-    return n_frames * np.vdot(whiteners, cov @ whiteners).real
+def evaluate_nll(state, contrast):
+    """Monitored negative log-likelihood of the data the state was fitted to.
 
+    Evaluated in whitened coordinates y = W^H x, with an identity background
+    covariance (prewhiten makes it so). The background demixing block J_f is
+    the orthonormal complement of w_f, which minimizes the likelihood for
+    that w_f. Then |det [w_f, J_f]| = ||w_f||, and with u = w_f/||w_f||
 
-def _nll(state, energy, contrast):
+        L = -2N sum_f log|det [w_f, J_f]^H| + sum_n G(r~_n)
+            + sum_{f,n} ||J_f^H y_fn||^2 + 2N sum_f log det Q_f,
+        ||J_f^H y||^2 = ||y||^2 - |u^H y|^2.
+
+    prewhiten gives W_f^H C_f W_f = I for the sample covariance C_f, so
+    sum_n ||y_fn||^2 = N K and sum_n |w_f^H y_fn|^2 = N ||w_f||^2, with
+    K = state.w.shape[1]. The background term is N F (K - 1), and
+
+        L = -N sum_f log ||w_f||^2 + sum_n G(r~_n) + N F (K - 1)
+            + 2N sum_f log det Q_f
+
+    with r~ the offset activities: no data is read. The last term is the
+    constant whitening log-determinant, log det Q_f = -log det W_f, included
+    so values are comparable on the original data scale. The values across
+    iterations are non-increasing. For the initial filter e_ref, J is the
+    complement of e_ref, not an eigenbasis of V, which lowers record 0.
+    """
     n_frames = state.activity.shape[0]
+    n_bins, n_chan = state.w.shape
     norms2 = np.sum(np.abs(state.w) ** 2, axis=1)
-    power = np.vecdot(state.estimate, state.estimate).real
     whiten_logdet = -np.sum(np.log(np.real(np.diagonal(state.whiteners, axis1=1, axis2=2))))
     return float(
         -n_frames * np.sum(np.log(norms2))
         + np.sum(contrast.gain(_offset_activity(state.activity)))
-        + (energy - np.sum(power / norms2))
+        + n_frames * n_bins * (n_chan - 1)
         + 2.0 * n_frames * whiten_logdet
     )
-
-
-def evaluate_nll(state, data, contrast):
-    """Monitored negative log-likelihood of the raw (F, N, M) data.
-
-    Evaluated in whitened coordinates x = W^H x_raw, with an identity
-    background covariance (prewhiten makes it so). The background demixing
-    block J_f is the orthonormal complement of w_f, which minimizes the
-    likelihood for that w_f. Then |det [w_f, J_f]| = ||w_f|| and
-    ||J_f^H x||^2 = ||x||^2 - |u^H x|^2 with u = w_f/||w_f||, so
-
-        L = -2N sum_f log|det [w_f, J_f]^H| + sum_n G(r~_n)
-            + sum_{f,n} ||J_f^H x_fn||^2 + 2N sum_f log det Q_f
-          = -N sum_f log ||w_f||^2 + sum_n G(r~_n)
-            + (E - sum_f p_f / ||w_f||^2) + 2N sum_f log det Q_f
-
-    with r~ the offset activities, E = sum_{f,n} ||x_fn||^2 =
-    N sum_f tr(W_f^H C_f W_f), C_f the raw sample covariance, and
-    p_f = sum_n |w_f^H x_fn|^2. The last term is the constant whitening
-    log-determinant, log det Q_f = -log det W_f, included so values are
-    comparable on the original data scale. The sequence of values across
-    iterations is non-increasing. For the initial filter e_ref, J is the
-    complement of e_ref, not an eigenbasis of V, which lowers record 0.
-    """
-    data = _data_of(data)
-    estimate = apply_demixing(_demixing_filters(state.whiteners, state.w), data)
-    energy = _whitened_energy(state.whiteners, _covariance_stack(data), data.shape[1])
-    return _nll(replace(state, estimate=estimate), energy, contrast)
 
 
 def _certificate(w, v_cov):
@@ -447,11 +440,10 @@ def extract_spectral(spec, config, callback=None):
 
     contrast = config.contrast
     monitoring = config.nll_monitoring
-    energy = _whitened_energy(whiteners, cov, n_frames) if monitoring else None
     report = ExtractionReport()
 
     def _record(wall_ms):
-        nll = _nll(state, energy, contrast) if monitoring else None
+        nll = evaluate_nll(state, contrast) if monitoring else None
         report.records.append(IterationRecord(state.iteration, nll, None, wall_ms))
         if callback is not None:
             callback(state.iteration, state, state.estimate)

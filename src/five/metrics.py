@@ -10,9 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CAP_DB", "MetricReport", "si_sdr", "si_sir", "evaluate_extraction", "metric_csv_row"]
+__all__ = ["CAP_DB", "METRIC_CSV_HEADER", "MetricReport", "si_sdr", "si_sir", "evaluate_extraction", "metric_csv_row"]
 
 CAP_DB = 300.0
+METRIC_CSV_HEADER = "scene_id,algorithm,iterations,si_sdr,si_sir,delta_si_sdr,delta_si_sir"
 
 
 @dataclass(frozen=True)
@@ -132,7 +133,7 @@ def evaluate_extraction(scene, extracted, edge_trim=0):
 
 
 def metric_csv_row(scene_id, algorithm, iterations, report):
-    """CSV row: scene_id, algorithm, iterations, si_sdr, si_sir, deltas."""
+    """One CSV row under METRIC_CSV_HEADER."""
     return (
         f"{scene_id},{algorithm},{iterations},"
         f"{report.si_sdr_db:.6f},{report.si_sir_db:.6f},"

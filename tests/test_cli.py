@@ -274,6 +274,35 @@ def test_extract_report_echoes_resolved_hop(tmp_path):
     assert "# hop=512" in report.read_text().splitlines()
 
 
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("extract", ["--frame-size", "513"]),
+        ("extract", ["--frame-size", "1024", "--hop", "300"]),
+        ("evaluate", ["--frame-size", "513"]),
+        ("bench", ["--frame-size", "1024", "--hop", "300"]),
+        ("bench", ["--config", "{config}"]),
+    ],
+)
+def test_invalid_stft_settings_are_usage_errors(tmp_path, capsys, command, flags):
+    # an odd frame, or a hop that does not divide the frame, exits 1 like
+    # --frame-size 0, before any file is read or written
+    config = tmp_path / "run.cfg"
+    config.write_text("frame_size=1024\nhop=300\n")
+    out = tmp_path / "out"
+    common = {
+        "extract": ["--input", str(tmp_path / "in.wav"), "--output", str(out)],
+        "evaluate": ["--scene", str(tmp_path / "scene"), "--estimate", str(tmp_path / "e.wav"),
+                     "--report", str(out)],
+        "bench": ["--output", str(out), "--scenes", "1", "--bins", "16", "--frames", "100"],
+    }[command]
+    _write_noise_wav(tmp_path / "in.wav", channels=2, samples=8 * 1024)
+    rc = cli.main([command] + common + [flag.format(config=config) for flag in flags])
+    assert rc == 1
+    assert f"five {command}: error: argument --frame-size/--hop" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evaluate_shape_mismatch_fails(scene_dir, tmp_path):
     est = tmp_path / "bad.fiv"
     write_tensor(est, np.zeros((4, 7), dtype=complex))
@@ -342,6 +371,17 @@ def test_bench_spectral_mode_and_threads(tmp_path):
     assert rc == 0
     lines = [ln for ln in out.read_text().splitlines() if ln and not ln.startswith("#")]
     assert len(lines) == 1 + 2 * 3
+
+
+def test_bench_tensor_scenes_echo_their_stft_settings(tmp_path):
+    # 16-bin tensor scenes run at frame 30 and hop 15, not the CLI's 4096
+    out = tmp_path / "bench.csv"
+    rc = cli.main(["bench", "--output", str(out), "--scenes", "1", "--bins", "16",
+                   "--frames", "100", "--channels", "2", "--iterations", "1"])
+    assert rc == 0
+    lines = out.read_text().splitlines()
+    assert "# frame_size=30" in lines
+    assert "# hop=15" in lines
 
 
 def test_bench_rejects_zero_iterations(tmp_path, capsys):
