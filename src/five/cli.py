@@ -221,11 +221,12 @@ def cmd_evaluate(cfg):
     )
     report_path = Path(cfg["report"])
     write_header = not report_path.exists()
-    with open(report_path, "a") as fh:
+    with open(report_path, "a", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
         if write_header:
             core.write_config_header(fh, cfg)
-            fh.write(metrics.METRIC_CSV_HEADER + "\n")
-        fh.write(row + "\n")
+            writer.writerow(metrics.METRIC_CSV_HEADER)
+        writer.writerow(row)
     return 0
 
 
@@ -280,7 +281,7 @@ def cmd_bench(cfg):
         cfg = {**cfg, **asdict(scenes.tensor_config(cfg["bins"]))}
     with open(cfg["output"], "w", newline="") as fh:
         core.write_config_header(fh, cfg)
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["seed", "iteration", "runtime_per_input_second", "nll", "delta_si_sdr"])
         for rows in traces:
             for seed, iteration, runtime, nll, delta in rows:

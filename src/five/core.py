@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import linalg
-from .stft import SpectralTensor, analyze, synthesize
+from .stft import _BLOCK_BYTES, SpectralTensor, analyze, synthesize
 
 __all__ = [
     "ContrastModel",
@@ -60,9 +60,6 @@ __all__ = [
 ]
 
 ACTIVITY_OFFSET = 1e-4
-# Data bytes per block of bins in a covariance build: the block's contiguous
-# and weighted copies together stay inside a 2 MiB per-core L2 cache.
-_BLOCK_BYTES = 1 << 19
 
 
 class DegenerateCovarianceError(RuntimeError):
@@ -165,7 +162,7 @@ class ExtractionReport:
         """Write one row per iteration to path; header, if given, is echoed as comments."""
         with open(path, "w", newline="") as fh:
             write_config_header(fh, header)
-            writer = csv.writer(fh)
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["iteration", "nll", "head_residual", "wall_time_ms"])
             for rec in self.records:
                 writer.writerow(
@@ -193,8 +190,8 @@ def _covariance_stack(data, weights=None, whiteners=None):
     # the whitened y = W^H x, which is W^H (...) W; hermitized against
     # rounding. A real product g = X^T (w X) on the interleaved (re, im)
     # view X needs no conjugate copy: with x = a + ib, Re = g_aa + g_bb,
-    # Im = g_ba - g_ab. Blocks of bins keep the contiguous and weighted
-    # copies cache-sized.
+    # Im = g_ba - g_ab. Blocks of bins of stft._BLOCK_BYTES keep the
+    # contiguous and weighted copies inside the L2 cache.
     n_bins, n_frames, n_chan = data.shape
     w = None if weights is None else np.repeat(weights, 2 * n_chan).reshape(n_frames, 2 * n_chan)
     g = np.empty((n_bins, 2 * n_chan, 2 * n_chan))
@@ -260,8 +257,8 @@ def _demixing_filters(whiteners, w):
 
 
 def apply_demixing(w, spec):
-    """Extracted signal w^H x per bin and frame; w is (F, M), result (F, N)."""
-    return linalg._complex_matmul(_data_of(spec), np.conj(w)[:, :, None])[:, :, 0]
+    """Extracted signal w^H x per bin and frame; w is (F, M), result (F, N) complex128."""
+    return (np.asarray(_data_of(spec), dtype=np.complex128) @ np.conj(w)[:, :, None])[:, :, 0]
 
 
 def five_iteration(state, data, contrast):
@@ -377,9 +374,8 @@ def project_back(extracted, original_spec, ref_channel=0):
 
 
 def _initial_state(whiteners, data, ref):
-    """The state of the filter e_ref: the whitened reference channel."""
-    # W is upper triangular, so W e_ref mixes channels 0..ref only
-    estimate = sum(np.conj(whiteners[:, k, ref, None]) * data[:, :, k] for k in range(ref + 1))
+    """The state of the filter e_ref: the whitened reference channel, demixed by W e_ref."""
+    estimate = apply_demixing(whiteners[:, :, ref], data)
     w = np.zeros(whiteners.shape[:2], dtype=np.complex128)
     w[:, ref] = 1.0
     return DemixingState(whiteners, w, _activity(estimate), estimate=estimate)

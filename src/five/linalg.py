@@ -1,6 +1,8 @@
 """Dense complex Hermitian linear algebra for small per-bin matrices.
 
-numpy's LAPACK plus the checks the pipeline relies on. All routines accept
+numpy's LAPACK and complex matmul plus the checks the pipeline relies on,
+with tolerances as module constants; numpy has no triangular inverse, so
+that one is back-substitution written out here. All routines accept
 a single (M, M) matrix or a stack (..., M, M) and broadcast over the
 leading axes, since the pipeline factorises one matrix per frequency bin.
 Eigendecompositions are ordered by descending eigenvalue and eigenvector
@@ -63,8 +65,8 @@ def _conj_t(a):
     return np.conj(np.swapaxes(a, -2, -1))
 
 
-def check_hermitian(a, rtol=_HERMITIAN_RTOL):
-    """Raise NotHermitianError unless a == a^H within relative tolerance."""
+def check_hermitian(a):
+    """Raise NotHermitianError unless a == a^H within _HERMITIAN_RTOL of its largest entry."""
     a = np.asarray(a)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError("expected square matrices")
@@ -72,23 +74,23 @@ def check_hermitian(a, rtol=_HERMITIAN_RTOL):
     if scale == 0:
         return
     asym = np.max(np.abs(a - _conj_t(a)))
-    if asym > rtol * scale:
+    if asym > _HERMITIAN_RTOL * scale:
         raise NotHermitianError(
-            f"asymmetry {asym:.3e} exceeds {rtol:.0e} relative to scale {scale:.3e}"
+            f"asymmetry {asym:.3e} exceeds {_HERMITIAN_RTOL:.0e} relative to scale {scale:.3e}"
         )
 
 
-def cholesky(a, pivot_rtol=_PIVOT_RTOL):
+def cholesky(a):
     """Upper-triangular factor q with q^H q = a and positive real diagonal.
 
-    Pivots q_jj^2 at or below pivot_rtol times the largest diagonal entry
-    of their matrix raise NotPositiveDefiniteError. Its pivot_index is the
+    Pivots q_jj^2 at or below _PIVOT_RTOL times the largest diagonal entry of
+    their matrix raise NotPositiveDefiniteError. Its pivot_index is the
     lowest failing pivot over the stack: for covariances, the first channel
     that adds no rank to the channels before it in some matrix.
     """
     a = np.asarray(a, dtype=np.complex128)
     check_hermitian(a)
-    tol = pivot_rtol * np.max(np.real(np.diagonal(a, axis1=-2, axis2=-1)), axis=-1)
+    tol = _PIVOT_RTOL * np.max(np.real(np.diagonal(a, axis1=-2, axis2=-1)), axis=-1)
     try:
         lower = np.linalg.cholesky(a)
         pivots = np.real(np.diagonal(lower, axis1=-2, axis2=-1)) ** 2
@@ -196,30 +198,11 @@ def smallest_eigenpair(a, start):
     return values.reshape(batch + (m,)), u.reshape(batch + (m,))
 
 
-def _complex_matmul(x, b):
-    """x @ b for complex x (..., N, K) and b (..., K, P), as one real product.
-
-    With x = a + ic and b = g + ih, row (a_k, c_k) of the interleaved float
-    view of x times the real 2x2 block [[g_kp, h_kp], [-h_kp, g_kp]] sums to
-    (Re, Im) of entry p: one real matmul on (..., N, 2K) and (..., 2K, 2P),
-    with no conjugate or split copy of x. OpenBLAS has no small-matrix
-    complex kernel, so at the pipeline's shapes (a few channels, many rows)
-    the real product is the faster one.
-    """
-    x = np.ascontiguousarray(x, dtype=np.complex128)
-    k, p = b.shape[-2:]
-    block = np.empty(b.shape[:-2] + (k, 2, p, 2))
-    block[..., 0, :, 0] = block[..., 1, :, 1] = b.real
-    block[..., 0, :, 1] = b.imag
-    block[..., 1, :, 0] = -b.imag
-    return (x.view(np.float64) @ block.reshape(b.shape[:-2] + (2 * k, 2 * p))).view(np.complex128)
-
-
 def apply_inverse_hermitian_transpose(q, x):
     """Solve q^H y = x row by row, that is y = x conj(q^{-1}).
 
     q (..., M, M) and x (..., N, M) broadcast over the leading axes, so the
-    N rows sharing a matrix go through one real matrix product. The tests
+    N rows sharing a matrix go through one complex matrix product. The tests
     whiten data explicitly with it; the extraction whitens covariances.
     """
-    return _complex_matmul(x, np.conj(np.linalg.inv(q)))
+    return x @ np.conj(np.linalg.inv(q))

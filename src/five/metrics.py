@@ -13,7 +13,7 @@ import numpy as np
 __all__ = ["CAP_DB", "METRIC_CSV_HEADER", "MetricReport", "si_sdr", "si_sir", "evaluate_extraction", "metric_csv_row"]
 
 CAP_DB = 300.0
-METRIC_CSV_HEADER = "scene_id,algorithm,iterations,si_sdr,si_sir,delta_si_sdr,delta_si_sir"
+METRIC_CSV_HEADER = ("scene_id", "algorithm", "iterations", "si_sdr", "si_sir", "delta_si_sdr", "delta_si_sir")
 
 
 @dataclass(frozen=True)
@@ -133,9 +133,6 @@ def evaluate_extraction(scene, extracted, edge_trim=0):
 
 
 def metric_csv_row(scene_id, algorithm, iterations, report):
-    """One CSV row under METRIC_CSV_HEADER."""
-    return (
-        f"{scene_id},{algorithm},{iterations},"
-        f"{report.si_sdr_db:.6f},{report.si_sir_db:.6f},"
-        f"{report.delta_si_sdr_db:.6f},{report.delta_si_sir_db:.6f}"
-    )
+    """The fields of one CSV row under METRIC_CSV_HEADER, for a csv.writer to quote."""
+    scores = (report.si_sdr_db, report.si_sir_db, report.delta_si_sdr_db, report.delta_si_sir_db)
+    return [scene_id, algorithm, iterations] + [f"{score:.6f}" for score in scores]

@@ -304,9 +304,9 @@ def read_tensor(path):
         blob = fh.read()
     if blob[:4] != TENSOR_MAGIC:
         raise ValueError(f"{path}: not a tensor file (bad magic)")
-    n_bins, n_frames, n_chan = struct.unpack_from("<III", blob, 4)
-    expected = 16 + 16 * n_bins * n_frames * n_chan
-    if len(blob) < expected:
+    # a short header reads as an empty shape, which still needs its 16 bytes
+    n_bins, n_frames, n_chan = struct.unpack_from("<III", blob, 4) if len(blob) >= 16 else (0, 0, 0)
+    if len(blob) < 16 + 16 * n_bins * n_frames * n_chan:
         raise ValueError(f"{path}: truncated tensor file")
     data = np.frombuffer(blob, dtype="<c16", count=n_bins * n_frames * n_chan, offset=16)
     return data.reshape(n_bins, n_frames, n_chan).copy()

@@ -22,8 +22,9 @@ from .wavio import MultichannelWave
 
 __all__ = ["StftConfig", "SpectralTensor", "ShortSignalError", "analyze", "synthesize"]
 
-# Spectra bytes per block of frames in analyze: the block's windowed frames
-# and spectra stay inside a 2 MiB per-core L2 cache.
+# Bytes per block of frames in analyze, and per block of bins in core's
+# covariance builds: a block's working copies stay inside a 2 MiB per-core
+# L2 cache.
 _BLOCK_BYTES = 1 << 19
 
 

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,7 @@ def test_extract_single_channel_roundtrip(tmp_path, capsys):
     report = (tmp_path / "rep.csv").read_text()
     assert "# frame_size=512" in report
     assert report.strip().splitlines()[-1].startswith("3,")  # 3 iterations by default
+    assert b"\r" not in (tmp_path / "rep.csv").read_bytes()  # LF ends comments and rows alike
 
 
 def test_extract_pcm16_output(tmp_path):
@@ -203,6 +206,23 @@ def test_evaluate_appends_rows(scene_dir, tmp_path):
     assert len(lines) == 3  # header + two rows
 
 
+def test_evaluate_quotes_free_text(tmp_path):
+    # a comma in the algorithm name or the scene directory stays in its field
+    scene_path = tmp_path / "room,1"
+    assert cli.main(["simulate", "--output", str(scene_path), "--seed", "3",
+                     "--channels", "2", "--bins", "16", "--frames", "100"]) == 0
+    est = tmp_path / "e.fiv"
+    write_tensor(est, load_scene(scene_path).target_image)
+    report = tmp_path / "metrics.csv"
+    assert cli.main(["evaluate", "--scene", str(scene_path), "--estimate", str(est),
+                     "--algorithm", "fast,v2", "--report", str(report)]) == 0
+    lines = [ln for ln in report.read_text().splitlines() if not ln.startswith("#")]
+    header, row = csv.reader(lines)
+    assert len(header) == len(row) == 7
+    assert row[:2] == ["room,1", "fast,v2"]
+    assert float(row[3]) == CAP_DB
+
+
 def test_evaluate_missing_scene_fails(tmp_path):
     est = tmp_path / "e.fiv"
     write_tensor(est, np.zeros((4, 7), dtype=complex))
@@ -346,6 +366,7 @@ def test_bench_csv_properties(tmp_path):
          "--frame-size", "1024", "--iterations", "4"]
     )
     assert rc == 0
+    assert b"\r" not in out.read_bytes()
     lines = [ln for ln in out.read_text().splitlines() if ln and not ln.startswith("#")]
     assert lines[0] == "seed,iteration,runtime_per_input_second,nll,delta_si_sdr"
     rows = [ln.split(",") for ln in lines[1:]]

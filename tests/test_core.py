@@ -302,6 +302,39 @@ def test_iteration_activity_consistent_with_estimate():
     assert np.max(np.abs(apply_demixing(state.w, whiten(data, whiteners)) - state.estimate)) <= 1e-10
 
 
+@pytest.mark.parametrize("layout", ["strided", "transposed", "complex64"])
+def test_apply_demixing_is_the_per_bin_product(layout):
+    # numpy's complex product takes any layout and precision of the data and
+    # returns complex128
+    rng = np.random.default_rng(39)
+    if layout == "transposed":  # an (F, N, M) view of (N, M, F) data
+        data = _cnormal(rng, (40, 3, 9)).transpose(2, 0, 1)
+    else:
+        data = _cnormal(rng, (9, 80, 3))[:, ::2]
+    if layout == "complex64":
+        data = data.astype(np.complex64)
+    assert layout == "complex64" or not data.flags.c_contiguous
+    w = _cnormal(rng, (9, 3))
+    got = apply_demixing(w, data)
+    want = np.stack([np.conj(w[f]) @ data[f].T for f in range(9)])
+    assert got.dtype == np.complex128 and got.shape == (9, 40)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_initial_state_is_the_whitened_reference_channel():
+    # the demix of W e_ref, for every reference channel
+    rng = np.random.default_rng(41)
+    data = _cnormal(rng, (8, 100, 4)) * np.array([1.0, 3.0, 0.2, 7.0])
+    whiteners = _whiteners(data)
+    whitened = whiten(data, whiteners)
+    for ref in range(4):
+        state = core._initial_state(whiteners, data, ref)
+        want = whitened[:, :, ref]
+        assert np.max(np.abs(state.estimate - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.array_equal(state.w, np.tile(np.eye(4)[ref], (8, 1)))
+        assert np.array_equal(state.activity, core._activity(state.estimate))
+
+
 def test_iteration_reaches_fixed_point_two_channels():
     # two-channel mixture converges to a stationary point; the row-one
     # residual against the current-activity covariance certifies it
@@ -666,9 +699,9 @@ def test_monitored_run_costs_one_covariance_build(monkeypatch, monitoring):
 
 @pytest.mark.parametrize("monitoring", [True, False])
 def test_run_makes_one_demixing_product_per_update(monkeypatch, monitoring):
-    # K updates read the data K times: the initial estimate mixes channels
-    # 0..ref only, the callback gets the estimate the update made, and the
-    # output is the last update's estimate
+    # K updates read the data K + 1 times: the initial estimate is the demix
+    # of W e_ref, each update demixes once, the callback gets the estimate
+    # the update made, and the output is the last update's estimate
     counts = {"demix": 0, "raw": 0}
     demix = core.apply_demixing
 
@@ -686,7 +719,7 @@ def test_run_makes_one_demixing_product_per_update(monkeypatch, monitoring):
     raw = []
     extracted, report = extract_spectral(spec, config, callback=lambda it, state, est: raw.append(est))
     assert report.iterations_run == 4
-    assert counts["demix"] == 4
+    assert counts["demix"] == 5
     assert len(raw) == 5
     assert np.array_equal(extracted, project_back(raw[-1], data))
 

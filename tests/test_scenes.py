@@ -278,6 +278,10 @@ def test_tensor_file_errors(tmp_path):
     short.write_bytes(b"FIV1" + struct.pack("<III", 4, 4, 4))
     with pytest.raises(ValueError, match="truncated"):
         read_tensor(short)
+    for size in (4, 6, 15):  # the header is the magic and three uint32 sizes
+        short.write_bytes((b"FIV1" + struct.pack("<III", 1, 1, 1))[:size])
+        with pytest.raises(ValueError, match="truncated tensor file"):
+            read_tensor(short)
 
 
 def test_spectral_scene_roundtrip(tmp_path):
