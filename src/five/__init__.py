@@ -14,7 +14,6 @@ from .core import (
     head_residual,
     prewhiten,
     project_back,
-    weighted_covariance,
 )
 from .metrics import MetricReport, evaluate_extraction, si_sdr, si_sir
 from .scenes import (
@@ -60,7 +59,6 @@ __all__ = [
     "si_sdr",
     "si_sir",
     "synthesize",
-    "weighted_covariance",
     "write_wave",
     "__version__",
 ]

@@ -6,8 +6,11 @@ each line of a --config file is read as a flag given before the command
 line's own (sinr_db=-2 as --sinr-db=-2), so it gets that flag's checks and
 a command-line flag wins; keys that name no flag of the subcommand are
 ignored. Defaults the library also has are read from its dataclasses, and
---help shows each one. Every report echoes the fully resolved
-configuration. Exit codes: 0 success, 1 usage error, 2 runtime failure.
+--help shows each one. Every CSV goes through _write_csv, which echoes the
+fully resolved configuration as sorted '# key=value' lines above the column
+row, ends every line with LF and quotes a field that holds a comma; each
+command that writes a CSV states its columns. Exit codes: 0 success, 1 usage
+error, 2 runtime failure.
 """
 
 import argparse
@@ -169,11 +172,24 @@ def _scene_spec(cfg, seed=None):
     )
 
 
+def _write_csv(path, cfg, columns, rows, append=False):
+    """Write cfg as sorted '# key=value' lines, the column row and rows; append adds rows only."""
+    with open(path, "a" if append else "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        if not append:
+            fh.writelines(f"# {key}={cfg[key]}\n" for key in sorted(cfg))
+            writer.writerow(columns)
+        writer.writerows(rows)
+
+
 def cmd_extract(cfg):
     in_path = cfg["input"]
+    spectral_in = str(in_path).endswith(".fiv")
+    if str(cfg["output"]).endswith(".fiv") != spectral_in:
+        print("five extract: error: --output must be a .fiv tensor exactly when --input is one", file=sys.stderr)
+        return 1
     if not Path(in_path).exists():
         raise FileNotFoundError(f"input not found: {in_path}")
-    spectral_in = str(in_path).endswith(".fiv")
     if spectral_in:
         data = scenes.read_tensor(in_path)
         spec = SpectralTensor(
@@ -196,8 +212,12 @@ def cmd_extract(cfg):
             print(f"five extract: clipped {clipped} out-of-range samples", file=sys.stderr)
         # the report echoes the file's own sample rate, the one used
         cfg = {**cfg, "sample_rate": wave.sample_rate}
-    if cfg.get("report"):
-        report.to_csv(cfg["report"], header=cfg)
+    if cfg.get("report"):  # monitoring is on, so every record holds its NLL and certificate
+        rows = [
+            [rec.iteration, repr(rec.nll), repr(rec.head_residual), f"{rec.wall_time_ms:.3f}"]
+            for rec in report.records
+        ]
+        _write_csv(cfg["report"], cfg, ["iteration", "nll", "head_residual", "wall_time_ms"], rows)
     return 0
 
 
@@ -216,17 +236,10 @@ def cmd_evaluate(cfg):
         )
     edge_trim = 0 if scene.is_spectral else cfg["frame_size"]
     report = metrics.evaluate_extraction(scene, estimate, edge_trim=edge_trim)
-    row = metrics.metric_csv_row(
-        Path(cfg["scene"]).name, cfg["algorithm"], cfg["iterations"], report
-    )
-    report_path = Path(cfg["report"])
-    write_header = not report_path.exists()
-    with open(report_path, "a", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        if write_header:
-            core.write_config_header(fh, cfg)
-            writer.writerow(metrics.METRIC_CSV_HEADER)
-        writer.writerow(row)
+    scores = (report.si_sdr_db, report.si_sir_db, report.delta_si_sdr_db, report.delta_si_sir_db)
+    row = [Path(cfg["scene"]).name, cfg["algorithm"], cfg["iterations"]] + [f"{score:.6f}" for score in scores]
+    columns = ["scene_id", "algorithm", "iterations", "si_sdr", "si_sir", "delta_si_sdr", "delta_si_sir"]
+    _write_csv(cfg["report"], cfg, columns, [row], append=Path(cfg["report"]).exists())
     return 0
 
 
@@ -259,7 +272,7 @@ def bench_one_seed(cfg, seed):
 
     def _score(iteration, state, raw):
         t_fin = time.perf_counter()
-        estimate = core.project_back(raw, spec, ref)
+        estimate = core.project_back(raw, spec.data, ref)
         if not scene.is_spectral:
             estimate = synthesize(replace(spec, data=estimate[:, :, None])).samples[:, 0]
         finish_s.append(time.perf_counter() - t_fin)
@@ -279,13 +292,12 @@ def cmd_bench(cfg):
     traces = [bench_one_seed(cfg, cfg["seed"] + k) for k in range(cfg["scenes"])]
     if cfg["mixing"] != "convolutive_fir":  # tensor scenes run at their own STFT settings: echo those
         cfg = {**cfg, **asdict(scenes.tensor_config(cfg["bins"]))}
-    with open(cfg["output"], "w", newline="") as fh:
-        core.write_config_header(fh, cfg)
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["seed", "iteration", "runtime_per_input_second", "nll", "delta_si_sdr"])
-        for rows in traces:
-            for seed, iteration, runtime, nll, delta in rows:
-                writer.writerow([seed, iteration, f"{runtime:.6f}", repr(nll), f"{delta:.6f}"])
+    rows = [
+        [seed, iteration, f"{runtime:.6f}", repr(nll), f"{delta:.6f}"]
+        for trace in traces
+        for seed, iteration, runtime, nll, delta in trace
+    ]
+    _write_csv(cfg["output"], cfg, ["seed", "iteration", "runtime_per_input_second", "nll", "delta_si_sdr"], rows)
     return 0
 
 

@@ -26,11 +26,14 @@ certifies the state it starts from with the covariance it builds anyway
 The contrast is bounded below, so the update needs no floor, load or retry:
 the model adds ACTIVITY_OFFSET times the mean squared frame activity to each
 one (_offset_activity), which keeps the majorizer exact, the gauss model
-scale invariant and V above a multiple of I (weighted_covariance). Like the
-STFT's Hamming window, the offset is a fixed constant, not a setting.
+scale invariant and V above a multiple of I (_weighted_covariance_stack).
+Like the STFT's Hamming window, the offset is a fixed constant, not a setting.
+
+The steps take the raw (F, N, M) array; only extract_spectral, the entry
+point, also takes a SpectralTensor. The module writes no files.
 """
 
-import csv
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 
@@ -45,11 +48,9 @@ __all__ = [
     "DemixingState",
     "IterationRecord",
     "ExtractionReport",
-    "write_config_header",
     "DegenerateCovarianceError",
     "SilentReferenceChannelError",
     "prewhiten",
-    "weighted_covariance",
     "five_iteration",
     "evaluate_nll",
     "head_residual",
@@ -111,8 +112,10 @@ class FiveConfig:
     early_stop_tol: float | None = None
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        if not isinstance(self.max_iterations, numbers.Integral) or self.max_iterations < 1:
+            raise ValueError("max_iterations must be an integer >= 1")
+        if self.early_stop_tol is not None and not self.early_stop_tol > 0:  # also rejects NaN
+            raise ValueError("early_stop_tol must be None or > 0")
         if self.ref_channel < 0:
             raise ValueError("ref_channel must be >= 0")
 
@@ -158,32 +161,6 @@ class ExtractionReport:
     def nll_values(self):
         return [r.nll for r in self.records if r.nll is not None]
 
-    def to_csv(self, path, header=None):
-        """Write one row per iteration to path; header, if given, is echoed as comments."""
-        with open(path, "w", newline="") as fh:
-            write_config_header(fh, header)
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["iteration", "nll", "head_residual", "wall_time_ms"])
-            for rec in self.records:
-                writer.writerow(
-                    [
-                        rec.iteration,
-                        "" if rec.nll is None else repr(rec.nll),
-                        "" if rec.head_residual is None else repr(rec.head_residual),
-                        f"{rec.wall_time_ms:.3f}",
-                    ]
-                )
-
-
-def write_config_header(destination, values):
-    """Echo a configuration as sorted '# key=value' comment lines (none for None)."""
-    for key in sorted(values or {}):
-        destination.write(f"# {key}={values[key]}\n")
-
-
-def _data_of(spec):
-    return spec.data if isinstance(spec, SpectralTensor) else np.asarray(spec)
-
 
 def _covariance_stack(data, weights=None, whiteners=None):
     # (1/N) sum_n weight_n x_fn x_fn^H per bin, or with whiteners W that of
@@ -226,20 +203,6 @@ def _activity(extracted):
     return np.sqrt(np.sum(np.abs(extracted) ** 2, axis=0))
 
 
-def weighted_covariance(spec, activity, contrast, f):
-    """Frame-weighted sample covariance V_f of bin f of the data given.
-
-    This runs the update's all-bin build on bin f alone, unwhitened; the
-    triple loop in tests/test_core.py is its reference. The gain
-    sum_n G(r~_n) of the offset activities is concave in the r_n^2, so its
-    tangent plane, the exact majorizer, weights frame n by
-    phi(r~_n) + ACTIVITY_OFFSET * mean_k phi(r~_k): finite for a silent
-    frame, and for whitened data V >= ACTIVITY_OFFSET * mean_k phi(r~_k) I.
-    """
-    data = _data_of(spec)[f : f + 1]
-    return _weighted_covariance_stack(data, activity, contrast)[0]
-
-
 def _offset_activity(activity):
     """r~_n = sqrt(r_n^2 + ACTIVITY_OFFSET * mean_k r_k^2): bounded gain, and scale invariant."""
     power = np.square(activity)
@@ -247,6 +210,15 @@ def _offset_activity(activity):
 
 
 def _weighted_covariance_stack(data, activity, contrast, whiteners=None):
+    """Frame-weighted sample covariances V_f of every bin of the raw data.
+
+    The gain sum_n G(r~_n) of the offset activities is concave in the r_n^2,
+    so its tangent plane, the exact majorizer, weights frame n by
+    phi(r~_n) + ACTIVITY_OFFSET * mean_k phi(r~_k): finite for a silent
+    frame, and for whitened data V >= ACTIVITY_OFFSET * mean_k phi(r~_k) I.
+    With whiteners W the result is the whitened W^H V W. The triple loop in
+    tests/test_core.py is its reference.
+    """
     weights = contrast.weight(_offset_activity(activity))
     return _covariance_stack(data, weights + ACTIVITY_OFFSET * np.mean(weights), whiteners)
 
@@ -256,9 +228,9 @@ def _demixing_filters(whiteners, w):
     return (whiteners @ w[:, :, None])[:, :, 0]
 
 
-def apply_demixing(w, spec):
-    """Extracted signal w^H x per bin and frame; w is (F, M), result (F, N) complex128."""
-    return (np.asarray(_data_of(spec), dtype=np.complex128) @ np.conj(w)[:, :, None])[:, :, 0]
+def apply_demixing(w, data):
+    """Extracted signal w^H x per bin and frame; w is (F, M), data (F, N, M), result (F, N) complex128."""
+    return (np.asarray(data, dtype=np.complex128) @ np.conj(w)[:, :, None])[:, :, 0]
 
 
 def five_iteration(state, data, contrast):
@@ -272,12 +244,11 @@ def five_iteration(state, data, contrast):
     started from the current w, under a residual guard. V is Hermitian by
     construction, so it is not checked. The estimate (W w)^H x, one pass
     over the data, and its activity come from the new filters. Whitened V
-    is bounded below (weighted_covariance), so lambda > 0; a bin where it
-    is not, which only whiteners that do not whiten the data can produce,
-    raises DegenerateCovarianceError. V is also the matrix that certifies
+    is bounded below (_weighted_covariance_stack), so lambda > 0; a bin
+    where it is not, which only whiteners that do not whiten the data can
+    produce, raises DegenerateCovarianceError. V is also the matrix that certifies
     the incoming state (see DemixingState).
     """
-    data = _data_of(data)
     cov = _weighted_covariance_stack(data, state.activity, contrast, state.whiteners)
     values, vector = linalg.smallest_eigenpair(cov, state.w)
     smallest = values[:, -1]
@@ -353,19 +324,20 @@ def head_residual(state, data, contrast):
     Per bin this is sqrt(|w^H V w - 1|^2 + ||(I - u u^H) V w||^2) with
     u = w/||w||. At a fixed point of five_iteration the residual vanishes.
     """
-    v_cov = _weighted_covariance_stack(_data_of(data), state.activity, contrast, state.whiteners)
+    v_cov = _weighted_covariance_stack(data, state.activity, contrast, state.whiteners)
     return _certificate(state.w, v_cov)
 
 
-def project_back(extracted, original_spec, ref_channel=0):
+def project_back(extracted, original, ref_channel=0):
     """Least-squares rescaling of the extracted signal onto a reference channel.
 
     Per bin the complex scale a = sum_n x_ref conj(s) / sum_n |s|^2 minimizes
-    ||x_ref - a s||^2; bins where the extracted signal is exactly zero pass
-    through. Any nonzero energy, however small, is rescaled.
+    ||x_ref - a s||^2, x_ref the channel of the raw (F, N, M) data original;
+    bins where the extracted signal is exactly zero pass through. Any nonzero
+    energy, however small, is rescaled.
     """
     extracted = np.asarray(extracted)
-    reference = _data_of(original_spec)[:, :, ref_channel]
+    reference = original[:, :, ref_channel]
     power = np.vecdot(extracted, extracted).real
     corr = np.vecdot(extracted, reference)
     safe = power > 0
@@ -382,7 +354,7 @@ def _initial_state(whiteners, data, ref):
 
 
 def extract_spectral(spec, config, callback=None):
-    """Run the full extraction on a spectrogram tensor.
+    """Run the full extraction on a spectrogram: a SpectralTensor or its raw (F, N, M) data.
 
     Pipeline: build the sample covariance once and whiten it (prewhiten),
     initialize the estimate as the whitened reference channel, iterate
@@ -406,7 +378,7 @@ def extract_spectral(spec, config, callback=None):
     exclude the NLL and that last certificate.
     """
     t0 = time.perf_counter()
-    original = _data_of(spec)
+    original = spec.data if isinstance(spec, SpectralTensor) else np.asarray(spec)
     _, n_frames, n_chan = original.shape
     if config.ref_channel >= n_chan:
         raise ValueError(f"ref_channel {config.ref_channel} out of range for {n_chan} channels")

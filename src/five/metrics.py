@@ -10,10 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CAP_DB", "METRIC_CSV_HEADER", "MetricReport", "si_sdr", "si_sir", "evaluate_extraction", "metric_csv_row"]
+__all__ = ["CAP_DB", "MetricReport", "si_sdr", "si_sir", "evaluate_extraction"]
 
 CAP_DB = 300.0
-METRIC_CSV_HEADER = ("scene_id", "algorithm", "iterations", "si_sdr", "si_sir", "delta_si_sdr", "delta_si_sir")
 
 
 @dataclass(frozen=True)
@@ -130,9 +129,3 @@ def evaluate_extraction(scene, extracted, edge_trim=0):
         delta_si_sdr_db=out_sdr - in_sdr,
         delta_si_sir_db=out_sir - in_sir,
     )
-
-
-def metric_csv_row(scene_id, algorithm, iterations, report):
-    """The fields of one CSV row under METRIC_CSV_HEADER, for a csv.writer to quote."""
-    scores = (report.si_sdr_db, report.si_sir_db, report.delta_si_sdr_db, report.delta_si_sir_db)
-    return [scene_id, algorithm, iterations] + [f"{score:.6f}" for score in scores]

@@ -80,11 +80,11 @@ def quality_batch():
         )
         extract_spectral(scene.mixture, config, callback=keep)
         for iteration, sink in ((3, deltas3), (10, deltas10)):
-            projected = project_back(snapshots[iteration], scene.mixture)
+            projected = project_back(snapshots[iteration], scene.mixture.data)
             sink.append(evaluate_extraction(scene, projected).delta_si_sdr_db)
 
         w = oracle_max_sinr(scene)
-        reference = project_back(apply_demixing(w, scene.mixture), scene.mixture)
+        reference = project_back(apply_demixing(w, scene.mixture.data), scene.mixture.data)
         oracle_deltas.append(evaluate_extraction(scene, reference).delta_si_sdr_db)
     return np.array(deltas3), np.array(deltas10), np.array(oracle_deltas)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from five import cli
+from five.core import ContrastModel, FiveConfig, extract_spectral
 from five.metrics import CAP_DB
 from five.scenes import load_scene, read_tensor, write_tensor
 from five.wavio import MultichannelWave, read_wave, write_wave
@@ -76,14 +77,22 @@ def test_extract_tensor_report_echoes_the_tensors_stft_settings(tmp_path):
     # a 16-bin tensor is processed with frame 30 and hop 15, not the CLI's 4096
     rng = np.random.default_rng(2)
     in_path = tmp_path / "mix.fiv"
-    write_tensor(in_path, rng.standard_normal((16, 60, 3)) + 1j * rng.standard_normal((16, 60, 3)))
+    mix = rng.standard_normal((16, 60, 3)) + 1j * rng.standard_normal((16, 60, 3))
+    write_tensor(in_path, mix)
     report = tmp_path / "rep.csv"
     rc = cli.main(["extract", "--input", str(in_path), "--output", str(tmp_path / "out.fiv"),
-                   "--report", str(report)])
+                   "--iterations", "2", "--report", str(report)])
     assert rc == 0
     lines = report.read_text().splitlines()
     assert "# frame_size=30" in lines
     assert "# hop=15" in lines
+    # the column row, then one row per record: K + 1 rows for K updates, each
+    # NLL written as the repr of the library's value
+    rows = [line for line in lines if not line.startswith("#")]
+    assert rows[0] == "iteration,nll,head_residual,wall_time_ms"
+    assert len(rows) == 1 + 3
+    _, library = extract_spectral(mix, FiveConfig(ContrastModel("gauss", num_bins=16), max_iterations=2))
+    assert rows[1].split(",")[:2] == ["0", repr(library.records[0].nll)]
 
 
 def test_extract_wav_report_echoes_the_files_sample_rate(tmp_path):
@@ -98,6 +107,23 @@ def test_extract_wav_report_echoes_the_files_sample_rate(tmp_path):
     lines = report.read_text().splitlines()
     assert "# sample_rate=8000" in lines
     assert "# sample_rate=16000" not in lines
+
+
+@pytest.mark.parametrize("in_name, out_name", [("mix.fiv", "est.wav"), ("mix.wav", "est.fiv")])
+def test_extract_output_format_must_match_input(tmp_path, capsys, in_name, out_name):
+    # the writer follows the input, so a mismatched suffix would name a
+    # .fiv tensor .wav or WAV data .fiv, which evaluate cannot read
+    in_path = tmp_path / in_name
+    if in_name.endswith(".fiv"):
+        rng = np.random.default_rng(3)
+        write_tensor(in_path, rng.standard_normal((16, 60, 2)) + 1j * rng.standard_normal((16, 60, 2)))
+    else:
+        _write_noise_wav(in_path, channels=2, samples=6 * 512)
+    out_path = tmp_path / out_name
+    rc = cli.main(["extract", "--input", str(in_path), "--output", str(out_path), "--frame-size", "512"])
+    assert rc == 1
+    assert ".fiv" in capsys.readouterr().err
+    assert not out_path.exists()
 
 
 def test_extract_rejects_zero_iterations(tmp_path, capsys):
@@ -215,11 +241,11 @@ def test_evaluate_quotes_free_text(tmp_path):
     write_tensor(est, load_scene(scene_path).target_image)
     report = tmp_path / "metrics.csv"
     assert cli.main(["evaluate", "--scene", str(scene_path), "--estimate", str(est),
-                     "--algorithm", "fast,v2", "--report", str(report)]) == 0
+                     "--algorithm", "fast,v2", "--iterations", "5", "--report", str(report)]) == 0
     lines = [ln for ln in report.read_text().splitlines() if not ln.startswith("#")]
     header, row = csv.reader(lines)
     assert len(header) == len(row) == 7
-    assert row[:2] == ["room,1", "fast,v2"]
+    assert row[:3] == ["room,1", "fast,v2", "5"]
     assert float(row[3]) == CAP_DB
 
 

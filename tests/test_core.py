@@ -15,7 +15,6 @@ from five.core import (
     head_residual,
     prewhiten,
     project_back,
-    weighted_covariance,
 )
 from five.stft import SpectralTensor, StftConfig, analyze, synthesize
 from five.wavio import MultichannelWave
@@ -60,6 +59,11 @@ def _whiteners(data):
     return prewhiten(sample_covariance(data))
 
 
+def _bin_covariance(data, activity, contrast, f):
+    # the weighted covariance of bin f alone, by the update's all-bin build
+    return core._weighted_covariance_stack(data[f : f + 1], activity, contrast)[0]
+
+
 # ---------------------------------------------------------------- contrast models
 
 
@@ -92,6 +96,13 @@ def test_config_validation():
     contrast = ContrastModel("laplace")
     with pytest.raises(ValueError):
         FiveConfig(contrast, max_iterations=0)
+    # a fractional count would fail in range() only after whitening, and a
+    # tolerance that is not positive (or NaN) could never stop a run early
+    for bad in ({"max_iterations": 2.5}, {"early_stop_tol": 0.0}, {"early_stop_tol": -1e-8},
+                {"early_stop_tol": float("nan")}):
+        with pytest.raises(ValueError):
+            FiveConfig(contrast, **bad)
+    FiveConfig(contrast, max_iterations=np.int64(5), early_stop_tol=1e-8)
 
 
 # ---------------------------------------------------------------- prewhiten
@@ -165,7 +176,7 @@ def test_weighted_covariance_unit_weights_reduce_to_sample_covariance():
     data = _cnormal(rng, (4, 64, 3))
     activity = rng.uniform(0.5, 2.0, 64)
     for f in range(4):
-        got = weighted_covariance(data, activity, _UnitWeight(), f)
+        got = _bin_covariance(data, activity, _UnitWeight(), f)
         want = (1.0 + core.ACTIVITY_OFFSET) * data[f].T @ np.conj(data[f]) / 64
         assert np.linalg.norm(got - want) <= 1e-13
 
@@ -176,7 +187,7 @@ def test_weighted_covariance_single_frame_by_hand():
     # weight phi + offset * phi
     data = np.zeros((1, 1, 3), dtype=complex)
     data[0, 0, 0] = 1.0
-    got = weighted_covariance(data, np.array([2.0]), ContrastModel("laplace"), 0)
+    got = _bin_covariance(data, np.array([2.0]), ContrastModel("laplace"), 0)
     phi = 0.5 / np.sqrt(4.0 + core.ACTIVITY_OFFSET * 4.0)
     want = np.zeros((3, 3))
     want[0, 0] = phi + core.ACTIVITY_OFFSET * phi
@@ -201,7 +212,7 @@ def test_weighted_covariance_matches_triple_loop():
                 for b in range(n_chan):
                     brute[a, b] += phi * data[f, n, a] * np.conj(data[f, n, b])
         brute /= n_frames
-        got = weighted_covariance(data, activity, contrast, f)
+        got = _bin_covariance(data, activity, contrast, f)
         assert np.max(np.abs(got - brute)) <= 1e-12
 
 
@@ -231,7 +242,7 @@ def test_weighted_covariance_floors_activity():
     mean_power = 0.5
     phis = [0.5 / np.sqrt(offset * mean_power), 0.5 / np.sqrt(1.0 + offset * mean_power)]
     weights = [phi + offset * (phis[0] + phis[1]) / 2 for phi in phis]
-    got = weighted_covariance(data, activity, ContrastModel("laplace"), 0)
+    got = _bin_covariance(data, activity, ContrastModel("laplace"), 0)
     assert np.isfinite(got[0, 0])
     assert got[0, 0] == pytest.approx((weights[0] + weights[1]) / 2, rel=1e-12)
 
@@ -287,7 +298,7 @@ def test_iteration_scaling_row_holds_exactly():
         anchor_activity = state.activity
         state = five_iteration(state, data, contrast)
         for f in range(8):
-            v = weighted_covariance(whitened, anchor_activity, contrast, f)
+            v = _bin_covariance(whitened, anchor_activity, contrast, f)
             scale = state.w[f].conj() @ v @ state.w[f]
             assert abs(scale - 1.0) <= 1e-10
 
@@ -349,7 +360,7 @@ def test_iteration_reaches_fixed_point_two_channels():
     for _ in range(40):
         state = five_iteration(state, data, contrast)
     for f in range(32):
-        v = weighted_covariance(whitened, state.activity, contrast, f)
+        v = _bin_covariance(whitened, state.activity, contrast, f)
         assert abs(state.w[f].conj() @ v @ state.w[f] - 1.0) <= 1e-8
 
 
@@ -558,7 +569,7 @@ def test_head_construction_residual_tiny():
     w = np.empty((n_bins, n_chan), dtype=complex)
     basis = np.empty((n_bins, n_chan, n_chan - 1), dtype=complex)
     for f in range(n_bins):
-        v = weighted_covariance(data, activity, contrast, f)
+        v = _bin_covariance(data, activity, contrast, f)
         _, w[f], basis[f] = head_solutions(v)[-1]
     state = DemixingState(
         whiteners=np.broadcast_to(np.eye(n_chan, dtype=complex), (n_bins, n_chan, n_chan)),
@@ -578,7 +589,7 @@ def test_head_residual_sensitive_to_perturbation():
     basis = np.empty((n_bins, n_chan, n_chan - 1), dtype=complex)
     for f in range(n_bins):
         _, w[f], basis[f] = head_solutions(
-            weighted_covariance(data, activity, contrast, f)
+            _bin_covariance(data, activity, contrast, f)
         )[-1]
     direction = _cnormal(rng, (n_bins, n_chan))
     direction *= 1e-3 / np.linalg.norm(direction, axis=1, keepdims=True)
@@ -617,7 +628,7 @@ def test_head_residual_matches_explicit_gram_on_prewhiten_output():
     for state in _monitor_states(rng, data, whiteners, contrast):
         want = 0.0
         for f in range(n_bins):
-            v = weighted_covariance(whitened, state.activity, contrast, f)
+            v = _bin_covariance(whitened, state.activity, contrast, f)
             c = whitened[f].T @ np.conj(whitened[f]) / n_frames
             basis = _complement(state.w[f])
             lhs = np.column_stack([state.w[f], basis])
@@ -1154,27 +1165,9 @@ def test_congruence_accuracy_on_near_duplicate_channel(eight_channel_scene, leve
             assert b <= a + 1e-9 * abs(a)
 
     def si_sdr_db(estimate):
-        projected = project_back(estimate, spec)[:, :, None]
+        projected = project_back(estimate, spec.data)[:, :, None]
         wave = synthesize(SpectralTensor(projected, spec.sample_rate, spec.config))
         return evaluate_extraction(eight_channel_scene, wave.samples[:, 0], edge_trim=1024).si_sdr_db
 
     assert abs(si_sdr_db(got) - si_sdr_db(want)) <= 5e-4
 
-
-def test_report_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(56)
-    data = _two_source_mixture(rng, 4, 64)
-    from five.stft import SpectralTensor
-
-    spec = SpectralTensor(data, 16000, StftConfig(frame_size=6))
-    config = FiveConfig(contrast=ContrastModel("laplace"), max_iterations=2)
-    _, report = extract_spectral(spec, config)
-    report.to_csv(tmp_path / "report.csv", header={"contrast": "laplace"})
-    text = (tmp_path / "report.csv").read_text()
-    lines = text.strip().splitlines()
-    assert lines[0] == "# contrast=laplace"
-    assert lines[1] == "iteration,nll,head_residual,wall_time_ms"
-    assert len(lines) == 2 + 3  # records for iterations 0..2
-    first = lines[2].split(",")
-    assert first[0] == "0"
-    assert float(first[1]) == pytest.approx(report.records[0].nll)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from five.metrics import CAP_DB, METRIC_CSV_HEADER, evaluate_extraction, metric_csv_row, si_sdr, si_sir
+from five.metrics import CAP_DB, evaluate_extraction, si_sdr, si_sir
 from five.scenes import SceneSpec, generate_scene
 
 
@@ -176,11 +176,3 @@ def test_shape_mismatch_rejected():
     with pytest.raises(ValueError, match="match"):
         evaluate_extraction(scene, scene.target_image[:, :10])
 
-
-def test_csv_row_format():
-    scene = _scene()
-    report = evaluate_extraction(scene, scene.target_image)
-    row = metric_csv_row("scene7", "five", 3, report)
-    assert row[:3] == ["scene7", "five", 3]
-    assert float(row[3]) == CAP_DB
-    assert len(row) == len(METRIC_CSV_HEADER) == 7
