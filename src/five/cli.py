@@ -102,7 +102,7 @@ def build_parser():
     p_eval = sub.add_parser("evaluate", help="score an estimate against a scene")
     p_eval.add_argument("--scene", required=True, help="scene directory")
     p_eval.add_argument("--estimate", required=True, help="extracted WAV or .fiv tensor")
-    p_eval.add_argument("--report", required=True, help="CSV to append the metric row to")
+    p_eval.add_argument("--report", required=True, help="CSV to append the metric row to, if its columns match")
     p_eval.add_argument("--algorithm", default="five", help="algorithm label for the row")
     p_eval.add_argument("--iterations", type=_nonneg_int, default=_FIVE.max_iterations, help="the row's iterations")
     _add_stft_args(p_eval)
@@ -182,6 +182,12 @@ def _write_csv(path, cfg, columns, rows, append=False):
         writer.writerows(rows)
 
 
+def _column_row(path):
+    """The column row of a CSV: its first line that is not a '# key=value' line, or None."""
+    with open(path, newline="") as fh:
+        return next(csv.reader(line for line in fh if not line.startswith("#")), None)
+
+
 def cmd_extract(cfg):
     in_path = cfg["input"]
     spectral_in = str(in_path).endswith(".fiv")
@@ -199,7 +205,6 @@ def cmd_extract(cfg):
         )
         five_cfg = _five_config(cfg, spec.num_bins)
         extracted, report = core.extract_spectral(spec, five_cfg)
-        scenes.write_tensor(cfg["output"], extracted)
         # the report echoes the tensor's own STFT settings, the ones used
         cfg = {**cfg, **asdict(spec.config)}
     else:
@@ -207,17 +212,21 @@ def cmd_extract(cfg):
         stft_cfg = _stft_config(cfg)
         five_cfg = _five_config(cfg, stft_cfg.num_bins)
         out_wave, report = core.extract(wave, stft_cfg, five_cfg)
-        clipped = write_wave(cfg["output"], out_wave, format=cfg["format"])
-        if clipped:
-            print(f"five extract: clipped {clipped} out-of-range samples", file=sys.stderr)
         # the report echoes the file's own sample rate, the one used
         cfg = {**cfg, "sample_rate": wave.sample_rate}
+    # the report goes first: a run that cannot write it leaves no estimate
     if cfg.get("report"):  # monitoring is on, so every record holds its NLL and certificate
         rows = [
             [rec.iteration, repr(rec.nll), repr(rec.head_residual), f"{rec.wall_time_ms:.3f}"]
             for rec in report.records
         ]
         _write_csv(cfg["report"], cfg, ["iteration", "nll", "head_residual", "wall_time_ms"], rows)
+    if spectral_in:
+        scenes.write_tensor(cfg["output"], extracted)
+    else:
+        clipped = write_wave(cfg["output"], out_wave, format=cfg["format"])
+        if clipped:
+            print(f"five extract: clipped {clipped} out-of-range samples", file=sys.stderr)
     return 0
 
 
@@ -228,6 +237,11 @@ def cmd_simulate(cfg):
 
 
 def cmd_evaluate(cfg):
+    columns = ["scene_id", "algorithm", "iterations", "si_sdr", "si_sir", "delta_si_sdr", "delta_si_sir"]
+    append = Path(cfg["report"]).exists()
+    if append and _column_row(cfg["report"]) != columns:
+        print(f"five evaluate: error: --report {cfg['report']} exists with other columns", file=sys.stderr)
+        return 1
     scene = scenes.load_scene(cfg["scene"])
     estimate, rate = scenes.read_image(cfg["estimate"])
     if rate is not None and rate != scene.mixture.sample_rate:
@@ -238,8 +252,7 @@ def cmd_evaluate(cfg):
     report = metrics.evaluate_extraction(scene, estimate, edge_trim=edge_trim)
     scores = (report.si_sdr_db, report.si_sir_db, report.delta_si_sdr_db, report.delta_si_sir_db)
     row = [Path(cfg["scene"]).name, cfg["algorithm"], cfg["iterations"]] + [f"{score:.6f}" for score in scores]
-    columns = ["scene_id", "algorithm", "iterations", "si_sdr", "si_sir", "delta_si_sdr", "delta_si_sir"]
-    _write_csv(cfg["report"], cfg, columns, [row], append=Path(cfg["report"]).exists())
+    _write_csv(cfg["report"], cfg, columns, [row], append=append)
     return 0
 
 

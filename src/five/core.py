@@ -21,7 +21,7 @@ W^H C W = I, the background energy sum_n ||J^H W^H x_n||^2 is N (K - 1) in
 every bin, so the NLL is a closed form in the filters, the activities and
 the whiteners that reads no data (evaluate_nll), and five_iteration
 certifies the state it starts from with the covariance it builds anyway
-(head_residual): about one covariance build per run.
+(head_residual), the stop test: a converged run makes no other build.
 
 The contrast is bounded below, so the update needs no floor, load or retry:
 the model adds ACTIVITY_OFFSET times the mean squared frame activity to each
@@ -105,6 +105,8 @@ class ContrastModel:
 
 @dataclass(frozen=True)
 class FiveConfig:
+    """Extraction settings; early_stop_tol, if set, bounds the head_residual of the returned state."""
+
     contrast: ContrastModel
     max_iterations: int = 3
     nll_monitoring: bool = True
@@ -358,24 +360,24 @@ def extract_spectral(spec, config, callback=None):
 
     Pipeline: build the sample covariance once and whiten it (prewhiten),
     initialize the estimate as the whitened reference channel, iterate
-    demixing updates (optionally stopping early once the filters move less
-    than early_stop_tol), then project the last estimate back onto the
-    original reference channel. Whenever whitening names a channel that
-    adds no rank in some bin (silent, or a combination of the channels
+    demixing updates until one certifies the state it starts from within
+    early_stop_tol (head_residual), then project that state's estimate back
+    onto the original reference channel. Whenever whitening names a channel
+    that adds no rank in some bin (silent, or a combination of the channels
     before it), that channel is dropped and the principal submatrix of the
     kept channels is factored again; the kept channels are copied once, and
     the state has one entry per kept channel. A dropped reference channel
     raises SilentReferenceChannelError.
 
     callback(iteration, state, extracted) is invoked for the initial state
-    (iteration 0) and after every iteration with the raw (un-projected)
-    extracted signal, state.estimate.
+    (iteration 0) and every kept update with the raw (un-projected)
+    extracted signal, state.estimate; the last call's state is returned.
 
     Returns the projected (F, N) extracted signal and an ExtractionReport
-    with one record per iteration (record 0 covers whitening and the
-    initial estimate). A record's certificate comes out of the update that
-    follows it; the last one costs one extra covariance build. Wall times
-    exclude the NLL and that last certificate.
+    with one record per kept state (record 0: whitening and the initial
+    estimate), each certified by the update after it; a monitored run that
+    exhausts max_iterations certifies its last with one more build, which
+    may converge it too. Wall times exclude the NLL and that build.
     """
     t0 = time.perf_counter()
     original = spec.data if isinstance(spec, SpectralTensor) else np.asarray(spec)
@@ -417,25 +419,22 @@ def extract_spectral(spec, config, callback=None):
             callback(state.iteration, state, state.estimate)
 
     def _certify(residual):
-        report.records[-1] = replace(report.records[-1], head_residual=residual)
+        if monitoring:
+            report.records[-1] = replace(report.records[-1], head_residual=residual)
+        report.converged = config.early_stop_tol is not None and residual <= config.early_stop_tol
+        return report.converged
 
     _record(setup_ms)
     for _ in range(config.max_iterations):
         t_iter = time.perf_counter()
-        previous_w = state.w
-        state = five_iteration(state, data, contrast)
-        wall_ms = (time.perf_counter() - t_iter) * 1e3
-        if monitoring:
-            _certify(state.previous_residual)
-        _record(wall_ms)
-        if config.early_stop_tol is not None:
-            step = np.max(np.linalg.norm(state.w - previous_w, axis=1))
-            if step < config.early_stop_tol:
-                report.converged = True
-                break
-
-    if monitoring:
+        update = five_iteration(state, data, contrast)
+        if _certify(update.previous_residual):
+            break
+        state = update
+        _record((time.perf_counter() - t_iter) * 1e3)
+    if monitoring and not report.converged:  # the loop ran out: certify the last state
         _certify(head_residual(state, data, contrast))
+    del update  # a dropped update's estimate would raise the peak of project_back
     report.iterations_run = state.iteration
     projected = project_back(state.estimate, original, config.ref_channel)
     return projected, report

@@ -15,15 +15,12 @@ iteration shifted just below the smallest one, with a residual guard that
 hands any matrix it cannot certify to eig_hermitian.
 """
 
-from typing import NamedTuple
-
 import numpy as np
 
 __all__ = [
     "NotHermitianError",
     "NotPositiveDefiniteError",
     "EigenConvergenceError",
-    "EigenDecomposition",
     "check_hermitian",
     "cholesky",
     "eig_hermitian",
@@ -54,11 +51,6 @@ class NotPositiveDefiniteError(ValueError):
 
 class EigenConvergenceError(RuntimeError):
     """Eigensolver failed to converge (numerically pathological input)."""
-
-
-class EigenDecomposition(NamedTuple):
-    eigenvalues: np.ndarray  # (..., M) real, descending
-    eigenvectors: np.ndarray  # (..., M, M), column k pairs with eigenvalues[..., k]
 
 
 def _conj_t(a):
@@ -137,7 +129,7 @@ def _fix_phase(vectors):
 
 
 def eig_hermitian(a):
-    """Full Hermitian eigendecomposition, eigenvalues sorted descending."""
+    """Eigenvalues (..., M), descending, and eigenvectors (..., M, M), column k for value k."""
     a = np.asarray(a, dtype=np.complex128)
     check_hermitian(a)
     try:
@@ -146,7 +138,7 @@ def eig_hermitian(a):
         raise EigenConvergenceError(str(exc)) from exc
     values = values[..., ::-1]
     vectors = _fix_phase(vectors[..., ::-1])
-    return EigenDecomposition(np.ascontiguousarray(values), np.ascontiguousarray(vectors))
+    return np.ascontiguousarray(values), np.ascontiguousarray(vectors)
 
 
 def smallest_eigenpair(a, start):
@@ -194,7 +186,7 @@ def smallest_eigenpair(a, start):
         failed = ~(np.vecdot(residual, residual).real <= (_EIGENPAIR_RTOL * largest[:, 0]) ** 2)
     u = u[:, :, 0]
     if failed.any():
-        u[failed] = eig_hermitian(a[failed]).eigenvectors[:, :, -1]
+        u[failed] = eig_hermitian(a[failed])[1][:, :, -1]
     return values.reshape(batch + (m,)), u.reshape(batch + (m,))
 
 

@@ -43,3 +43,33 @@ def head_solutions(weighted_cov):
         basis = np.delete(vectors, k, axis=1)
         out.append((float(values[k]), w, basis))
     return out
+
+
+def weighted_covariance(data, activity, contrast):
+    """Per-bin (1/N) sum_n phi_n x_fn x_fn^H with the majorizer's frame weights.
+
+    phi_n = phi(r~_n) + delta mean_k phi(r~_k) of the offset activities
+    r~_n^2 = r_n^2 + delta mean_k r_k^2, delta = core.ACTIVITY_OFFSET.
+    """
+    delta = core.ACTIVITY_OFFSET
+    power = np.square(activity)
+    phi = contrast.weight(np.sqrt(power + delta * np.mean(power)))
+    weights = phi + delta * np.mean(phi)
+    return np.einsum("fni,fnj,n->fij", data, np.conj(data), weights) / data.shape[1]
+
+
+def stationarity_residual(state, data, contrast):
+    """The certificate by its definition: max over bins of || [w, J]^H [V w, C J] - I ||_F.
+
+    The data are whitened explicitly; V is their weighted covariance under
+    the state's activity, C their sample covariance, and J the orthonormal
+    complement of w, from a complete QR.
+    """
+    whitened = whiten(data, state.whiteners)
+    worst = 0.0
+    for w, v, c in zip(state.w, weighted_covariance(whitened, state.activity, contrast),
+                       sample_covariance(whitened)):
+        basis = np.linalg.qr(w[:, None], mode="complete")[0][:, 1:]
+        gram = np.column_stack([w, basis]).conj().T @ np.column_stack([v @ w, c @ basis])
+        worst = max(worst, float(np.linalg.norm(gram - np.eye(len(w)))))
+    return worst

@@ -126,6 +126,26 @@ def test_extract_output_format_must_match_input(tmp_path, capsys, in_name, out_n
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("in_name, out_name", [("mix.fiv", "est.fiv"), ("mix.wav", "est.wav")])
+def test_extract_unwritable_report_leaves_no_estimate(tmp_path, capsys, in_name, out_name):
+    # a --report that cannot be written (here a directory) fails the run,
+    # exit 2, before the estimate is written: no output that looks complete
+    in_path = tmp_path / in_name
+    if in_name.endswith(".fiv"):
+        rng = np.random.default_rng(4)
+        write_tensor(in_path, rng.standard_normal((16, 60, 2)) + 1j * rng.standard_normal((16, 60, 2)))
+    else:
+        _write_noise_wav(in_path, channels=2, samples=6 * 512)
+    report = tmp_path / "reports"
+    report.mkdir()
+    out_path = tmp_path / out_name
+    rc = cli.main(["extract", "--input", str(in_path), "--output", str(out_path), "--frame-size", "512",
+                   "--report", str(report)])
+    assert rc == 2
+    assert "reports" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_extract_rejects_zero_iterations(tmp_path, capsys):
     in_path = tmp_path / "in.wav"
     _write_noise_wav(in_path, samples=6 * 512)
@@ -230,6 +250,23 @@ def test_evaluate_appends_rows(scene_dir, tmp_path):
         ) == 0
     lines = [ln for ln in report.read_text().splitlines() if ln and not ln.startswith("#")]
     assert len(lines) == 3  # header + two rows
+
+
+@pytest.mark.parametrize(
+    "text", ["# frame_size=30\niteration,nll,head_residual,wall_time_ms\n0,1.5,0.25,0.100\n", ""]
+)
+def test_evaluate_refuses_a_report_with_other_columns(scene_dir, tmp_path, capsys, text):
+    # its 7-field row under an extract report's columns, or under none,
+    # would leave a CSV no reader can parse by its columns: exit 1, and the
+    # file stays as it was
+    est = tmp_path / "e.fiv"
+    write_tensor(est, load_scene(scene_dir).target_image)
+    report = tmp_path / "rep.csv"
+    report.write_text(text)
+    rc = cli.main(["evaluate", "--scene", str(scene_dir), "--estimate", str(est), "--report", str(report)])
+    assert rc == 1
+    assert "other columns" in capsys.readouterr().err
+    assert report.read_text() == text
 
 
 def test_evaluate_quotes_free_text(tmp_path):

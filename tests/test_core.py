@@ -18,7 +18,14 @@ from five.core import (
 )
 from five.stft import SpectralTensor, StftConfig, analyze, synthesize
 from five.wavio import MultichannelWave
-from oracles import head_solutions, sample_covariance, whiten, whiten_by_cholesky
+from oracles import (
+    head_solutions,
+    sample_covariance,
+    stationarity_residual,
+    weighted_covariance,
+    whiten,
+    whiten_by_cholesky,
+)
 
 
 def _cnormal(rng, shape):
@@ -214,6 +221,7 @@ def test_weighted_covariance_matches_triple_loop():
         brute /= n_frames
         got = _bin_covariance(data, activity, contrast, f)
         assert np.max(np.abs(got - brute)) <= 1e-12
+        assert np.max(np.abs(weighted_covariance(data, activity, contrast)[f] - brute)) <= 1e-12
 
 
 @pytest.mark.parametrize("weighted", [False, True])
@@ -618,22 +626,14 @@ def test_head_residual_small_after_convergence():
 
 def test_head_residual_matches_explicit_gram_on_prewhiten_output():
     # the closed form against || [w,J]^H [Vw, CJ] - I ||_F with J the QR
-    # complement of w and C the plain sample covariance of the whitened data
+    # complement of w, V and C the einsum covariances of the whitened data
     rng = np.random.default_rng(58)
     n_bins, n_frames, n_chan = 6, 120, 4
     data = _cnormal(rng, (n_bins, n_frames, n_chan)) @ _cnormal(rng, (n_chan, n_chan))
     whiteners = _whiteners(data)
-    whitened = whiten(data, whiteners)
     contrast = ContrastModel("gauss", num_bins=n_bins)
     for state in _monitor_states(rng, data, whiteners, contrast):
-        want = 0.0
-        for f in range(n_bins):
-            v = _bin_covariance(whitened, state.activity, contrast, f)
-            c = whitened[f].T @ np.conj(whitened[f]) / n_frames
-            basis = _complement(state.w[f])
-            lhs = np.column_stack([state.w[f], basis])
-            rhs = np.column_stack([v @ state.w[f], c @ basis])
-            want = max(want, np.linalg.norm(lhs.conj().T @ rhs - np.eye(n_chan)))
+        want = stationarity_residual(state, data, contrast)
         assert abs(head_residual(state, data, contrast) - want) <= 1e-12
 
 
@@ -910,6 +910,67 @@ def test_extract_spectral_report_monotone_and_early_stop():
     for a, b in zip(nll, nll[1:]):
         assert b <= a + 1e-9 * abs(a)
     assert report.records[-1].head_residual <= 1e-6
+
+
+def _counting_converged_run(monkeypatch, monitoring, max_iterations=200):
+    # a laplace run with early_stop_tol 1e-8 that counts updates and
+    # covariance builds and keeps every state its callback receives
+    counts = {"updates": 0, "builds": 0}
+    update, build = core.five_iteration, core._weighted_covariance_stack
+
+    def counting_update(*args, **kwargs):
+        counts["updates"] += 1
+        return update(*args, **kwargs)
+
+    def counting_build(*args, **kwargs):
+        counts["builds"] += 1
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(core, "five_iteration", counting_update)
+    monkeypatch.setattr(core, "_weighted_covariance_stack", counting_build)
+    data = _two_source_mixture(np.random.default_rng(54), 16, 400)
+    config = FiveConfig(
+        ContrastModel("laplace"), max_iterations=max_iterations, nll_monitoring=monitoring, early_stop_tol=1e-8
+    )
+    states = []
+    extracted, report = extract_spectral(data, config, callback=lambda it, state, raw: states.append(state))
+    return data, extracted, report, states, counts
+
+
+@pytest.mark.parametrize("monitoring", [True, False])
+def test_converged_run_returns_the_state_its_certificate_is_for(monkeypatch, monitoring):
+    # the update that certifies state K within tol is dropped: K + 1 updates,
+    # one covariance build each and none after, and the output, the last
+    # record and iterations_run are those of state K, the callback's last
+    data, extracted, report, states, counts = _counting_converged_run(monkeypatch, monitoring)
+    contrast = ContrastModel("laplace")
+    last = states[-1]
+    assert report.converged
+    assert counts["builds"] == counts["updates"] == report.iterations_run + 1
+    assert report.iterations_run == last.iteration == len(states) - 1
+    assert [r.iteration for r in report.records] == [s.iteration for s in states]
+    assert np.array_equal(extracted, project_back(last.estimate, data))
+    residual = stationarity_residual(last, data, contrast)
+    assert residual <= 1e-6
+    if monitoring:
+        certificates = [r.head_residual for r in report.records]
+        assert certificates[-1] <= 1e-8 < min(certificates[:-1])
+        assert certificates[-1] == pytest.approx(residual, rel=1e-6, abs=1e-12)
+
+
+@pytest.mark.parametrize("monitoring", [True, False])
+def test_run_that_uses_every_update_certifies_its_last_state(monkeypatch, monitoring):
+    # stopped one update short of its certifying update, a monitored run
+    # builds one more covariance for its last record and, that certificate
+    # being within tol, is converged; an unmonitored run never certifies it
+    _, _, converged, _, _ = _counting_converged_run(monkeypatch, monitoring)
+    k = converged.iterations_run
+    _, _, report, _, counts = _counting_converged_run(monkeypatch, monitoring, max_iterations=k)
+    assert report.iterations_run == k
+    assert counts == {"updates": k, "builds": k + monitoring}
+    assert report.converged == monitoring
+    if monitoring:
+        assert report.records[-1].head_residual == converged.records[-1].head_residual
 
 
 def test_extract_spectral_ref_channel_validated():
