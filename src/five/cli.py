@@ -221,12 +221,17 @@ def cmd_extract(cfg):
             for rec in report.records
         ]
         _write_csv(cfg["report"], cfg, ["iteration", "nll", "head_residual", "wall_time_ms"], rows)
-    if spectral_in:
-        scenes.write_tensor(cfg["output"], extracted)
-    else:
-        clipped = write_wave(cfg["output"], out_wave, format=cfg["format"])
-        if clipped:
-            print(f"five extract: clipped {clipped} out-of-range samples", file=sys.stderr)
+    try:
+        if spectral_in:
+            scenes.write_tensor(cfg["output"], extracted)
+        else:
+            clipped = write_wave(cfg["output"], out_wave, format=cfg["format"])
+    except Exception:  # and a run that cannot write the estimate leaves no report
+        if cfg.get("report"):
+            Path(cfg["report"]).unlink(missing_ok=True)
+        raise
+    if not spectral_in and clipped:
+        print(f"five extract: clipped {clipped} out-of-range samples", file=sys.stderr)
     return 0
 
 
@@ -259,12 +264,13 @@ def cmd_evaluate(cfg):
 def bench_one_seed(cfg, seed):
     """Per-iteration (runtime, nll, delta SI-SDR) trace for one seeded scene.
 
-    Runs core.extract_spectral, as extract does, and scores the estimate its
-    callback receives at every iteration. Runtime is the cumulative
-    algorithmic time normalized per second of input: analysis, the report's
-    wall time of each record (whitening and initialization, then each update)
-    and the projection and synthesis of each scored estimate. Scoring is not
-    counted, nor is the part of the monitor that runs outside the updates.
+    Runs core.extract_spectral, as extract does, and scores the projected
+    estimate of the state its callback receives at every iteration. Runtime
+    is the cumulative algorithmic time normalized per second of input:
+    analysis, the report's wall time of each record (whitening and
+    initialization, then each update) and the projection and synthesis of
+    each scored estimate. Scoring is not counted, nor is the part of the
+    monitor that runs outside the updates.
     """
     scene = scenes.generate_scene(_scene_spec(cfg, seed=seed))
     stft_cfg = _stft_config(cfg)
@@ -280,12 +286,11 @@ def bench_one_seed(cfg, seed):
         duration = scene.mixture.duration
         edge_trim = stft_cfg.frame_size
 
-    ref = cfg["ref_channel"]
     finish_s, deltas = [], []
 
-    def _score(iteration, state, raw):
+    def _score(iteration, state):
         t_fin = time.perf_counter()
-        estimate = core.project_back(raw, spec.data, ref)
+        estimate = core.project_back(state)
         if not scene.is_spectral:
             estimate = synthesize(replace(spec, data=estimate[:, :, None])).samples[:, 0]
         finish_s.append(time.perf_counter() - t_fin)

@@ -1,9 +1,9 @@
 """Single-source blind extraction by iterative whitened max-SINR beamforming.
 
 The per-bin sample covariance is factored once by Cholesky, C = Q^H Q,
-after dropping each channel that adds no rank to the channels before it in
-some bin (PCA before ICA); W = Q^{-1} then whitens, W^H C W = I. The
-whitened data W^H x is never formed: every whitened quantity the update
+with the reference channel first and each channel that adds no rank to
+the channels before it in some bin dropped (PCA before ICA); W = Q^{-1}
+then whitens, W^H C W = I. The whitened data W^H x is never formed: every whitened quantity the update
 needs is an M x M congruence of a raw one. Each iteration reweights the
 raw covariance with a strictly decreasing function of the current
 per-frame source magnitude, whitens it as V = W^H V_raw W, takes the
@@ -13,7 +13,7 @@ one pass over the data per update. This is a majorization-minimization
 scheme: the monitored negative log-likelihood never increases, and fixed
 points solve a quadratic stationarity system exactly (see head_residual).
 The scale ambiguity is resolved at the end by least-squares projection
-onto a reference channel.
+onto the reference channel, in closed form (project_back).
 
 The monitor takes the background demixing block as the orthonormal
 complement J of w, optimal for the identity whitened covariance. Since
@@ -68,7 +68,7 @@ class DegenerateCovarianceError(RuntimeError):
 
 
 class SilentReferenceChannelError(ValueError):
-    """The reference channel is silent or adds no rank: whitening would drop it."""
+    """The reference channel is silent in some bin: whitening, which it leads, would drop it."""
 
 
 @dataclass(frozen=True)
@@ -133,6 +133,7 @@ class DemixingState:
     (F, N) signal (W_f w_f)^H x_fn; five_iteration sets previous_residual,
     the head_residual of the state it started from. The background demixing
     block is not stored: the monitor takes the orthonormal complement of w.
+    Coordinate 0 is the reference channel, the first one whitened.
     """
 
     whiteners: np.ndarray  # (F, M, M)
@@ -292,8 +293,8 @@ def evaluate_nll(state, contrast):
     with r~ the offset activities: no data is read. The last term is the
     constant whitening log-determinant, log det Q_f = -log det W_f, included
     so values are comparable on the original data scale. The values across
-    iterations are non-increasing. For the initial filter e_ref, J is the
-    complement of e_ref, not an eigenbasis of V, which lowers record 0.
+    iterations are non-increasing. For the initial filter e_0, J is the
+    complement of e_0, not an eigenbasis of V, which lowers record 0.
     """
     n_frames = state.activity.shape[0]
     n_bins, n_chan = state.w.shape
@@ -330,82 +331,83 @@ def head_residual(state, data, contrast):
     return _certificate(state.w, v_cov)
 
 
-def project_back(extracted, original, ref_channel=0):
-    """Least-squares rescaling of the extracted signal onto a reference channel.
+def project_back(state):
+    """The state's estimate rescaled onto the reference channel by least squares; reads no data.
 
     Per bin the complex scale a = sum_n x_ref conj(s) / sum_n |s|^2 minimizes
-    ||x_ref - a s||^2, x_ref the channel of the raw (F, N, M) data original;
-    bins where the extracted signal is exactly zero pass through. Any nonzero
-    energy, however small, is rescaled.
+    ||x_ref - a s||^2 for the estimate s = (W w)^H x. The reference leads the
+    whitening (extract_spectral), so with C = Q^H Q and W = Q^{-1} upper
+    triangular, sum_n |s|^2 = N ||w||^2 and sum_n x_ref conj(s) = N (C W w)_0
+    = N (Q^H w)_0 = N w_0 / W_00, which gives a = w_0 / (W_00 ||w||^2). Its
+    accuracy is that of the whitening, about u kappa(C).
     """
-    extracted = np.asarray(extracted)
-    reference = original[:, :, ref_channel]
-    power = np.vecdot(extracted, extracted).real
-    corr = np.vecdot(extracted, reference)
-    safe = power > 0
-    scale = np.where(safe, corr / np.where(safe, power, 1.0), 1.0)
-    return scale[:, None] * extracted
+    norms2 = np.sum(np.abs(state.w) ** 2, axis=1)
+    scale = state.w[:, 0] / (np.real(state.whiteners[:, 0, 0]) * norms2)
+    return scale[:, None] * state.estimate
 
 
-def _initial_state(whiteners, data, ref):
-    """The state of the filter e_ref: the whitened reference channel, demixed by W e_ref."""
-    estimate = apply_demixing(whiteners[:, :, ref], data)
+def _initial_state(whiteners, data):
+    """The state of the filter e_0: the whitened reference x_ref / sqrt(C_ref,ref), demixed by W e_0."""
+    estimate = apply_demixing(whiteners[:, :, 0], data)
     w = np.zeros(whiteners.shape[:2], dtype=np.complex128)
-    w[:, ref] = 1.0
+    w[:, 0] = 1.0
     return DemixingState(whiteners, w, _activity(estimate), estimate=estimate)
 
 
 def extract_spectral(spec, config, callback=None):
     """Run the full extraction on a spectrogram: a SpectralTensor or its raw (F, N, M) data.
 
-    Pipeline: build the sample covariance once and whiten it (prewhiten),
-    initialize the estimate as the whitened reference channel, iterate
-    demixing updates until one certifies the state it starts from within
-    early_stop_tol (head_residual), then project that state's estimate back
-    onto the original reference channel. Whenever whitening names a channel
+    Pipeline: build the sample covariance once and whiten it (prewhiten)
+    with the reference channel first, initialize the estimate as the
+    whitened reference channel, iterate demixing updates until one
+    certifies the state it starts from within early_stop_tol
+    (head_residual), then project that state's estimate back onto the
+    reference channel (project_back). Whenever whitening names a channel
     that adds no rank in some bin (silent, or a combination of the channels
     before it), that channel is dropped and the principal submatrix of the
-    kept channels is factored again; the kept channels are copied once, and
-    the state has one entry per kept channel. A dropped reference channel
-    raises SilentReferenceChannelError.
+    kept channels is factored again. Unless they are all the channels in
+    order, the kept channels are copied once, and the state has one entry
+    per kept channel. Only a reference silent in some bin can be dropped,
+    and that raises SilentReferenceChannelError.
 
-    callback(iteration, state, extracted) is invoked for the initial state
-    (iteration 0) and every kept update with the raw (un-projected)
-    extracted signal, state.estimate; the last call's state is returned.
+    callback(iteration, state) is invoked for the initial state (iteration
+    0) and every kept update; state.estimate is the raw (un-projected)
+    extracted signal, and the last call's state is returned.
 
     Returns the projected (F, N) extracted signal and an ExtractionReport
     with one record per kept state (record 0: whitening and the initial
     estimate), each certified by the update after it; a monitored run that
     exhausts max_iterations certifies its last with one more build, which
-    may converge it too. Wall times exclude the NLL and that build.
+    may converge it too. A converged run drops its certifying update and
+    adds that update's time to the last record. Wall times exclude only the
+    NLL and the post-loop build.
     """
     t0 = time.perf_counter()
     original = spec.data if isinstance(spec, SpectralTensor) else np.asarray(spec)
     _, n_frames, n_chan = original.shape
-    if config.ref_channel >= n_chan:
-        raise ValueError(f"ref_channel {config.ref_channel} out of range for {n_chan} channels")
+    ref = config.ref_channel
+    if ref >= n_chan:
+        raise ValueError(f"ref_channel {ref} out of range for {n_chan} channels")
     if n_frames < n_chan:
         raise ValueError(
             f"need at least as many frames as channels for a full-rank "
             f"covariance ({n_frames} frames, {n_chan} channels)"
         )
-    cov, kept = _covariance_stack(original), np.arange(n_chan)
+    cov, kept = _covariance_stack(original), np.r_[ref, np.delete(np.arange(n_chan), ref)]
+    if ref:
+        cov = cov[:, kept[:, None], kept]
     while True:
         try:
             whiteners = prewhiten(cov)
             break
         except linalg.NotPositiveDefiniteError as exc:
-            if kept[exc.pivot_index] == config.ref_channel:
-                raise SilentReferenceChannelError(
-                    f"reference channel {config.ref_channel} is silent or adds no rank "
-                    f"to the channels before it"
-                ) from exc
+            if exc.pivot_index == 0:
+                raise SilentReferenceChannelError(f"reference channel {ref} is silent in some bin") from exc
             rest = np.delete(np.arange(len(kept)), exc.pivot_index)
             cov, kept = cov[:, rest[:, None], rest], kept[rest]
-    data = original if len(kept) == n_chan else np.take(original, kept, axis=2)
-    ref = int(np.searchsorted(kept, config.ref_channel))
+    data = original if np.array_equal(kept, np.arange(n_chan)) else np.take(original, kept, axis=2)
 
-    state = _initial_state(whiteners, data, ref)
+    state = _initial_state(whiteners, data)
     setup_ms = (time.perf_counter() - t0) * 1e3
 
     contrast = config.contrast
@@ -416,7 +418,7 @@ def extract_spectral(spec, config, callback=None):
         nll = evaluate_nll(state, contrast) if monitoring else None
         report.records.append(IterationRecord(state.iteration, nll, None, wall_ms))
         if callback is not None:
-            callback(state.iteration, state, state.estimate)
+            callback(state.iteration, state)
 
     def _certify(residual):
         if monitoring:
@@ -428,16 +430,18 @@ def extract_spectral(spec, config, callback=None):
     for _ in range(config.max_iterations):
         t_iter = time.perf_counter()
         update = five_iteration(state, data, contrast)
-        if _certify(update.previous_residual):
+        wall_ms = (time.perf_counter() - t_iter) * 1e3
+        if _certify(update.previous_residual):  # the certifying update is dropped, its time kept
+            last = report.records[-1]
+            report.records[-1] = replace(last, wall_time_ms=last.wall_time_ms + wall_ms)
             break
         state = update
-        _record((time.perf_counter() - t_iter) * 1e3)
+        _record(wall_ms)
     if monitoring and not report.converged:  # the loop ran out: certify the last state
         _certify(head_residual(state, data, contrast))
     del update  # a dropped update's estimate would raise the peak of project_back
     report.iterations_run = state.iteration
-    projected = project_back(state.estimate, original, config.ref_channel)
-    return projected, report
+    return project_back(state), report
 
 
 def extract(wave, stft_config, five_config):

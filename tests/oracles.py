@@ -25,6 +25,17 @@ def whiten_by_cholesky(data):
     return linalg.apply_inverse_hermitian_transpose(q, data), q
 
 
+def project_back(extracted, original, ref_channel=0):
+    """Least-squares rescaling of an (F, N) estimate onto channel ref_channel of the raw data.
+
+    Per bin the complex scale a = sum_n x_ref conj(s) / sum_n |s|^2
+    minimizes ||x_ref - a s||^2; it is read from the data.
+    """
+    reference = original[:, :, ref_channel]
+    scale = np.vecdot(extracted, reference) / np.vecdot(extracted, extracted).real
+    return scale[:, None] * extracted
+
+
 def head_solutions(weighted_cov):
     """All M candidate stationary demixing pairs for one bin.
 

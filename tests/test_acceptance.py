@@ -23,6 +23,7 @@ from five.metrics import evaluate_extraction, si_sdr
 from five.scenes import SceneSpec, generate_scene, oracle_max_sinr
 from five.stft import StftConfig, analyze, synthesize
 from five.wavio import MultichannelWave
+import oracles
 from oracles import head_solutions, sample_covariance, stationarity_residual
 
 
@@ -59,7 +60,7 @@ def converged_batch():
         )
         last = {}
         t0 = time.perf_counter()
-        _, report = extract_spectral(scene.mixture, config, callback=lambda it, state, raw: last.update(state=state))
+        _, report = extract_spectral(scene.mixture, config, callback=lambda it, state: last.update(state=state))
         elapsed += time.perf_counter() - t0
         reports.append(report)
         residuals.append(stationarity_residual(last["state"], scene.mixture.data, config.contrast))
@@ -76,9 +77,9 @@ def quality_batch():
         )
         snapshots = {}
 
-        def keep(iteration, state, raw, snapshots=snapshots):
+        def keep(iteration, state, snapshots=snapshots):
             if iteration in (3, 10):
-                snapshots[iteration] = raw.copy()
+                snapshots[iteration] = state
 
         config = FiveConfig(
             contrast=ContrastModel("gauss", num_bins=64),
@@ -87,11 +88,11 @@ def quality_batch():
         )
         extract_spectral(scene.mixture, config, callback=keep)
         for iteration, sink in ((3, deltas3), (10, deltas10)):
-            projected = project_back(snapshots[iteration], scene.mixture.data)
+            projected = project_back(snapshots[iteration])
             sink.append(evaluate_extraction(scene, projected).delta_si_sdr_db)
 
         w = oracle_max_sinr(scene)
-        reference = project_back(apply_demixing(w, scene.mixture.data), scene.mixture.data)
+        reference = oracles.project_back(apply_demixing(w, scene.mixture.data), scene.mixture.data)
         oracle_deltas.append(evaluate_extraction(scene, reference).delta_si_sdr_db)
     return np.array(deltas3), np.array(deltas10), np.array(oracle_deltas)
 

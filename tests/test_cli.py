@@ -146,6 +146,26 @@ def test_extract_unwritable_report_leaves_no_estimate(tmp_path, capsys, in_name,
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("in_name, out_name", [("mix.fiv", "est.fiv"), ("mix.wav", "outdir")])
+def test_extract_unwritable_estimate_leaves_no_report(tmp_path, capsys, in_name, out_name):
+    # the report is written first; an --output that then cannot be written
+    # (here a directory) fails the run, exit 2, and takes the report with it
+    in_path = tmp_path / in_name
+    if in_name.endswith(".fiv"):
+        rng = np.random.default_rng(5)
+        write_tensor(in_path, rng.standard_normal((16, 60, 2)) + 1j * rng.standard_normal((16, 60, 2)))
+    else:
+        _write_noise_wav(in_path, channels=2, samples=6 * 512)
+    out_path = tmp_path / out_name
+    out_path.mkdir()
+    report = tmp_path / "rep.csv"
+    rc = cli.main(["extract", "--input", str(in_path), "--output", str(out_path), "--frame-size", "512",
+                   "--report", str(report)])
+    assert rc == 2
+    assert out_name in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_extract_rejects_zero_iterations(tmp_path, capsys):
     in_path = tmp_path / "in.wav"
     _write_noise_wav(in_path, samples=6 * 512)

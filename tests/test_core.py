@@ -1,3 +1,6 @@
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,7 @@ from five.core import (
 )
 from five.stft import SpectralTensor, StftConfig, analyze, synthesize
 from five.wavio import MultichannelWave
+import oracles
 from oracles import (
     head_solutions,
     sample_covariance,
@@ -284,7 +288,7 @@ def test_iteration_single_channel_is_rescale():
     data = _cnormal(rng, (4, 64, 1))
     whiteners = _whiteners(data)
     whitened = whiten(data, whiteners)
-    state = five_iteration(core._initial_state(whiteners, data, 0), data, ContrastModel("laplace"))
+    state = five_iteration(core._initial_state(whiteners, data), data, ContrastModel("laplace"))
     extracted = state.estimate
     for f in range(4):
         ratio = extracted[f] / whitened[f, :, 0]
@@ -301,7 +305,7 @@ def test_iteration_scaling_row_holds_exactly():
     whiteners = _whiteners(data)
     whitened = whiten(data, whiteners)
     contrast = ContrastModel("laplace")
-    state = core._initial_state(whiteners, data, 0)
+    state = core._initial_state(whiteners, data)
     for _ in range(3):
         anchor_activity = state.activity
         state = five_iteration(state, data, contrast)
@@ -315,7 +319,7 @@ def test_iteration_activity_consistent_with_estimate():
     rng = np.random.default_rng(38)
     data = _two_source_mixture(rng, 8, 200)
     whiteners = _whiteners(data)
-    state = five_iteration(core._initial_state(whiteners, data, 0), data, ContrastModel("laplace"))
+    state = five_iteration(core._initial_state(whiteners, data), data, ContrastModel("laplace"))
     recomputed = core._activity(apply_demixing(core._demixing_filters(whiteners, state.w), data))
     assert np.max(np.abs(recomputed - state.activity)) <= 1e-10
     assert np.max(np.abs(apply_demixing(state.w, whiten(data, whiteners)) - state.estimate)) <= 1e-10
@@ -341,17 +345,18 @@ def test_apply_demixing_is_the_per_bin_product(layout):
 
 
 def test_initial_state_is_the_whitened_reference_channel():
-    # the demix of W e_ref, for every reference channel
+    # the demix of W e_0: whitened coordinate 0, which for the upper
+    # triangular W is channel 0 itself over its rms, x_0 / sqrt(C_00)
     rng = np.random.default_rng(41)
     data = _cnormal(rng, (8, 100, 4)) * np.array([1.0, 3.0, 0.2, 7.0])
     whiteners = _whiteners(data)
-    whitened = whiten(data, whiteners)
-    for ref in range(4):
-        state = core._initial_state(whiteners, data, ref)
-        want = whitened[:, :, ref]
-        assert np.max(np.abs(state.estimate - want)) <= 1e-13 * np.max(np.abs(want))
-        assert np.array_equal(state.w, np.tile(np.eye(4)[ref], (8, 1)))
-        assert np.array_equal(state.activity, core._activity(state.estimate))
+    state = core._initial_state(whiteners, data)
+    want = whiten(data, whiteners)[:, :, 0]
+    assert np.max(np.abs(state.estimate - want)) <= 1e-13 * np.max(np.abs(want))
+    rms = np.sqrt(np.real(sample_covariance(data)[:, 0, 0]))
+    assert np.max(np.abs(state.estimate - data[:, :, 0] / rms[:, None])) <= 1e-13 * np.max(np.abs(want))
+    assert np.array_equal(state.w, np.tile(np.eye(4)[0], (8, 1)))
+    assert np.array_equal(state.activity, core._activity(state.estimate))
 
 
 def test_iteration_reaches_fixed_point_two_channels():
@@ -364,7 +369,7 @@ def test_iteration_reaches_fixed_point_two_channels():
     whiteners = _whiteners(data)
     whitened = whiten(data, whiteners)
     contrast = ContrastModel("laplace")
-    state = core._initial_state(whiteners, data, 0)
+    state = core._initial_state(whiteners, data)
     for _ in range(40):
         state = five_iteration(state, data, contrast)
     for f in range(32):
@@ -437,8 +442,8 @@ def test_gauss_iterates_scale_invariant():
     contrast = ContrastModel("gauss", num_bins=8)
     scaled = 7.5 * data
 
-    state_a = core._initial_state(whiteners, data, 0)
-    state_b = core._initial_state(whiteners, scaled, 0)
+    state_a = core._initial_state(whiteners, data)
+    state_b = core._initial_state(whiteners, scaled)
     for _ in range(4):
         state_a = five_iteration(state_a, data, contrast)
         state_b = five_iteration(state_b, scaled, contrast)
@@ -468,7 +473,7 @@ def test_nll_non_increasing_over_iterations(kind):
     data = _two_source_mixture(rng, 16, 500, noise_floor=0.01)
     whiteners = _whiteners(data)
     contrast = ContrastModel(kind, num_bins=16)
-    state = core._initial_state(whiteners, data, 0)
+    state = core._initial_state(whiteners, data)
     previous = evaluate_nll(state, contrast)
     for _ in range(25):
         state = five_iteration(state, data, contrast)
@@ -482,7 +487,7 @@ def test_nll_doubles_under_frame_duplication():
     data = _two_source_mixture(rng, 8, 100)
     whiteners = _whiteners(data)
     contrast = ContrastModel("laplace")
-    state = five_iteration(core._initial_state(whiteners, data, 0), data, contrast)
+    state = five_iteration(core._initial_state(whiteners, data), data, contrast)
 
     # the recording played twice has the same sample covariance and whiteners
     doubled_state = DemixingState(
@@ -525,9 +530,9 @@ def _complement(w):
 
 
 def _monitor_states(rng, data, whiteners, contrast):
-    # the initial e_ref state, random filters, and the iterates of a short run
+    # the initial e_0 state, random filters, and the iterates of a short run
     n_bins, _, n_chan = data.shape
-    states = [core._initial_state(whiteners, data, 0)]
+    states = [core._initial_state(whiteners, data)]
     for _ in range(2):
         w = _cnormal(rng, (n_bins, n_chan))
         activity = core._activity(apply_demixing(core._demixing_filters(whiteners, w), data))
@@ -616,7 +621,7 @@ def test_head_residual_small_after_convergence():
     data = _two_source_mixture(rng, 32, 2000)
     whiteners = _whiteners(data)
     contrast = ContrastModel("laplace")
-    state = core._initial_state(whiteners, data, 0)
+    state = core._initial_state(whiteners, data)
     for _ in range(60):
         previous_w = state.w
         state = five_iteration(state, data, contrast)
@@ -642,7 +647,7 @@ def test_iteration_carries_certificate_of_incoming_state():
     data = _two_source_mixture(rng, 8, 200)
     whiteners = _whiteners(data)
     contrast = ContrastModel("gauss", num_bins=8)
-    state = core._initial_state(whiteners, data, 0)
+    state = core._initial_state(whiteners, data)
     for _ in range(3):
         expected = head_residual(state, data, contrast)
         state = five_iteration(state, data, contrast)
@@ -661,7 +666,7 @@ def test_report_records_certify_their_own_state():
     _, report = extract_spectral(
         spec,
         FiveConfig(contrast=contrast, max_iterations=3),
-        callback=lambda iteration, state, raw: states.append(state),
+        callback=lambda iteration, state: states.append(state),
     )
     assert [s.iteration for s in states] == [r.iteration for r in report.records] == [0, 1, 2, 3]
     for state, record in zip(states, report.records):
@@ -711,8 +716,8 @@ def test_monitored_run_costs_one_covariance_build(monkeypatch, monitoring):
 @pytest.mark.parametrize("monitoring", [True, False])
 def test_run_makes_one_demixing_product_per_update(monkeypatch, monitoring):
     # K updates read the data K + 1 times: the initial estimate is the demix
-    # of W e_ref, each update demixes once, the callback gets the estimate
-    # the update made, and the output is the last update's estimate
+    # of W e_0, each update demixes once, the callback gets the state of the
+    # update, and the output is the projection of the last state
     counts = {"demix": 0, "raw": 0}
     demix = core.apply_demixing
 
@@ -727,12 +732,12 @@ def test_run_makes_one_demixing_product_per_update(monkeypatch, monitoring):
     config = FiveConfig(
         contrast=ContrastModel("gauss", num_bins=8), max_iterations=4, nll_monitoring=monitoring
     )
-    raw = []
-    extracted, report = extract_spectral(spec, config, callback=lambda it, state, est: raw.append(est))
+    states = []
+    extracted, report = extract_spectral(spec, config, callback=lambda it, state: states.append(state))
     assert report.iterations_run == 4
     assert counts["demix"] == 5
-    assert len(raw) == 5
-    assert np.array_equal(extracted, project_back(raw[-1], data))
+    assert len(states) == 5
+    assert np.array_equal(extracted, project_back(states[-1]))
 
 
 def test_nll_reads_no_data(monkeypatch):
@@ -741,7 +746,7 @@ def test_nll_reads_no_data(monkeypatch):
     rng = np.random.default_rng(63)
     data = _two_source_mixture(rng, 8, 200, noise_floor=0.01)
     contrast = ContrastModel("gauss", num_bins=8)
-    state = five_iteration(core._initial_state(_whiteners(data), data, 0), data, contrast)
+    state = five_iteration(core._initial_state(_whiteners(data), data), data, contrast)
     counts = {"demix": 0, "cov": 0}
     demix, build = core.apply_demixing, core._covariance_stack
 
@@ -815,27 +820,35 @@ def test_head_solutions_smallest_minimizes_majorizer():
 # ---------------------------------------------------------------- projection back
 
 
+def _projection_state(seed, scale=1.0, shape=(4, 32, 2)):
+    # the initial state of random data, with its filter scaled by scale and
+    # so its estimate, (W scale w)^H x, by conj(scale)
+    data = _cnormal(np.random.default_rng(seed), shape)
+    state = core._initial_state(_whiteners(data), data)
+    return data, replace(state, w=scale * state.w, estimate=np.conj(scale) * state.estimate)
+
+
 def test_project_back_fixed_point():
-    rng = np.random.default_rng(50)
-    data = _cnormal(rng, (4, 32, 2))
-    out = project_back(data[:, :, 0], data)
+    # the initial estimate is the reference channel over its rms; projected,
+    # it is the reference channel
+    data, state = _projection_state(50)
+    out = project_back(state)
     assert np.max(np.abs(out - data[:, :, 0])) <= 1e-12
 
 
 def test_project_back_inverts_scale():
-    rng = np.random.default_rng(51)
-    data = _cnormal(rng, (4, 32, 2))
-    out = project_back(2.0 * data[:, :, 0], data)
+    data, state = _projection_state(51, scale=2.0 - 1.0j)
+    out = project_back(state)
     assert np.max(np.abs(out - data[:, :, 0])) <= 1e-12
 
 
 def test_project_back_least_squares_oracle():
     # grid search with refinement over the complex scale cannot beat the
-    # closed-form projection
-    rng = np.random.default_rng(52)
-    data = _cnormal(rng, (3, 40, 2))
-    estimate = _cnormal(rng, (3, 40))
-    out = project_back(estimate, data)
+    # closed-form projection of an updated state
+    data, state = _projection_state(52, shape=(3, 40, 2))
+    state = five_iteration(state, data, ContrastModel("laplace"))
+    estimate = state.estimate
+    out = project_back(state)
     for f in range(3):
         reference = data[f, :, 0]
         best = out[f]
@@ -856,21 +869,40 @@ def test_project_back_least_squares_oracle():
 
 
 def test_project_back_rescales_quiet_bins():
-    # any nonzero energy is projected, however small: 1e-8 of the reference
-    # has a per-bin energy near 1e-15
-    rng = np.random.default_rng(58)
-    data = _cnormal(rng, (4, 32, 2))
-    out = project_back(1e-8 * data[:, :, 0], data)
+    # any nonzero energy is projected, however small: a filter scaled by
+    # 1e-8 gives a per-bin estimate energy near 1e-15
+    data, state = _projection_state(58, scale=1e-8)
+    out = project_back(state)
     assert np.max(np.abs(out - data[:, :, 0])) <= 1e-12
 
 
-def test_project_back_passes_through_silent_bins():
-    data = np.ones((2, 8, 1), dtype=complex)
-    estimate = np.zeros((2, 8), dtype=complex)
-    estimate[1] = 0.5
-    out = project_back(estimate, data)
-    assert np.array_equal(out[0], estimate[0])  # silent bin untouched
-    assert np.allclose(out[1], 1.0, atol=1e-12)
+@pytest.mark.parametrize("ref_channel", [0, 2])
+def test_project_back_reads_no_data(monkeypatch, ref_channel):
+    # the closed form w_0 / (W_00 ||w||^2) needs the filters and whiteners
+    # only: no demixing product and no covariance build, and it is the
+    # least-squares projection onto the reference read from the data
+    data = _cnormal(np.random.default_rng(64), (8, 200, 4)) @ _cnormal(np.random.default_rng(65), (8, 4, 4))
+    states = []
+    config = FiveConfig(ContrastModel("gauss", num_bins=8), max_iterations=3, ref_channel=ref_channel)
+    extract_spectral(data, config, callback=lambda it, state: states.append(state))
+    counts = {"demix": 0, "cov": 0}
+    demix, build = core.apply_demixing, core._covariance_stack
+
+    def counting_demix(*args, **kwargs):
+        counts["demix"] += 1
+        return demix(*args, **kwargs)
+
+    def counting_build(*args, **kwargs):
+        counts["cov"] += 1
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(core, "apply_demixing", counting_demix)
+    monkeypatch.setattr(core, "_covariance_stack", counting_build)
+    for state in states:
+        got = project_back(state)
+        want = oracles.project_back(state.estimate, data, ref_channel)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert counts == {"demix": 0, "cov": 0}
 
 
 # ---------------------------------------------------------------- end to end
@@ -933,7 +965,7 @@ def _counting_converged_run(monkeypatch, monitoring, max_iterations=200):
         ContrastModel("laplace"), max_iterations=max_iterations, nll_monitoring=monitoring, early_stop_tol=1e-8
     )
     states = []
-    extracted, report = extract_spectral(data, config, callback=lambda it, state, raw: states.append(state))
+    extracted, report = extract_spectral(data, config, callback=lambda it, state: states.append(state))
     return data, extracted, report, states, counts
 
 
@@ -949,7 +981,7 @@ def test_converged_run_returns_the_state_its_certificate_is_for(monkeypatch, mon
     assert counts["builds"] == counts["updates"] == report.iterations_run + 1
     assert report.iterations_run == last.iteration == len(states) - 1
     assert [r.iteration for r in report.records] == [s.iteration for s in states]
-    assert np.array_equal(extracted, project_back(last.estimate, data))
+    assert np.array_equal(extracted, project_back(last))
     residual = stationarity_residual(last, data, contrast)
     assert residual <= 1e-6
     if monitoring:
@@ -971,6 +1003,26 @@ def test_run_that_uses_every_update_certifies_its_last_state(monkeypatch, monito
     assert report.converged == monitoring
     if monitoring:
         assert report.records[-1].head_residual == converged.records[-1].head_residual
+
+
+def test_converged_run_times_its_certifying_update(monkeypatch):
+    # every update, the dropped certifying one too, is in some record's wall
+    # time: K kept updates and the certifying one, each at least the sleep,
+    # which is far above the 7 updates' own time, so a missing one shows
+    sleep_s = 0.05
+    update = core.five_iteration
+
+    def slow_update(*args, **kwargs):
+        time.sleep(sleep_s)
+        return update(*args, **kwargs)
+
+    monkeypatch.setattr(core, "five_iteration", slow_update)
+    data = _two_source_mixture(np.random.default_rng(54), 8, 200)
+    config = FiveConfig(ContrastModel("gauss", num_bins=8), max_iterations=100, early_stop_tol=1e-3)
+    _, report = extract_spectral(data, config)
+    assert report.converged and report.iterations_run == 7
+    timed_ms = sum(record.wall_time_ms for record in report.records[1:])
+    assert timed_ms >= 1e3 * sleep_s * (report.iterations_run + 1)
 
 
 def test_extract_spectral_ref_channel_validated():
@@ -1035,7 +1087,7 @@ def test_extract_drops_channel_that_adds_no_rank(short_recording, position, make
     degenerate = np.insert(samples, position, make_channel(samples), axis=1)
     widths = []
     extracted, report = _extract_short(
-        sample_rate, degenerate, ref_channel, lambda it, state, est: widths.append(state.w.shape[1])
+        sample_rate, degenerate, ref_channel, lambda it, state: widths.append(state.w.shape[1])
     )
     # the same recording without that channel, the reference renumbered
     removed_ref = ref_channel - (position < ref_channel)
@@ -1065,20 +1117,59 @@ def test_dead_channel_costs_one_covariance_build(monkeypatch, short_recording):
     _extract_short(
         sample_rate,
         np.insert(samples, 2, 0.0, axis=1),
-        callback=lambda it, state, est: widths.append(state.w.shape[1]),
+        callback=lambda it, state: widths.append(state.w.shape[1]),
     )
     assert set(widths) == {4}
     assert len(plain) == 1 and plain[0][2] == 5
 
 
-def test_extract_reference_duplicating_another_channel_names_it(short_recording):
-    from five import SilentReferenceChannelError
-
+def test_extract_reference_duplicating_an_earlier_channel_drops_that_channel(short_recording):
+    # the reference leads the whitening, so of a reference 2 that copies
+    # channel 0 it is channel 0 that adds no rank and is dropped: the result
+    # is that of the recording without channel 0, the reference renumbered
     sample_rate, samples = short_recording
-    samples = samples.copy()
-    samples[:, 2] = samples[:, 0]
-    with pytest.raises(SilentReferenceChannelError, match="reference channel 2 "):
-        _extract_short(sample_rate, samples, ref_channel=2)
+    copied = samples.copy()
+    copied[:, 2] = copied[:, 0]
+    widths = []
+    extracted, _ = _extract_short(
+        sample_rate, copied, ref_channel=2, callback=lambda it, state: widths.append(state.w.shape[1])
+    )
+    want, _ = _extract_short(sample_rate, np.delete(copied, 0, axis=1), ref_channel=1)
+    assert set(widths) == {3}
+    assert np.max(np.abs(extracted - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_extraction_does_not_depend_on_which_channel_is_the_reference(eight_channel_scene):
+    # Quality statement: the last channel as the reference scores within
+    # 0.1 dB of channel 0 once both estimates are projected onto channel 0,
+    # as the scene's target image is (8 ch, 3 s, frame 2048, gauss, 3
+    # updates); started from its residual after channels 0-6, it scored
+    # 3.6 dB below
+    from five.metrics import evaluate_extraction
+
+    spec = analyze(eight_channel_scene.mixture, StftConfig(frame_size=2048))
+    scores = []
+    for ref_channel in (0, 7):
+        last = []
+        config = FiveConfig(ContrastModel("gauss", num_bins=spec.num_bins), ref_channel=ref_channel)
+        extract_spectral(spec, config, callback=lambda it, state: last.append(state.estimate))
+        projected = oracles.project_back(last[-1], spec.data, 0)
+        wave = synthesize(SpectralTensor(projected[:, :, None], spec.sample_rate, spec.config))
+        scores.append(evaluate_extraction(eight_channel_scene, wave.samples[:, 0], edge_trim=2048).si_sdr_db)
+    assert abs(scores[1] - scores[0]) <= 0.1, scores
+
+
+@pytest.mark.parametrize("ref_channel", [1, 2, 3])
+def test_initial_estimate_is_the_reference_channel_over_its_rms(short_recording, ref_channel):
+    # whitening starts at the reference, so record 0's estimate is x_ref
+    # itself over its rms, not its residual after the channels before it
+    sample_rate, samples = short_recording
+    spec = analyze(MultichannelWave(sample_rate, samples), StftConfig(frame_size=1024))
+    first = []
+    _extract_short(sample_rate, samples, ref_channel, lambda it, state: first.append(state.estimate))
+    rms = np.sqrt(np.real(sample_covariance(spec.data)[:, ref_channel, ref_channel]))
+    want = spec.data[:, :, ref_channel] / rms[:, None]
+    assert np.max(np.abs(first[0] - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_extract_keeps_band_limited_channel(short_recording):
@@ -1091,7 +1182,7 @@ def test_extract_keeps_band_limited_channel(short_recording):
     samples[:, 2] = np.fft.irfft(spectrum, len(samples))
     widths = []
     _, report = _extract_short(
-        sample_rate, samples, callback=lambda it, state, est: widths.append(state.w.shape[1])
+        sample_rate, samples, callback=lambda it, state: widths.append(state.w.shape[1])
     )
     assert set(widths) == {4}
     nll = report.nll_values
@@ -1129,7 +1220,7 @@ def test_gauss_runs_thirty_updates_on_w1_shape_scene():
 
 def test_extract_reference_mic_dropout():
     # channel 1 (the reference) drops to digital zeros for 2 s. The initial
-    # filter e_ref gives those frames zero activity, which once made the
+    # filter e_0 gives those frames zero activity, which once made the
     # weighted covariance degenerate at bin 0. Quality statement: the run
     # gains nothing, but loses nothing either; outside the gap the output
     # scores what the raw reference channel scores (both 4.25 dB here, where
@@ -1164,7 +1255,7 @@ def _updates_on_explicitly_whitened_data(data, contrast, iterations):
     whitened, _ = whiten_by_cholesky(data)
     n_bins, _, n_chan = data.shape
     identity = np.broadcast_to(np.eye(n_chan, dtype=complex), (n_bins, n_chan, n_chan))
-    state = core._initial_state(identity, whitened, 0)
+    state = core._initial_state(identity, whitened)
     for _ in range(iterations):
         state = five_iteration(state, whitened, contrast)
     return state.estimate
@@ -1177,7 +1268,7 @@ def _congruence_against_explicit(samples, frame_size=1024, iterations=3):
     extract_spectral(
         spec,
         FiveConfig(contrast=contrast, max_iterations=iterations),
-        callback=lambda it, state, est: raw.append(est),
+        callback=lambda it, state: raw.append(state.estimate),
     )
     want = _updates_on_explicitly_whitened_data(spec.data, contrast, iterations)
     relative = np.max(np.abs(raw[-1] - want)) / np.max(np.abs(want))
@@ -1226,7 +1317,7 @@ def test_congruence_accuracy_on_near_duplicate_channel(eight_channel_scene, leve
             assert b <= a + 1e-9 * abs(a)
 
     def si_sdr_db(estimate):
-        projected = project_back(estimate, spec.data)[:, :, None]
+        projected = oracles.project_back(estimate, spec.data)[:, :, None]
         wave = synthesize(SpectralTensor(projected, spec.sample_rate, spec.config))
         return evaluate_extraction(eight_channel_scene, wave.samples[:, 0], edge_trim=1024).si_sdr_db
 
