@@ -307,6 +307,9 @@ def bench_one_seed(cfg, seed):
 
 
 def cmd_bench(cfg):
+    if cfg["ref_channel"] != 0:  # a projection onto channel k > 0 would be scored against channel 0's image
+        print("five bench: error: --ref-channel must be 0: scenes keep only channel 0's target image", file=sys.stderr)
+        return 1
     traces = [bench_one_seed(cfg, cfg["seed"] + k) for k in range(cfg["scenes"])]
     if cfg["mixing"] != "convolutive_fir":  # tensor scenes run at their own STFT settings: echo those
         cfg = {**cfg, **asdict(scenes.tensor_config(cfg["bins"]))}

@@ -171,15 +171,18 @@ def _covariance_stack(data, weights=None, whiteners=None):
     # rounding. A real product g = X^T (w X) on the interleaved (re, im)
     # view X needs no conjugate copy: with x = a + ib, Re = g_aa + g_bb,
     # Im = g_ba - g_ab. Blocks of bins of stft._BLOCK_BYTES keep the
-    # contiguous and weighted copies inside the L2 cache.
+    # contiguous copies inside the L2 cache, and each weighted block goes
+    # into one reused buffer (a fresh temporary per block costs page faults).
     n_bins, n_frames, n_chan = data.shape
     w = None if weights is None else np.repeat(weights, 2 * n_chan).reshape(n_frames, 2 * n_chan)
     g = np.empty((n_bins, 2 * n_chan, 2 * n_chan))
     step = max(1, _BLOCK_BYTES // (16 * n_frames * n_chan))
+    weighted = None if w is None else np.empty((min(step, n_bins), n_frames, 2 * n_chan))
     for start in range(0, n_bins, step):
         block = np.ascontiguousarray(data[start : start + step], dtype=np.complex128).view(np.float64)
-        lhs = block if w is None else block * w
+        lhs = block if w is None else np.multiply(block, w, out=weighted[: len(block)])
         np.matmul(np.swapaxes(lhs, 1, 2), block, out=g[start : start + step])
+    lhs = weighted = None  # a buffer that outlives the loop would raise the peak
     g /= n_frames
     cov = g[:, 0::2, 0::2] + g[:, 1::2, 1::2] + 1j * (g[:, 1::2, 0::2] - g[:, 0::2, 1::2])
     if whiteners is not None:
@@ -347,8 +350,11 @@ def project_back(state):
 
 
 def _initial_state(whiteners, data):
-    """The state of the filter e_0: the whitened reference x_ref / sqrt(C_ref,ref), demixed by W e_0."""
-    estimate = apply_demixing(whiteners[:, :, 0], data)
+    """The state of the filter e_0: the whitened reference x_ref / sqrt(C_ref,ref), demixed by W e_0.
+
+    W is upper triangular, so W e_0 = W_00 e_0: channel 0 scaled by the real W_00, with no product.
+    """
+    estimate = np.asarray(data[:, :, 0], dtype=np.complex128) * np.real(whiteners[:, 0, 0])[:, None]
     w = np.zeros(whiteners.shape[:2], dtype=np.complex128)
     w[:, 0] = 1.0
     return DemixingState(whiteners, w, _activity(estimate), estimate=estimate)

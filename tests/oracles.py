@@ -6,7 +6,7 @@ extraction's path.
 
 import numpy as np
 
-from five import core, linalg
+from five import core, linalg, scenes
 
 
 def sample_covariance(data):
@@ -84,3 +84,44 @@ def stationarity_residual(state, data, contrast):
         gram = np.column_stack([w, basis]).conj().T @ np.column_stack([v @ w, c @ basis])
         worst = max(worst, float(np.linalg.norm(gram - np.eye(len(w)))))
     return worst
+
+
+def convolve_sum(sources, firs, num_samples):
+    """sum_q sources[q] convolved with firs[q, m] by direct np.convolve, first num_samples, as (num_samples, M)."""
+    out = np.zeros((num_samples, firs.shape[1]))
+    for source, filters in zip(sources, firs):
+        for m, fir in enumerate(filters):
+            out[:, m] += np.convolve(source, fir)[:num_samples]
+    return out
+
+
+def convolutive_scene(spec):
+    """Mixture samples and channel-0 target and background images of a convolutive scene.
+
+    Drawn in the generator's order (target envelope and source, target
+    filters, each interferer's source and then its filters, the noise),
+    convolved directly one source at a time, and scaled as the generator
+    scales them.
+    """
+    rng = np.random.default_rng(spec.seed)
+    n_chan, length = spec.num_channels, spec.fir_length
+    n_samples = spec.sample_rate if spec.num_samples is None else spec.num_samples
+    frac = spec.noise_fraction_effective
+
+    blocks = -(-n_samples // scenes._ENVELOPE_BLOCK)
+    envelope = np.repeat(scenes._envelope(rng, spec.target_model, blocks), scenes._ENVELOPE_BLOCK)
+    source = envelope[:n_samples] * rng.standard_normal(n_samples)
+    target = convolve_sum(source[None], scenes._decaying_fir(rng, (1, n_chan), length), n_samples)
+    interference = np.zeros((n_samples, n_chan))
+    for _ in range(spec.num_interferers):
+        source = rng.standard_normal(n_samples)
+        interference += convolve_sum(source[None], scenes._decaying_fir(rng, (1, n_chan), length), n_samples)
+    noise = rng.standard_normal((n_samples, n_chan))
+
+    if spec.num_interferers > 0:
+        interference *= np.sqrt((1.0 - frac) * n_samples / np.sum(interference[:, 0] ** 2))
+    noise *= np.sqrt(frac * n_samples / np.sum(noise[:, 0] ** 2))
+    background = interference + noise
+    target *= np.sqrt(10.0 ** (spec.input_sinr_db / 10.0) * np.sum(background[:, 0] ** 2) / np.sum(target[:, 0] ** 2))
+    gain = 0.9 / np.max(np.abs(target + background))
+    return gain * (target + background), gain * target[:, 0], gain * background[:, 0]

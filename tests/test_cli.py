@@ -497,6 +497,24 @@ def test_bench_rejects_zero_iterations(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_bench_refuses_a_reference_other_than_channel_0(tmp_path, capsys, source):
+    # scenes keep channel 0's images only, so a channel-2 projection cannot be scored
+    out = tmp_path / "bench.csv"
+    argv = ["bench", "--output", str(out), "--scenes", "1", "--channels", "4",
+            "--mixing", "convolutive_fir", "--duration", "0.5", "--frame-size", "1024"]
+    if source == "flag":
+        argv += ["--ref-channel", "2"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("ref_channel=2\n")
+        argv += ["--config", str(cfg)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "--ref-channel" in err and "channel 0" in err
+    assert not out.exists()
+
+
 def test_bench_deterministic_modulo_runtime(tmp_path):
     outs = []
     for name in ("a.csv", "b.csv"):

@@ -715,9 +715,10 @@ def test_monitored_run_costs_one_covariance_build(monkeypatch, monitoring):
 
 @pytest.mark.parametrize("monitoring", [True, False])
 def test_run_makes_one_demixing_product_per_update(monkeypatch, monitoring):
-    # K updates read the data K + 1 times: the initial estimate is the demix
-    # of W e_0, each update demixes once, the callback gets the state of the
-    # update, and the output is the projection of the last state
+    # K updates make K demixing products: the initial estimate is channel 0
+    # scaled by W_00 (W e_0 = W_00 e_0, bit-identical to its demix), each
+    # update demixes once, the callback gets the state of the update, and
+    # the output is the projection of the last state
     counts = {"demix": 0, "raw": 0}
     demix = core.apply_demixing
 
@@ -735,8 +736,9 @@ def test_run_makes_one_demixing_product_per_update(monkeypatch, monitoring):
     states = []
     extracted, report = extract_spectral(spec, config, callback=lambda it, state: states.append(state))
     assert report.iterations_run == 4
-    assert counts["demix"] == 5
+    assert counts["demix"] == 4
     assert len(states) == 5
+    assert np.array_equal(states[0].estimate, demix(states[0].whiteners[:, :, 0], data))
     assert np.array_equal(extracted, project_back(states[-1]))
 
 

@@ -3,7 +3,8 @@ import struct
 import numpy as np
 import pytest
 
-from five import core
+import oracles
+from five import core, scenes
 from five.core import (
     ContrastModel,
     DemixingState,
@@ -251,6 +252,38 @@ def test_convolutive_sinr_and_determinism():
 def test_convolutive_default_length_is_one_second():
     spec = _spec(num_channels=2, mixing="convolutive_fir", sample_rate=8000)
     assert generate_scene(spec).mixture.num_samples == 8000
+
+
+def _relative_error(actual, expected):
+    return np.max(np.abs(actual - expected)) / np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("fir_length", [1, 256, 5000])
+@pytest.mark.parametrize("blocks", ["shorter_than_one", "exact_multiple", "ragged_tail"])
+def test_overlap_add_matches_direct_convolution(fir_length, blocks):
+    step = scenes._fft_size(fir_length) - fir_length + 1
+    num_samples = {
+        "shorter_than_one": step // 2 + 1,
+        "exact_multiple": 2 * step,
+        "ragged_tail": 2 * step + step // 3 + 1,
+    }[blocks]
+    rng = np.random.default_rng(1234)
+    sources = rng.standard_normal((2, num_samples))
+    firs = rng.standard_normal((2, 2, fir_length))
+    actual = scenes._convolve_sum(sources, firs, num_samples)
+    assert actual.shape == (num_samples, 2)
+    assert _relative_error(actual, oracles.convolve_sum(sources, firs, num_samples)) <= 1e-14
+
+
+def test_convolutive_scene_matches_direct_convolution_draw_for_draw():
+    # a reference that draws in the documented order and convolves directly
+    # pins both the draw order and the overlap-add images
+    spec = _spec(num_channels=2, mixing="convolutive_fir", num_samples=8000, seed=11)
+    scene = generate_scene(spec)
+    mixture, target, background = oracles.convolutive_scene(spec)
+    assert _relative_error(scene.mixture.samples, mixture) <= 1e-13
+    assert _relative_error(scene.target_image, target) <= 1e-13
+    assert _relative_error(scene.background_image, background) <= 1e-13
 
 
 # ---------------------------------------------------------------- serialization
