@@ -26,7 +26,7 @@ certifies the state it starts from with the covariance it builds anyway
 The contrast is bounded below, so the update needs no floor, load or retry:
 the model adds ACTIVITY_OFFSET times the mean squared frame activity to each
 one (_offset_activity), which keeps the majorizer exact, the gauss model
-scale invariant and V above a multiple of I (_weighted_covariance_stack).
+scale invariant and V above a multiple of I (_frame_weights).
 Like the STFT's Hamming window, the offset is a fixed constant, not a setting.
 
 The steps take the raw (F, N, M) array; only extract_spectral, the entry
@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import linalg
-from .stft import _BLOCK_BYTES, SpectralTensor, analyze, synthesize
+from .stft import _BLOCK_BYTES, SpectralTensor, _split, analyze, synthesize
 
 __all__ = [
     "ContrastModel",
@@ -131,8 +131,9 @@ class DemixingState:
     demixes the raw data, and activity the per-frame source magnitude of the
     current estimate. The states of a run also carry that estimate, the
     (F, N) signal (W_f w_f)^H x_fn; five_iteration sets previous_residual,
-    the head_residual of the state it started from. The background demixing
-    block is not stored: the monitor takes the orthonormal complement of w.
+    the head_residual (up to rounding) of the state it started from. The
+    background demixing block is not stored: the monitor takes the
+    orthonormal complement of w.
     Coordinate 0 is the reference channel, the first one whitened.
     """
 
@@ -166,17 +167,33 @@ class ExtractionReport:
 
 
 def _covariance_stack(data, weights=None, whiteners=None):
-    # (1/N) sum_n weight_n x_fn x_fn^H per bin, or with whiteners W that of
-    # the whitened y = W^H x, which is W^H (...) W; hermitized against
+    """(1/N) sum_n weight_n x_fn x_fn^H per bin, or with whiteners W that of y = W^H x; bins split over the cores."""
+    n_bins, _, n_chan = data.shape
+    cov = np.empty((n_bins, n_chan, n_chan), dtype=np.complex128)
+
+    def build(start, stop):
+        share = slice(start, stop)
+        cov[share] = _covariance_block(data[share], weights, None if whiteners is None else whiteners[share])
+
+    _split(build, n_bins, data.nbytes)
+    return cov
+
+
+def _covariance_block(data, weights=None, whiteners=None):
+    # _covariance_stack on the calling thread. With whiteners the covariance
+    # of the whitened y = W^H x is W^H (...) W; hermitized against
     # rounding. A real product g = X^T (w X) on the interleaved (re, im)
     # view X needs no conjugate copy: with x = a + ib, Re = g_aa + g_bb,
     # Im = g_ba - g_ab. Blocks of bins of stft._BLOCK_BYTES keep the
     # contiguous copies inside the L2 cache, and each weighted block goes
     # into one reused buffer (a fresh temporary per block costs page faults).
+    # Data that needs no copy is one block: many small products run slower
+    # side by side on two cores than one at a time.
     n_bins, n_frames, n_chan = data.shape
     w = None if weights is None else np.repeat(weights, 2 * n_chan).reshape(n_frames, 2 * n_chan)
     g = np.empty((n_bins, 2 * n_chan, 2 * n_chan))
-    step = max(1, _BLOCK_BYTES // (16 * n_frames * n_chan))
+    copied = w is not None or data.dtype != np.complex128 or not data.flags.c_contiguous
+    step = max(1, _BLOCK_BYTES // (16 * n_frames * n_chan)) if copied else max(1, n_bins)
     weighted = None if w is None else np.empty((min(step, n_bins), n_frames, 2 * n_chan))
     for start in range(0, n_bins, step):
         block = np.ascontiguousarray(data[start : start + step], dtype=np.complex128).view(np.float64)
@@ -215,18 +232,17 @@ def _offset_activity(activity):
     return np.sqrt(power + ACTIVITY_OFFSET * np.mean(power))
 
 
-def _weighted_covariance_stack(data, activity, contrast, whiteners=None):
-    """Frame-weighted sample covariances V_f of every bin of the raw data.
+def _frame_weights(activity, contrast):
+    """Frame weights of the weighted covariances V_f = (1/N) sum_n weight_n x_fn x_fn^H.
 
     The gain sum_n G(r~_n) of the offset activities is concave in the r_n^2,
     so its tangent plane, the exact majorizer, weights frame n by
     phi(r~_n) + ACTIVITY_OFFSET * mean_k phi(r~_k): finite for a silent
     frame, and for whitened data V >= ACTIVITY_OFFSET * mean_k phi(r~_k) I.
-    With whiteners W the result is the whitened W^H V W. The triple loop in
-    tests/test_core.py is its reference.
+    The triple loop in tests/test_core.py is the reference of V.
     """
     weights = contrast.weight(_offset_activity(activity))
-    return _covariance_stack(data, weights + ACTIVITY_OFFSET * np.mean(weights), whiteners)
+    return weights + ACTIVITY_OFFSET * np.mean(weights)
 
 
 def _demixing_filters(whiteners, w):
@@ -234,9 +250,16 @@ def _demixing_filters(whiteners, w):
     return (whiteners @ w[:, :, None])[:, :, 0]
 
 
+def _demix(w, data, out):
+    """apply_demixing into the (F, N) complex128 out."""
+    np.matmul(data, np.conj(w)[:, :, None], out=out[:, :, None])
+
+
 def apply_demixing(w, data):
     """Extracted signal w^H x per bin and frame; w is (F, M), data (F, N, M), result (F, N) complex128."""
-    return (np.asarray(data, dtype=np.complex128) @ np.conj(w)[:, :, None])[:, :, 0]
+    out = np.empty(np.shape(data)[:2], dtype=np.complex128)
+    _demix(w, data, out)
+    return out
 
 
 def five_iteration(state, data, contrast):
@@ -250,27 +273,48 @@ def five_iteration(state, data, contrast):
     started from the current w, under a residual guard. V is Hermitian by
     construction, so it is not checked. The estimate (W w)^H x, one pass
     over the data, and its activity come from the new filters. Whitened V
-    is bounded below (_weighted_covariance_stack), so lambda > 0; a bin
+    is bounded below (_frame_weights), so lambda > 0; a bin
     where it is not, which only whiteners that do not whiten the data can
     produce, raises DegenerateCovarianceError. V is also the matrix that certifies
     the incoming state (see DemixingState).
-    """
-    cov = _weighted_covariance_stack(data, state.activity, contrast, state.whiteners)
-    values, vector = linalg.smallest_eigenpair(cov, state.w)
-    smallest = values[:, -1]
-    bad = ~(smallest > 0)
-    if np.any(bad):
-        raise DegenerateCovarianceError(f"weighted covariance degenerate at bin {np.flatnonzero(bad)[0]}")
 
-    w = vector / np.sqrt(smallest)[:, None]
-    estimate = apply_demixing(_demixing_filters(state.whiteners, w), data)
+    Both per-bin passes, V to w and then the estimate, run in shares of bins
+    over the cores (stft._split); the frame weights, the activity and the
+    certificate's max over bins are taken over every bin on the calling
+    thread. The estimate is allocated after the first pass has freed its V.
+    """
+    weights = _frame_weights(state.activity, contrast)
+    whiteners, previous = state.whiteners, state.w
+    w = np.empty(previous.shape, dtype=np.complex128)
+    residuals = np.empty(len(w))
+
+    def update(start, stop):
+        share = slice(start, stop)
+        cov = _covariance_block(data[share], weights, whiteners[share])
+        values, vector = linalg.smallest_eigenpair(cov, previous[share])
+        smallest = values[:, -1]
+        bad = ~(smallest > 0)
+        if np.any(bad):
+            raise DegenerateCovarianceError(
+                f"weighted covariance degenerate at bin {start + np.flatnonzero(bad)[0]}"
+            )
+        w[share] = vector / np.sqrt(smallest)[:, None]
+        residuals[share] = _certificate(previous[share], (cov @ previous[share][:, :, None])[:, :, 0])
+
+    def demix(start, stop):
+        share = slice(start, stop)
+        _demix(_demixing_filters(whiteners[share], w[share]), data[share], estimate[share])
+
+    _split(update, len(w), data.nbytes)
+    estimate = np.empty(data.shape[:2], dtype=np.complex128)
+    _split(demix, len(w), data.nbytes)
     return DemixingState(
-        whiteners=state.whiteners,
+        whiteners=whiteners,
         w=w,
         activity=_activity(estimate),
         iteration=state.iteration + 1,
         estimate=estimate,
-        previous_residual=_certificate(state.w, cov),
+        previous_residual=float(residuals.max()),
     )
 
 
@@ -311,14 +355,14 @@ def evaluate_nll(state, contrast):
     )
 
 
-def _certificate(w, v_cov):
-    # (I - u u^H) V w is formed as a vector: ||Vw||^2 - |u^H V w|^2 cancels
-    # to about 1e-8 relative. A zero w (a state built by hand) scores 1.
-    vw = (v_cov @ w[:, :, None])[:, :, 0]
+def _certificate(w, vw):
+    # Per bin, from w and the product V w. (I - u u^H) V w is formed as a
+    # vector: ||Vw||^2 - |u^H V w|^2 cancels to about 1e-8 relative. A zero
+    # w (a state built by hand) scores 1.
     scale = np.sum(np.conj(w) * vw, axis=1)
     norms2 = np.sum(np.abs(w) ** 2, axis=1)
     perp = vw - (scale / np.where(norms2 > 0, norms2, 1.0))[:, None] * w
-    return float(np.sqrt(np.abs(scale - 1.0) ** 2 + np.sum(np.abs(perp) ** 2, axis=1)).max())
+    return np.sqrt(np.abs(scale - 1.0) ** 2 + np.sum(np.abs(perp) ** 2, axis=1))
 
 
 def head_residual(state, data, contrast):
@@ -329,9 +373,27 @@ def head_residual(state, data, contrast):
     prewhiten) and J the orthonormal complement of w, as in evaluate_nll.
     Per bin this is sqrt(|w^H V w - 1|^2 + ||(I - u u^H) V w||^2) with
     u = w/||w||. At a fixed point of five_iteration the residual vanishes.
+
+    Only V w is needed, and it takes one pass over the data without forming
+    V: W^H (1/N) sum_n weight_n x_n conj(s_n) for the state's estimate
+    s = (W w)^H x (apply_demixing when it has none), in shares of bins over
+    the cores. It agrees with five_iteration's certificate of the same state
+    up to rounding.
     """
-    v_cov = _weighted_covariance_stack(data, state.activity, contrast, state.whiteners)
-    return _certificate(state.w, v_cov)
+    weights = _frame_weights(state.activity, contrast) / state.activity.shape[0]
+    whiteners, w = state.whiteners, state.w
+    estimate = state.estimate
+    if estimate is None:
+        estimate = apply_demixing(_demixing_filters(whiteners, w), data)
+    vw = np.empty(w.shape, dtype=np.complex128)
+
+    def product(start, stop):
+        share = slice(start, stop)
+        raw = ((weights * np.conj(estimate[share]))[:, None, :] @ data[share])[:, 0, :]
+        vw[share] = (np.conj(np.swapaxes(whiteners[share], 1, 2)) @ raw[:, :, None])[:, :, 0]
+
+    _split(product, len(w), data.nbytes)
+    return float(_certificate(w, vw).max())
 
 
 def project_back(state):
@@ -352,9 +414,16 @@ def project_back(state):
 def _initial_state(whiteners, data):
     """The state of the filter e_0: the whitened reference x_ref / sqrt(C_ref,ref), demixed by W e_0.
 
-    W is upper triangular, so W e_0 = W_00 e_0: channel 0 scaled by the real W_00, with no product.
+    W is upper triangular, so W e_0 = W_00 e_0: channel 0 scaled by the real W_00, with no product,
+    in shares of bins over the cores.
     """
-    estimate = np.asarray(data[:, :, 0], dtype=np.complex128) * np.real(whiteners[:, 0, 0])[:, None]
+    scale = np.real(whiteners[:, 0, 0])[:, None]
+    estimate = np.empty(data.shape[:2], dtype=np.complex128)
+
+    def scaled(start, stop):
+        np.multiply(data[start:stop, :, 0], scale[start:stop], out=estimate[start:stop])
+
+    _split(scaled, len(data), data.nbytes)
     w = np.zeros(whiteners.shape[:2], dtype=np.complex128)
     w[:, 0] = 1.0
     return DemixingState(whiteners, w, _activity(estimate), estimate=estimate)
@@ -383,10 +452,10 @@ def extract_spectral(spec, config, callback=None):
     Returns the projected (F, N) extracted signal and an ExtractionReport
     with one record per kept state (record 0: whitening and the initial
     estimate), each certified by the update after it; a monitored run that
-    exhausts max_iterations certifies its last with one more build, which
-    may converge it too. A converged run drops its certifying update and
-    adds that update's time to the last record. Wall times exclude only the
-    NLL and the post-loop build.
+    exhausts max_iterations certifies its last with one more pass
+    (head_residual), which may converge it too. A converged run drops its
+    certifying update and adds that update's time to the last record. Wall
+    times exclude only the NLL and that post-loop pass.
     """
     t0 = time.perf_counter()
     original = spec.data if isinstance(spec, SpectralTensor) else np.asarray(spec)

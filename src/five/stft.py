@@ -12,8 +12,16 @@ contiguous rows: analyze windows cache-sized blocks of frames into one
 contiguous buffer, transforms it and transposes each block into place;
 synthesize inverts one contiguous (frames, channels, bins) copy and
 overlap-adds hop-sized slabs.
+
+A large pass over independent frames or bins is split into contiguous
+shares, one per core the process may use, which run on one module-level
+thread pool (_split); analyze's frames and core's per-bin passes use it.
+Every share computes what the whole pass would, so outputs do not depend
+on the number of cores.
 """
 
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +34,35 @@ __all__ = ["StftConfig", "SpectralTensor", "ShortSignalError", "analyze", "synth
 # covariance builds: a block's working copies stay inside a 2 MiB per-core
 # L2 cache.
 _BLOCK_BYTES = 1 << 19
+# Bytes of input a share of a split pass holds at least: below this the
+# hand-off to a thread costs more than the share's work saves.
+_SHARE_BYTES = 1 << 22
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_pool = None  # (pid, executor): a forked child must not reuse its parent's threads
+
+
+def _split(kernel, count, nbytes):
+    """Call kernel(start, stop) on contiguous shares of range(count), one per worker.
+
+    A pass of nbytes input bytes gets at most one share per _SHARE_BYTES, so a
+    small pass runs as one share on the calling thread. Kernels write into
+    outputs the caller allocated, and must not call _split themselves: a
+    worker that waits on the pool can deadlock it. Every share is finished
+    before the first failing one's exception, in share order, is raised.
+    """
+    global _pool
+    shares = max(1, min(_WORKERS, count, nbytes // _SHARE_BYTES))
+    if shares == 1:
+        kernel(0, count)
+        return
+    if _pool is None or _pool[0] != os.getpid():  # callers that race here each get a working pool
+        _pool = (os.getpid(), ThreadPoolExecutor(_WORKERS, thread_name_prefix="five"))
+    pool = _pool[1]
+    bounds = [count * k // shares for k in range(shares + 1)]
+    futures = [pool.submit(kernel, start, stop) for start, stop in zip(bounds, bounds[1:])]
+    wait(futures)
+    for future in futures:
+        future.result()
 
 
 class ShortSignalError(ValueError):
@@ -85,8 +122,12 @@ class SpectralTensor:
                 f"bin count {data.shape[0]} does not match frame_size "
                 f"{self.config.frame_size} (expected {self.config.num_bins})"
             )
-        if not np.all(np.isfinite(data)):
-            raise ValueError("data must be finite")
+
+        def check(start, stop):
+            if not np.all(np.isfinite(data[start:stop])):
+                raise ValueError("data must be finite")
+
+        _split(check, len(data), data.nbytes)
         self.data = data
 
     @property
@@ -108,9 +149,10 @@ def analyze(wave, config=None):
     The tail is zero-padded so each input sample is covered by at least one
     frame; the original length is recorded so synthesize can trim back.
     Frames are windowed and transformed in blocks of about _BLOCK_BYTES of
-    spectra; every frame's spectrum equals np.fft.rfft of that windowed
-    frame to the bit. Samples near the float64 limit can overflow in the
-    transform, which SpectralTensor rejects as non-finite data.
+    spectra, in shares of frames over the cores (_split); every frame's
+    spectrum equals np.fft.rfft of that windowed frame to the bit. Samples
+    near the float64 limit can overflow in the transform, which
+    SpectralTensor rejects as non-finite data.
 
     Parameters
     ----------
@@ -136,18 +178,23 @@ def analyze(wave, config=None):
     if padded_len > x.shape[0]:
         x = np.concatenate([x, np.zeros((padded_len - x.shape[0], x.shape[1]))])
 
-    # (frames, channels, frame) view. Each block of frames is windowed into
-    # one reused buffer (a fresh temporary per block costs page faults) and
-    # its transposed spectra fill a contiguous run in every bin of the output.
+    # (frames, channels, frame) view. Each block of a share's frames is
+    # windowed into the share's one reused buffer (a fresh temporary per
+    # block costs page faults) and its transposed spectra fill a contiguous
+    # run in every bin of the output.
     frames = np.lib.stride_tricks.sliding_window_view(x, frame, axis=0)[::hop]
     win = config.window_samples()
     spectra = np.empty((config.num_bins, n_frames, x.shape[1]), dtype=np.complex128)
     step = max(1, _BLOCK_BYTES // (16 * config.num_bins * x.shape[1]))
-    windowed = np.empty((min(step, n_frames), x.shape[1], frame))
-    for start in range(0, n_frames, step):
-        block = windowed[: min(step, n_frames - start)]
-        np.multiply(frames[start : start + step], win, out=block)
-        spectra[:, start : start + step] = np.fft.rfft(block, axis=-1).transpose(2, 0, 1)
+
+    def transform(first, last):
+        windowed = np.empty((min(step, last - first), x.shape[1], frame))
+        for start in range(first, last, step):
+            block = windowed[: min(step, last - start)]
+            np.multiply(frames[start : start + len(block)], win, out=block)
+            spectra[:, start : start + len(block)] = np.fft.rfft(block, axis=-1).transpose(2, 0, 1)
+
+    _split(transform, n_frames, spectra.nbytes)
     return SpectralTensor(
         data=spectra,
         sample_rate=wave.sample_rate,

@@ -30,7 +30,8 @@ def test_every_traced_target_resolves():
 
 def test_monitored_extraction_leaves_no_span_silent():
     # every span reads the path a monitored extraction runs, except the
-    # explicit whitening product (off the path) and the eigen fallback
+    # explicit whitening product (off the path), the eigen fallback and
+    # apply_demixing, whose product five_iteration makes in place
     spans = _load_spans()
     rng = np.random.default_rng(0)
     wave = five.MultichannelWave(16000, rng.standard_normal((16 * 256, 3)))
@@ -38,4 +39,26 @@ def test_monitored_extraction_leaves_no_span_silent():
     with spans.Tracer() as tracer:
         five.extract(wave, five.StftConfig(frame_size=256), config)
     silent = set(spans.SPAN_NAMES) - {span.name for span in tracer.spans}
-    assert silent == {"linalg.apply_inverse_hermitian_transpose", "linalg.eig_hermitian"}
+    assert silent == {"linalg.apply_inverse_hermitian_transpose", "linalg.eig_hermitian", "core.apply_demixing"}
+
+
+def test_trace_of_a_split_extraction_nests(monkeypatch):
+    # above the gate the passes run in shares on the pool's threads, which
+    # call no traced function: every span lies inside its parent and no
+    # self time is negative
+    spans = _load_spans()
+    monkeypatch.setattr(five.stft, "_WORKERS", 3)
+    rng = np.random.default_rng(1)
+    wave = five.MultichannelWave(16000, rng.standard_normal((1024 * 256, 4)))
+    config = five.FiveConfig(contrast=five.ContrastModel("gauss", num_bins=257), max_iterations=2)
+    spec = five.analyze(wave, five.StftConfig(frame_size=512))
+    assert spec.data.nbytes // five.stft._SHARE_BYTES >= 3
+    with spans.Tracer() as tracer:
+        five.extract(wave, five.StftConfig(frame_size=512), config)
+    assert {"stft.analyze", "core.five_iteration", "core.head_residual"} <= {span.name for span in tracer.spans}
+    for span in tracer.spans:
+        if span.parent is not None:
+            parent = tracer.spans[span.parent]
+            assert parent.start <= span.start <= span.end <= parent.end
+    for per_name in tracer.per_extraction().values():
+        assert all(self_ms >= 0 for self_ms, _, _ in per_name.values())

@@ -72,7 +72,7 @@ def _whiteners(data):
 
 def _bin_covariance(data, activity, contrast, f):
     # the weighted covariance of bin f alone, by the update's all-bin build
-    return core._weighted_covariance_stack(data[f : f + 1], activity, contrast)[0]
+    return core._covariance_stack(data[f : f + 1], core._frame_weights(activity, contrast))[0]
 
 
 # ---------------------------------------------------------------- contrast models
@@ -398,7 +398,7 @@ def test_weighted_covariance_bounded_below_on_prewhitened_stack(kind):
     activity = rng.uniform(0.5, 2.0, 64)
     activity[5] = 0.0
     contrast = ContrastModel(kind, num_bins=8)
-    v_cov = core._weighted_covariance_stack(data, activity, contrast, whiteners)
+    v_cov = core._covariance_stack(data, core._frame_weights(activity, contrast), whiteners)
     power = activity**2
     phi = contrast.weight(np.sqrt(power + core.ACTIVITY_OFFSET * np.mean(power)))
     bound = core.ACTIVITY_OFFSET * np.mean(phi)
@@ -649,9 +649,10 @@ def test_iteration_carries_certificate_of_incoming_state():
     contrast = ContrastModel("gauss", num_bins=8)
     state = core._initial_state(whiteners, data)
     for _ in range(3):
+        # head_residual forms V w in one pass, the update from the V it builds
         expected = head_residual(state, data, contrast)
         state = five_iteration(state, data, contrast)
-        assert state.previous_residual == expected
+        assert state.previous_residual == pytest.approx(expected, rel=1e-12)
 
 
 def test_report_records_certify_their_own_state():
@@ -680,10 +681,11 @@ def test_report_records_certify_their_own_state():
 @pytest.mark.parametrize("monitoring", [True, False])
 def test_monitored_run_costs_one_covariance_build(monkeypatch, monitoring):
     # K updates: K eigenpair calls with no eig_hermitian fallback, and K
-    # covariance builds plus one more for the last certificate when monitoring
-    counts = {"pair": 0, "eig": 0, "cov": 0}
+    # weighted covariance builds; the last certificate of a monitored run is
+    # one head_residual, which builds no covariance
+    counts = {"pair": 0, "eig": 0, "cov": 0, "certify": 0}
     pair, eig = core.linalg.smallest_eigenpair, core.linalg.eig_hermitian
-    build = core._weighted_covariance_stack
+    build, certify = core._covariance_block, core.head_residual
 
     def counting_pair(*args, **kwargs):
         counts["pair"] += 1
@@ -693,13 +695,18 @@ def test_monitored_run_costs_one_covariance_build(monkeypatch, monitoring):
         counts["eig"] += 1
         return eig(*args, **kwargs)
 
-    def counting_build(*args, **kwargs):
-        counts["cov"] += 1
-        return build(*args, **kwargs)
+    def counting_build(data, weights=None, whiteners=None):
+        counts["cov"] += weights is not None
+        return build(data, weights, whiteners)
+
+    def counting_certify(*args, **kwargs):
+        counts["certify"] += 1
+        return certify(*args, **kwargs)
 
     monkeypatch.setattr(core.linalg, "smallest_eigenpair", counting_pair)
     monkeypatch.setattr(core.linalg, "eig_hermitian", counting_eig)
-    monkeypatch.setattr(core, "_weighted_covariance_stack", counting_build)
+    monkeypatch.setattr(core, "_covariance_block", counting_build)
+    monkeypatch.setattr(core, "head_residual", counting_certify)
     rng = np.random.default_rng(61)
     data = _two_source_mixture(rng, 8, 200, noise_floor=0.01)
     from five.stft import SpectralTensor
@@ -710,7 +717,7 @@ def test_monitored_run_costs_one_covariance_build(monkeypatch, monitoring):
     )
     _, report = extract_spectral(spec, config)
     assert report.iterations_run == 4
-    assert counts == {"pair": 4, "eig": 0, "cov": 5 if monitoring else 4}
+    assert counts == {"pair": 4, "eig": 0, "cov": 4, "certify": int(monitoring)}
 
 
 @pytest.mark.parametrize("monitoring", [True, False])
@@ -720,13 +727,13 @@ def test_run_makes_one_demixing_product_per_update(monkeypatch, monitoring):
     # update demixes once, the callback gets the state of the update, and
     # the output is the projection of the last state
     counts = {"demix": 0, "raw": 0}
-    demix = core.apply_demixing
+    demix, product = core.apply_demixing, core._demix
 
-    def counting_demix(*args, **kwargs):
+    def counting_product(*args, **kwargs):
         counts["demix"] += 1
-        return demix(*args, **kwargs)
+        return product(*args, **kwargs)
 
-    monkeypatch.setattr(core, "apply_demixing", counting_demix)
+    monkeypatch.setattr(core, "_demix", counting_product)
     rng = np.random.default_rng(62)
     data = _two_source_mixture(rng, 8, 200, noise_floor=0.01)
     spec = SpectralTensor(data, 16000, StftConfig(frame_size=14))
@@ -750,7 +757,7 @@ def test_nll_reads_no_data(monkeypatch):
     contrast = ContrastModel("gauss", num_bins=8)
     state = five_iteration(core._initial_state(_whiteners(data), data), data, contrast)
     counts = {"demix": 0, "cov": 0}
-    demix, build = core.apply_demixing, core._covariance_stack
+    demix, build = core._demix, core._covariance_block
 
     def counting_demix(*args, **kwargs):
         counts["demix"] += 1
@@ -760,8 +767,8 @@ def test_nll_reads_no_data(monkeypatch):
         counts["cov"] += 1
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(core, "apply_demixing", counting_demix)
-    monkeypatch.setattr(core, "_covariance_stack", counting_build)
+    monkeypatch.setattr(core, "_demix", counting_demix)
+    monkeypatch.setattr(core, "_covariance_block", counting_build)
     assert np.isfinite(evaluate_nll(state, contrast))
     assert counts == {"demix": 0, "cov": 0}
 
@@ -888,7 +895,7 @@ def test_project_back_reads_no_data(monkeypatch, ref_channel):
     config = FiveConfig(ContrastModel("gauss", num_bins=8), max_iterations=3, ref_channel=ref_channel)
     extract_spectral(data, config, callback=lambda it, state: states.append(state))
     counts = {"demix": 0, "cov": 0}
-    demix, build = core.apply_demixing, core._covariance_stack
+    demix, build = core._demix, core._covariance_block
 
     def counting_demix(*args, **kwargs):
         counts["demix"] += 1
@@ -898,8 +905,8 @@ def test_project_back_reads_no_data(monkeypatch, ref_channel):
         counts["cov"] += 1
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(core, "apply_demixing", counting_demix)
-    monkeypatch.setattr(core, "_covariance_stack", counting_build)
+    monkeypatch.setattr(core, "_demix", counting_demix)
+    monkeypatch.setattr(core, "_covariance_block", counting_build)
     for state in states:
         got = project_back(state)
         want = oracles.project_back(state.estimate, data, ref_channel)
@@ -947,21 +954,27 @@ def test_extract_spectral_report_monotone_and_early_stop():
 
 
 def _counting_converged_run(monkeypatch, monitoring, max_iterations=200):
-    # a laplace run with early_stop_tol 1e-8 that counts updates and
-    # covariance builds and keeps every state its callback receives
-    counts = {"updates": 0, "builds": 0}
-    update, build = core.five_iteration, core._weighted_covariance_stack
+    # a laplace run with early_stop_tol 1e-8 that counts updates, weighted
+    # covariance builds and post-loop certificates and keeps every state its
+    # callback receives
+    counts = {"updates": 0, "builds": 0, "certificates": 0}
+    update, build, certify = core.five_iteration, core._covariance_block, core.head_residual
 
     def counting_update(*args, **kwargs):
         counts["updates"] += 1
         return update(*args, **kwargs)
 
-    def counting_build(*args, **kwargs):
-        counts["builds"] += 1
-        return build(*args, **kwargs)
+    def counting_build(data, weights=None, whiteners=None):
+        counts["builds"] += weights is not None
+        return build(data, weights, whiteners)
+
+    def counting_certify(*args, **kwargs):
+        counts["certificates"] += 1
+        return certify(*args, **kwargs)
 
     monkeypatch.setattr(core, "five_iteration", counting_update)
-    monkeypatch.setattr(core, "_weighted_covariance_stack", counting_build)
+    monkeypatch.setattr(core, "_covariance_block", counting_build)
+    monkeypatch.setattr(core, "head_residual", counting_certify)
     data = _two_source_mixture(np.random.default_rng(54), 16, 400)
     config = FiveConfig(
         ContrastModel("laplace"), max_iterations=max_iterations, nll_monitoring=monitoring, early_stop_tol=1e-8
@@ -981,6 +994,7 @@ def test_converged_run_returns_the_state_its_certificate_is_for(monkeypatch, mon
     last = states[-1]
     assert report.converged
     assert counts["builds"] == counts["updates"] == report.iterations_run + 1
+    assert counts["certificates"] == 0
     assert report.iterations_run == last.iteration == len(states) - 1
     assert [r.iteration for r in report.records] == [s.iteration for s in states]
     assert np.array_equal(extracted, project_back(last))
@@ -995,16 +1009,20 @@ def test_converged_run_returns_the_state_its_certificate_is_for(monkeypatch, mon
 @pytest.mark.parametrize("monitoring", [True, False])
 def test_run_that_uses_every_update_certifies_its_last_state(monkeypatch, monitoring):
     # stopped one update short of its certifying update, a monitored run
-    # builds one more covariance for its last record and, that certificate
-    # being within tol, is converged; an unmonitored run never certifies it
+    # certifies its last record by head_residual and, that certificate being
+    # within tol, is converged; an unmonitored run never certifies it.
+    # head_residual forms V w in one pass, the dropped update from the V it
+    # builds: the two certificates of the same state agree up to rounding
     _, _, converged, _, _ = _counting_converged_run(monkeypatch, monitoring)
     k = converged.iterations_run
     _, _, report, _, counts = _counting_converged_run(monkeypatch, monitoring, max_iterations=k)
     assert report.iterations_run == k
-    assert counts == {"updates": k, "builds": k + monitoring}
+    assert counts == {"updates": k, "builds": k, "certificates": int(monitoring)}
     assert report.converged == monitoring
     if monitoring:
-        assert report.records[-1].head_residual == converged.records[-1].head_residual
+        assert report.records[-1].head_residual == pytest.approx(
+            converged.records[-1].head_residual, rel=1e-12, abs=1e-13
+        )
 
 
 def test_converged_run_times_its_certifying_update(monkeypatch):
