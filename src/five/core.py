@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import linalg
-from .stft import _BLOCK_BYTES, SpectralTensor, _split, analyze, synthesize
+from .stft import _BLOCK_BYTES, SpectralTensor, _check_finite, _split, analyze, synthesize
 
 __all__ = [
     "ContrastModel",
@@ -103,6 +103,11 @@ class ContrastModel:
         return 2.0 * self.num_bins * np.log(r)
 
 
+def _is_integer(value):
+    """An Integral other than a bool: True is no iteration count and no channel."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class FiveConfig:
     """Extraction settings; early_stop_tol, if set, bounds the head_residual of the returned state."""
@@ -114,12 +119,12 @@ class FiveConfig:
     early_stop_tol: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.max_iterations, numbers.Integral) or self.max_iterations < 1:
+        if not _is_integer(self.max_iterations) or self.max_iterations < 1:
             raise ValueError("max_iterations must be an integer >= 1")
         if self.early_stop_tol is not None and not self.early_stop_tol > 0:  # also rejects NaN
             raise ValueError("early_stop_tol must be None or > 0")
-        if self.ref_channel < 0:
-            raise ValueError("ref_channel must be >= 0")
+        if not _is_integer(self.ref_channel) or self.ref_channel < 0:
+            raise ValueError("ref_channel must be an integer >= 0")
 
 
 @dataclass
@@ -222,8 +227,27 @@ def prewhiten(covariance):
 
 
 def _activity(extracted):
-    """Per-frame magnitude across all bins of the (F, N) estimate."""
-    return np.sqrt(np.sum(np.abs(extracted) ** 2, axis=0))
+    """Per-frame magnitude across all bins of the (F, N) estimate.
+
+    sqrt(sum_f |s_fn|^2) without an (F, N) temporary: |s|^2 of each block of
+    bins of stft._BLOCK_BYTES of estimate goes into one reused buffer, under
+    a first row that carries the running sum, so every frame still adds its
+    bins one after another in bin order, to the bit of one pass.
+    """
+    n_bins, n_frames = extracted.shape
+    step = max(1, _BLOCK_BYTES // (16 * n_frames))
+    buffer = np.empty((min(step, n_bins) + 1, n_frames))
+    total = np.empty(n_frames)
+    for start in range(0, n_bins, step):
+        rows = buffer[1 : 1 + min(step, n_bins - start)]
+        np.abs(extracted[start : start + step], out=rows)
+        np.square(rows, out=rows)
+        if start:
+            buffer[0] = total
+            np.sum(buffer[: 1 + len(rows)], axis=0, out=total)
+        else:
+            np.sum(rows, axis=0, out=total)
+    return np.sqrt(total, out=total)
 
 
 def _offset_activity(activity):
@@ -377,8 +401,10 @@ def head_residual(state, data, contrast):
     Only V w is needed, and it takes one pass over the data without forming
     V: W^H (1/N) sum_n weight_n x_n conj(s_n) for the state's estimate
     s = (W w)^H x (apply_demixing when it has none), in shares of bins over
-    the cores. It agrees with five_iteration's certificate of the same state
-    up to rounding.
+    the cores. Each share holds one temporary, its weighted conj(s), so the
+    pass adds at most one (F, N) estimate's size to the data and the
+    state's estimate. It agrees with five_iteration's certificate of the
+    same state up to rounding.
     """
     weights = _frame_weights(state.activity, contrast) / state.activity.shape[0]
     whiteners, w = state.whiteners, state.w
@@ -389,7 +415,9 @@ def head_residual(state, data, contrast):
 
     def product(start, stop):
         share = slice(start, stop)
-        raw = ((weights * np.conj(estimate[share]))[:, None, :] @ data[share])[:, 0, :]
+        weighted = np.conj(estimate[share])
+        weighted *= weights
+        raw = (weighted[:, None, :] @ data[share])[:, 0, :]
         vw[share] = (np.conj(np.swapaxes(whiteners[share], 1, 2)) @ raw[:, :, None])[:, :, 0]
 
     _split(product, len(w), data.nbytes)
@@ -443,7 +471,8 @@ def extract_spectral(spec, config, callback=None):
     kept channels is factored again. Unless they are all the channels in
     order, the kept channels are copied once, and the state has one entry
     per kept channel. Only a reference silent in some bin can be dropped,
-    and that raises SilentReferenceChannelError.
+    and that raises SilentReferenceChannelError. Raw data that is not
+    finite raises the ValueError a SpectralTensor raises.
 
     callback(iteration, state) is invoked for the initial state (iteration
     0) and every kept update; state.estimate is the raw (un-projected)
@@ -460,6 +489,8 @@ def extract_spectral(spec, config, callback=None):
     t0 = time.perf_counter()
     original = spec.data if isinstance(spec, SpectralTensor) else np.asarray(spec)
     _, n_frames, n_chan = original.shape
+    if not isinstance(spec, SpectralTensor):  # a SpectralTensor was checked when it was made
+        _check_finite(original)
     ref = config.ref_channel
     if ref >= n_chan:
         raise ValueError(f"ref_channel {ref} out of range for {n_chan} channels")
@@ -523,8 +554,11 @@ def extract(wave, stft_config, five_config):
     """End-to-end extraction from a multichannel wave to a mono wave.
 
     Returns the extracted single-channel MultichannelWave (same length as
-    the input) and the ExtractionReport.
+    the input) and the ExtractionReport. The working set is the (F, N, M)
+    spectrogram plus two (F, N) estimates; the spectrogram is released
+    before synthesize, which needs only the projected estimate.
     """
     spec = analyze(wave, stft_config)
     extracted, report = extract_spectral(spec, five_config)
-    return synthesize(replace(spec, data=extracted[:, :, None])), report
+    spec = replace(spec, data=extracted[:, :, None])
+    return synthesize(spec), report

@@ -65,6 +65,16 @@ def _split(kernel, count, nbytes):
         future.result()
 
 
+def _check_finite(data):
+    """Raise ValueError unless every entry of the array is finite; in shares over the cores."""
+
+    def check(start, stop):
+        if not np.all(np.isfinite(data[start:stop])):
+            raise ValueError("data must be finite")
+
+    _split(check, len(data), data.nbytes)
+
+
 class ShortSignalError(ValueError):
     """Input shorter than a single analysis frame."""
 
@@ -122,12 +132,7 @@ class SpectralTensor:
                 f"bin count {data.shape[0]} does not match frame_size "
                 f"{self.config.frame_size} (expected {self.config.num_bins})"
             )
-
-        def check(start, stop):
-            if not np.all(np.isfinite(data[start:stop])):
-                raise ValueError("data must be finite")
-
-        _split(check, len(data), data.nbytes)
+        _check_finite(data)
         self.data = data
 
     @property
@@ -150,9 +155,12 @@ def analyze(wave, config=None):
     frame; the original length is recorded so synthesize can trim back.
     Frames are windowed and transformed in blocks of about _BLOCK_BYTES of
     spectra, in shares of frames over the cores (_split); every frame's
-    spectrum equals np.fft.rfft of that windowed frame to the bit. Samples
-    near the float64 limit can overflow in the transform, which
-    SpectralTensor rejects as non-finite data.
+    spectrum equals np.fft.rfft of that windowed frame to the bit. The
+    signal is not copied: frames are read in place, and only a frame that
+    runs past the end comes from a zero-padded copy of its samples, so the
+    working set is the spectrogram plus one block of windowed frames and
+    their spectra per share. Samples near the float64 limit can overflow in
+    the transform, which SpectralTensor rejects as non-finite data.
 
     Parameters
     ----------
@@ -174,15 +182,17 @@ def analyze(wave, config=None):
         )
 
     n_frames = 1 + -(-(x.shape[0] - frame) // hop)  # ceil division
-    padded_len = (n_frames - 1) * hop + frame
-    if padded_len > x.shape[0]:
-        x = np.concatenate([x, np.zeros((padded_len - x.shape[0], x.shape[1]))])
-
-    # (frames, channels, frame) view. Each block of a share's frames is
-    # windowed into the share's one reused buffer (a fresh temporary per
-    # block costs page faults) and its transposed spectra fill a contiguous
-    # run in every bin of the output.
+    # (frames, channels, frame) view of the frames inside the signal. At
+    # most the last frame runs past the end (the padding is under one hop);
+    # it is read from a zero-padded copy of the tail, one frame per channel.
     frames = np.lib.stride_tricks.sliding_window_view(x, frame, axis=0)[::hop]
+    inside = len(frames)
+    if inside < n_frames:
+        tail = np.zeros((x.shape[1], frame))
+        tail[:, : x.shape[0] - inside * hop] = x[inside * hop :].T
+    # Each block of a share's frames is windowed into the share's one reused
+    # buffer (a fresh temporary per block costs page faults) and its
+    # transposed spectra fill a contiguous run in every bin of the output.
     win = config.window_samples()
     spectra = np.empty((config.num_bins, n_frames, x.shape[1]), dtype=np.complex128)
     step = max(1, _BLOCK_BYTES // (16 * config.num_bins * x.shape[1]))
@@ -191,7 +201,9 @@ def analyze(wave, config=None):
         windowed = np.empty((min(step, last - first), x.shape[1], frame))
         for start in range(first, last, step):
             block = windowed[: min(step, last - start)]
-            np.multiply(frames[start : start + len(block)], win, out=block)
+            np.multiply(frames[start : start + len(block)], win, out=block[: inside - start])
+            if start + len(block) > inside:
+                np.multiply(tail, win, out=block[-1])
             spectra[:, start : start + len(block)] = np.fft.rfft(block, axis=-1).transpose(2, 0, 1)
 
     _split(transform, n_frames, spectra.nbytes)

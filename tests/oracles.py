@@ -25,6 +25,11 @@ def whiten_by_cholesky(data):
     return linalg.apply_inverse_hermitian_transpose(q, data), q
 
 
+def activity(extracted):
+    """Per-frame magnitude sqrt(sum_f |s_fn|^2) of an (F, N) estimate, in one pass over every bin."""
+    return np.sqrt(np.sum(np.abs(extracted) ** 2, axis=0))
+
+
 def project_back(extracted, original, ref_channel=0):
     """Least-squares rescaling of an (F, N) estimate onto channel ref_channel of the raw data.
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from five import core, linalg
+from five import core, linalg, stft
 from five.core import (
     ContrastModel,
     DegenerateCovarianceError,
@@ -114,6 +114,13 @@ def test_config_validation():
         with pytest.raises(ValueError):
             FiveConfig(contrast, **bad)
     FiveConfig(contrast, max_iterations=np.int64(5), early_stop_tol=1e-8)
+    # a fractional or bool channel would fail inside the extraction with an
+    # IndexError or a numpy error about boolean arrays; True would run one update
+    for bad in ({"ref_channel": 1.5}, {"ref_channel": True}, {"ref_channel": -1},
+                {"max_iterations": True}, {"max_iterations": np.True_}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            FiveConfig(contrast, **bad)
+    assert FiveConfig(contrast, ref_channel=np.int64(2)).ref_channel == 2
 
 
 # ---------------------------------------------------------------- prewhiten
@@ -278,6 +285,17 @@ def test_activity_matches_elementwise_oracle():
     for n in range(4):
         want = np.sqrt(sum(abs(extracted[f, n]) ** 2 for f in range(16)))
         assert abs(got[n] - want) <= 1e-12
+
+
+@pytest.mark.parametrize("n_frames", [1, 78, 400, 1874])
+def test_activity_matches_one_pass_to_the_bit(n_frames):
+    # bin counts on either side of one and two blocks of _activity, and bins
+    # whose magnitudes span many orders, where the summation order shows
+    step = stft._BLOCK_BYTES // (16 * n_frames)
+    rng = np.random.default_rng(n_frames)
+    for n_bins in (1, step - 1, step, step + 1, 2 * step + 3):
+        extracted = _cnormal(rng, (n_bins, n_frames)) * np.exp(5 * rng.standard_normal((n_bins, 1)))
+        assert np.array_equal(core._activity(extracted), oracles.activity(extracted))
 
 
 # ---------------------------------------------------------------- iteration
@@ -1054,6 +1072,19 @@ def test_extract_spectral_ref_channel_validated():
     config = FiveConfig(contrast=ContrastModel("laplace"), ref_channel=5)
     with pytest.raises(ValueError, match="ref_channel"):
         extract_spectral(spec, config)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_extract_spectral_rejects_raw_data_that_is_not_finite(value):
+    # the check a SpectralTensor makes, not the silent-reference error that
+    # whitening a NaN would raise
+    data = _two_source_mixture(np.random.default_rng(56), 4, 64)
+    data[2, 10, 1] = value
+    with pytest.raises(ValueError, match="data must be finite") as info:
+        extract_spectral(data, FiveConfig(contrast=ContrastModel("laplace")))
+    assert type(info.value) is ValueError
+    with pytest.raises(ValueError, match="data must be finite"):
+        SpectralTensor(data, 16000, StftConfig(frame_size=6))
 
 
 def test_extract_silent_reference_channel_names_it():

@@ -156,6 +156,22 @@ def test_analyze_blocks_match_per_frame_rfft(channels, frame, hop):
     assert spec.num_frames == 1
 
 
+@pytest.mark.parametrize("frame", [16, 512])
+def test_analyze_quarter_hop_tails_match_per_frame_rfft(frame):
+    # hop = frame/4: the signal's last frame of samples spans four frames, and
+    # the last of them may run past the end by 1 to hop - 1 samples; lengths
+    # from one frame to a few, at every kind of remainder
+    hop = frame // 4
+    config = StftConfig(frame_size=frame, hop=hop)
+    rng = np.random.default_rng(frame + 4)
+    for frames_in in range(1, 6):
+        for extra in sorted({0, 1, hop // 2, hop - 1}):
+            samples = rng.standard_normal(((frames_in - 1) * hop + frame + extra, 2))
+            spec = analyze(_wave(samples), config)
+            assert spec.num_frames == frames_in + (extra > 0)
+            assert np.array_equal(spec.data, _rfft_by_frame(samples, config))
+
+
 def test_analyze_rejects_spectra_that_overflow():
     # finite samples near the float64 limit sum to inf in the transform, so
     # SpectralTensor's finiteness check on analyze's output is not redundant
