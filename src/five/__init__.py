@@ -21,7 +21,6 @@ from .scenes import (
     SceneSpec,
     generate_scene,
     load_scene,
-    oracle_max_sinr,
     save_scene,
 )
 from .stft import SpectralTensor, StftConfig, analyze, synthesize
@@ -51,7 +50,6 @@ __all__ = [
     "generate_scene",
     "head_residual",
     "load_scene",
-    "oracle_max_sinr",
     "prewhiten",
     "project_back",
     "read_wave",

@@ -68,7 +68,7 @@ class DegenerateCovarianceError(RuntimeError):
 
 
 class SilentReferenceChannelError(ValueError):
-    """The reference channel is silent in some bin: whitening, which it leads, would drop it."""
+    """The reference channel is silent in the bin it names: whitening, which it leads, would drop it."""
 
 
 @dataclass(frozen=True)
@@ -171,23 +171,21 @@ class ExtractionReport:
         return [r.nll for r in self.records if r.nll is not None]
 
 
-def _covariance_stack(data, weights=None, whiteners=None):
-    """(1/N) sum_n weight_n x_fn x_fn^H per bin, or with whiteners W that of y = W^H x; bins split over the cores."""
-    n_bins, _, n_chan = data.shape
-    cov = np.empty((n_bins, n_chan, n_chan), dtype=np.complex128)
+def _covariance_stack(data):
+    """The sample covariance (1/N) sum_n x_fn x_fn^H of every bin; bins split over the cores."""
+    cov = np.empty((len(data), data.shape[2], data.shape[2]), dtype=np.complex128)
 
     def build(start, stop):
-        share = slice(start, stop)
-        cov[share] = _covariance_block(data[share], weights, None if whiteners is None else whiteners[share])
+        cov[start:stop] = _covariance_block(data[start:stop])
 
-    _split(build, n_bins, data.nbytes)
+    _split(build, len(data), data.nbytes)
     return cov
 
 
 def _covariance_block(data, weights=None, whiteners=None):
-    # _covariance_stack on the calling thread. With whiteners the covariance
-    # of the whitened y = W^H x is W^H (...) W; hermitized against
-    # rounding. A real product g = X^T (w X) on the interleaved (re, im)
+    # (1/N) sum_n weight_n x_fn x_fn^H per bin, on the calling thread; with
+    # whiteners W that of the whitened y = W^H x, W^H (...) W; hermitized
+    # against rounding. A real product g = X^T (w X) on the interleaved (re, im)
     # view X needs no conjugate copy: with x = a + ib, Re = g_aa + g_bb,
     # Im = g_ba - g_ab. Blocks of bins of stft._BLOCK_BYTES keep the
     # contiguous copies inside the L2 cache, and each weighted block goes
@@ -227,27 +225,8 @@ def prewhiten(covariance):
 
 
 def _activity(extracted):
-    """Per-frame magnitude across all bins of the (F, N) estimate.
-
-    sqrt(sum_f |s_fn|^2) without an (F, N) temporary: |s|^2 of each block of
-    bins of stft._BLOCK_BYTES of estimate goes into one reused buffer, under
-    a first row that carries the running sum, so every frame still adds its
-    bins one after another in bin order, to the bit of one pass.
-    """
-    n_bins, n_frames = extracted.shape
-    step = max(1, _BLOCK_BYTES // (16 * n_frames))
-    buffer = np.empty((min(step, n_bins) + 1, n_frames))
-    total = np.empty(n_frames)
-    for start in range(0, n_bins, step):
-        rows = buffer[1 : 1 + min(step, n_bins - start)]
-        np.abs(extracted[start : start + step], out=rows)
-        np.square(rows, out=rows)
-        if start:
-            buffer[0] = total
-            np.sum(buffer[: 1 + len(rows)], axis=0, out=total)
-        else:
-            np.sum(rows, axis=0, out=total)
-    return np.sqrt(total, out=total)
+    """Per-frame magnitude sqrt(sum_f |s_fn|^2) across all bins of the (F, N) estimate; no (F, N) temporary."""
+    return np.sqrt(np.vecdot(extracted, extracted, axis=0).real)
 
 
 def _offset_activity(activity):
@@ -471,8 +450,9 @@ def extract_spectral(spec, config, callback=None):
     kept channels is factored again. Unless they are all the channels in
     order, the kept channels are copied once, and the state has one entry
     per kept channel. Only a reference silent in some bin can be dropped,
-    and that raises SilentReferenceChannelError. Raw data that is not
-    finite raises the ValueError a SpectralTensor raises.
+    and that raises SilentReferenceChannelError, which names the first such
+    bin. Raw data that is not finite, or not (bins, frames, channels) with
+    a bin, raises the ValueError a SpectralTensor raises.
 
     callback(iteration, state) is invoked for the initial state (iteration
     0) and every kept update; state.estimate is the raw (un-projected)
@@ -488,9 +468,11 @@ def extract_spectral(spec, config, callback=None):
     """
     t0 = time.perf_counter()
     original = spec.data if isinstance(spec, SpectralTensor) else np.asarray(spec)
-    _, n_frames, n_chan = original.shape
     if not isinstance(spec, SpectralTensor):  # a SpectralTensor was checked when it was made
+        if original.ndim != 3 or not len(original):
+            raise ValueError("data must have shape (bins, frames, channels), with at least one bin")
         _check_finite(original)
+    _, n_frames, n_chan = original.shape
     ref = config.ref_channel
     if ref >= n_chan:
         raise ValueError(f"ref_channel {ref} out of range for {n_chan} channels")
@@ -508,7 +490,9 @@ def extract_spectral(spec, config, callback=None):
             break
         except linalg.NotPositiveDefiniteError as exc:
             if exc.pivot_index == 0:
-                raise SilentReferenceChannelError(f"reference channel {ref} is silent in some bin") from exc
+                f = exc.matrix_index
+                every = "" if np.any(original[f]) else ", as is every channel"
+                raise SilentReferenceChannelError(f"reference channel {ref} is silent in bin {f}{every}") from exc
             rest = np.delete(np.arange(len(kept)), exc.pivot_index)
             cov, kept = cov[:, rest[:, None], rest], kept[rest]
     data = original if np.array_equal(kept, np.arange(n_chan)) else np.take(original, kept, axis=2)
@@ -560,5 +544,5 @@ def extract(wave, stft_config, five_config):
     """
     spec = analyze(wave, stft_config)
     extracted, report = extract_spectral(spec, five_config)
-    spec = replace(spec, data=extracted[:, :, None])
+    spec.data = extracted[:, :, None]  # extract owns spec: no second scan for finiteness
     return synthesize(spec), report

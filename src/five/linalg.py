@@ -42,11 +42,12 @@ class NotHermitianError(ValueError):
 
 
 class NotPositiveDefiniteError(ValueError):
-    """Cholesky hit a non-positive pivot; carries the pivot index."""
+    """Cholesky hit a non-positive pivot; carries its index and that of the first matrix failing there."""
 
-    def __init__(self, pivot_index, message=None):
+    def __init__(self, pivot_index, matrix_index):
         self.pivot_index = pivot_index
-        super().__init__(message or f"matrix is not positive definite (pivot {pivot_index})")
+        self.matrix_index = matrix_index
+        super().__init__(f"matrix {matrix_index} is not positive definite (pivot {pivot_index})")
 
 
 class EigenConvergenceError(RuntimeError):
@@ -78,7 +79,8 @@ def cholesky(a):
     Pivots q_jj^2 at or below _PIVOT_RTOL times the largest diagonal entry of
     their matrix raise NotPositiveDefiniteError. Its pivot_index is the
     lowest failing pivot over the stack: for covariances, the first channel
-    that adds no rank to the channels before it in some matrix.
+    that adds no rank to the channels before it in some matrix, and its
+    matrix_index the first matrix of the flattened stack that fails there.
     """
     a = np.asarray(a, dtype=np.complex128)
     check_hermitian(a)
@@ -96,7 +98,9 @@ def cholesky(a):
             pivots = np.moveaxis(minors[1:] / minors[:-1], 0, -1)
     failing = ~(pivots > tol[..., None])  # NaN fails too
     if lower is None or np.any(failing):
-        raise NotPositiveDefiniteError(int(np.argmax(failing.reshape(-1, a.shape[-1]).any(axis=0))))
+        failing = failing.reshape(-1, a.shape[-1])
+        pivot = int(np.argmax(failing.any(axis=0)))
+        raise NotPositiveDefiniteError(pivot, int(np.argmax(failing[:, pivot])))
     return _conj_t(lower)
 
 

@@ -10,7 +10,9 @@ overlap-add FFT convolution per image (target, interference), which
 equals direct convolution up to rounding. In both modes the target is
 rescaled so the realized channel-1 signal-to-interference-and-noise ratio
 matches the request exactly, and the channel-1 ground-truth images
-satisfy mixture = target + background bit-exactly.
+satisfy mixture = target + background bit-exactly. Instantaneous scenes
+also carry the true per-bin target and background covariances, which
+the max-SINR oracles of the tests and the benchmark read.
 """
 
 import struct
@@ -20,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import linalg
 from .stft import SpectralTensor, StftConfig
 from .wavio import MultichannelWave, read_wave, write_wave
 
@@ -28,8 +29,6 @@ __all__ = [
     "SceneSpec",
     "GroundTruthScene",
     "generate_scene",
-    "oracle_max_sinr",
-    "beamformer_sinr",
     "tensor_config",
     "save_scene",
     "load_scene",
@@ -283,33 +282,6 @@ def _generate_convolutive(spec, rng):
         target_image=mixture[:, 0] - background_image,
         background_image=background_image,
     )
-
-
-def beamformer_sinr(w, target_cov, background_cov):
-    """Per-bin ratio w^H S w / w^H B w of the true covariance quadratic forms."""
-    num = np.real(np.einsum("fm,fmk,fk->f", np.conj(w), target_cov, w))
-    den = np.real(np.einsum("fm,fmk,fk->f", np.conj(w), background_cov, w))
-    return num / den
-
-
-def oracle_max_sinr(scene):
-    """Reference beamformer from the true covariances (unachievable blindly).
-
-    Per bin, returns the top generalized eigenvector of (S + B, B) computed
-    by whitening with the true background covariance B. Requires a scene
-    generated in instantaneous mode (true covariances attached).
-    """
-    if scene.true_background_covariance is None:
-        raise ValueError("scene carries no true covariances")
-    background = scene.true_background_covariance
-    mixture_cov = scene.true_target_covariance + background
-    factor = linalg.cholesky(background)
-    factor_inv = linalg.inverse_upper_triangular(factor)
-    whitened = np.conj(np.swapaxes(factor_inv, 1, 2)) @ mixture_cov @ factor_inv
-    whitened = 0.5 * (whitened + np.conj(np.swapaxes(whitened, 1, 2)))
-    _, vectors = linalg.eig_hermitian(whitened)
-    top = vectors[:, :, 0]
-    return (factor_inv @ top[:, :, None])[:, :, 0]
 
 
 def write_tensor(path, array):

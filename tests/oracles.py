@@ -91,6 +91,33 @@ def stationarity_residual(state, data, contrast):
     return worst
 
 
+def beamformer_sinr(w, target_cov, background_cov):
+    """Per-bin ratio w^H S w / w^H B w of the true covariance quadratic forms."""
+    num = np.real(np.einsum("fm,fmk,fk->f", np.conj(w), target_cov, w))
+    den = np.real(np.einsum("fm,fmk,fk->f", np.conj(w), background_cov, w))
+    return num / den
+
+
+def oracle_max_sinr(scene):
+    """Reference beamformer from the true covariances (unachievable blindly).
+
+    Per bin, returns the top generalized eigenvector of (S + B, B) computed
+    by whitening with the true background covariance B. Requires a scene
+    generated in instantaneous mode (true covariances attached).
+    """
+    if scene.true_background_covariance is None:
+        raise ValueError("scene carries no true covariances")
+    background = scene.true_background_covariance
+    mixture_cov = scene.true_target_covariance + background
+    factor = linalg.cholesky(background)
+    factor_inv = linalg.inverse_upper_triangular(factor)
+    whitened = np.conj(np.swapaxes(factor_inv, 1, 2)) @ mixture_cov @ factor_inv
+    whitened = 0.5 * (whitened + np.conj(np.swapaxes(whitened, 1, 2)))
+    _, vectors = linalg.eig_hermitian(whitened)
+    top = vectors[:, :, 0]
+    return (factor_inv @ top[:, :, None])[:, :, 0]
+
+
 def convolve_sum(sources, firs, num_samples):
     """sum_q sources[q] convolved with firs[q, m] by direct np.convolve, first num_samples, as (num_samples, M)."""
     out = np.zeros((num_samples, firs.shape[1]))

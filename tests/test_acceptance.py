@@ -20,11 +20,11 @@ from five.core import (
 )
 from five.linalg import cholesky, eig_hermitian
 from five.metrics import evaluate_extraction, si_sdr
-from five.scenes import SceneSpec, generate_scene, oracle_max_sinr
+from five.scenes import SceneSpec, generate_scene
 from five.stft import StftConfig, analyze, synthesize
 from five.wavio import MultichannelWave
 import oracles
-from oracles import head_solutions, sample_covariance, stationarity_residual
+from oracles import head_solutions, oracle_max_sinr, sample_covariance, stationarity_residual
 
 
 def _passed(name, detail):

@@ -94,7 +94,7 @@ def test_cholesky_pivot_index_in_a_stack():
     stack = np.stack([_random_spd(rng, 3), bad, _random_spd(rng, 3)])
     with pytest.raises(NotPositiveDefiniteError) as info:
         cholesky(stack)
-    assert info.value.pivot_index == 1
+    assert (info.value.pivot_index, info.value.matrix_index) == (1, 1)
 
 
 def test_cholesky_relative_pivot_tolerance():
@@ -290,7 +290,7 @@ def test_covariance_stack_is_exactly_hermitian(weighted):
     rng = np.random.default_rng(44)
     data = rng.standard_normal((300, 200, 6)) + 1j * rng.standard_normal((300, 200, 6))
     weights = rng.uniform(0.1, 3.0, 200) if weighted else None
-    cov = core._covariance_stack(data, weights)
+    cov = core._covariance_block(data, weights)
     assert np.array_equal(cov, np.conj(np.swapaxes(cov, 1, 2)))
 
 

@@ -75,10 +75,12 @@ def test_head_residual_holds_at_most_one_estimate_temporary(data, start):
 
 def test_activity_holds_one_block(start):
     estimate = start.estimate
+    n_bins, n_frames = estimate.shape
     activity, peak = _peak(lambda: core._activity(estimate))
-    assert np.array_equal(activity, oracles.activity(estimate))
-    # below |s|^2 of every bin, an (F, N) float temporary
-    assert peak <= BLOCK < estimate.nbytes // 2
+    want = oracles.activity(estimate)
+    assert np.all(np.abs(activity - want) <= (n_bins + 2) * np.finfo(float).eps * want)
+    # a few (N,) vectors, far inside one block
+    assert peak <= 4 * 16 * n_frames < BLOCK
 
 
 def test_monitored_extraction_holds_the_spectrogram_and_two_estimates(wave):

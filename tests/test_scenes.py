@@ -15,10 +15,8 @@ from five.core import (
 from five.scenes import (
     GroundTruthScene,
     SceneSpec,
-    beamformer_sinr,
     generate_scene,
     load_scene,
-    oracle_max_sinr,
     read_image,
     read_tensor,
     save_scene,
@@ -26,6 +24,7 @@ from five.scenes import (
     write_tensor,
 )
 from five.wavio import MultichannelWave, write_wave
+from oracles import beamformer_sinr, oracle_max_sinr
 
 
 def _spec(**kw):

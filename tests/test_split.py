@@ -61,11 +61,9 @@ def test_analyze_is_bit_identical_split(monkeypatch):
 
 
 def test_covariance_builds_are_bit_identical_split(monkeypatch, data):
-    whiteners = core.prewhiten(core._covariance_stack(data))
-    weights = np.random.default_rng(72).uniform(0.1, 3.0, SHAPE[1])
-    for args in [(data,), (data, weights, whiteners)]:
-        serial, split = _both(monkeypatch, lambda: core._covariance_stack(*args))
-        assert np.array_equal(serial, split)
+    # the update's weighted build is checked split by test_update_and_certificate_are_bit_identical_split
+    serial, split = _both(monkeypatch, lambda: core._covariance_stack(data))
+    assert np.array_equal(serial, split)
 
 
 def test_update_and_certificate_are_bit_identical_split(monkeypatch, data):
