@@ -136,9 +136,10 @@ class DemixingState:
     demixes the raw data, and activity the per-frame source magnitude of the
     current estimate. The states of a run also carry that estimate, the
     (F, N) signal (W_f w_f)^H x_fn; five_iteration sets previous_residual,
-    the head_residual (up to rounding) of the state it started from. The
-    background demixing block is not stored: the monitor takes the
-    orthonormal complement of w.
+    the head_residual (up to rounding) of the state it started from. A run
+    without a callback passes one estimate buffer from state to state, so
+    only its latest state's estimate is valid. The background demixing
+    block is not stored: the monitor takes the orthonormal complement of w.
     Coordinate 0 is the reference channel, the first one whitened.
     """
 
@@ -258,6 +259,16 @@ def _demix(w, data, out):
     np.matmul(data, np.conj(w)[:, :, None], out=out[:, :, None])
 
 
+def _demix_shares(whiteners, w, data, out):
+    """The estimate (W w)^H x of filters w in whitened coordinates into out, in shares of bins over the cores."""
+
+    def demix(start, stop):
+        share = slice(start, stop)
+        _demix(_demixing_filters(whiteners[share], w[share]), data[share], out[share])
+
+    _split(demix, len(w), data.nbytes)
+
+
 def apply_demixing(w, data):
     """Extracted signal w^H x per bin and frame; w is (F, M), data (F, N, M), result (F, N) complex128."""
     out = np.empty(np.shape(data)[:2], dtype=np.complex128)
@@ -265,7 +276,7 @@ def apply_demixing(w, data):
     return out
 
 
-def five_iteration(state, data, contrast):
+def five_iteration(state, data, contrast, out=None):
     """One demixing update of the raw (F, N, M) data.
 
     Per bin: build the weighted covariance from the current activity and
@@ -284,7 +295,9 @@ def five_iteration(state, data, contrast):
     Both per-bin passes, V to w and then the estimate, run in shares of bins
     over the cores (stft._split); the frame weights, the activity and the
     certificate's max over bins are taken over every bin on the calling
-    thread. The estimate is allocated after the first pass has freed its V.
+    thread. The new estimate goes into out, an (F, N) complex128 buffer
+    that may be the state's own estimate (the update never reads it);
+    without out it is allocated after the first pass has freed its V.
     """
     weights = _frame_weights(state.activity, contrast)
     whiteners, previous = state.whiteners, state.w
@@ -304,13 +317,9 @@ def five_iteration(state, data, contrast):
         w[share] = vector / np.sqrt(smallest)[:, None]
         residuals[share] = _certificate(previous[share], (cov @ previous[share][:, :, None])[:, :, 0])
 
-    def demix(start, stop):
-        share = slice(start, stop)
-        _demix(_demixing_filters(whiteners[share], w[share]), data[share], estimate[share])
-
     _split(update, len(w), data.nbytes)
-    estimate = np.empty(data.shape[:2], dtype=np.complex128)
-    _split(demix, len(w), data.nbytes)
+    estimate = np.empty(data.shape[:2], dtype=np.complex128) if out is None else out
+    _demix_shares(whiteners, w, data, estimate)
     return DemixingState(
         whiteners=whiteners,
         w=w,
@@ -380,10 +389,10 @@ def head_residual(state, data, contrast):
     Only V w is needed, and it takes one pass over the data without forming
     V: W^H (1/N) sum_n weight_n x_n conj(s_n) for the state's estimate
     s = (W w)^H x (apply_demixing when it has none), in shares of bins over
-    the cores. Each share holds one temporary, its weighted conj(s), so the
-    pass adds at most one (F, N) estimate's size to the data and the
-    state's estimate. It agrees with five_iteration's certificate of the
-    same state up to rounding.
+    the cores. Each share weights conj(s) in one buffer, a block of bins of
+    about stft._BLOCK_BYTES at a time, so the pass adds a block per share to
+    the data and the state's estimate. It agrees with five_iteration's
+    certificate of the same state up to rounding.
     """
     weights = _frame_weights(state.activity, contrast) / state.activity.shape[0]
     whiteners, w = state.whiteners, state.w
@@ -391,19 +400,22 @@ def head_residual(state, data, contrast):
     if estimate is None:
         estimate = apply_demixing(_demixing_filters(whiteners, w), data)
     vw = np.empty(w.shape, dtype=np.complex128)
+    step = max(1, _BLOCK_BYTES // (16 * estimate.shape[1]))
 
     def product(start, stop):
-        share = slice(start, stop)
-        weighted = np.conj(estimate[share])
-        weighted *= weights
-        raw = (weighted[:, None, :] @ data[share])[:, 0, :]
-        vw[share] = (np.conj(np.swapaxes(whiteners[share], 1, 2)) @ raw[:, :, None])[:, :, 0]
+        buffer = np.empty((min(step, stop - start), estimate.shape[1]), dtype=np.complex128)
+        for first in range(start, stop, step):
+            block = slice(first, min(first + step, stop))
+            weighted = np.conj(estimate[block], out=buffer[: block.stop - first])
+            weighted *= weights
+            raw = (weighted[:, None, :] @ data[block])[:, 0, :]
+            vw[block] = (np.conj(np.swapaxes(whiteners[block], 1, 2)) @ raw[:, :, None])[:, :, 0]
 
     _split(product, len(w), data.nbytes)
     return float(_certificate(w, vw).max())
 
 
-def project_back(state):
+def project_back(state, out=None):
     """The state's estimate rescaled onto the reference channel by least squares; reads no data.
 
     Per bin the complex scale a = sum_n x_ref conj(s) / sum_n |s|^2 minimizes
@@ -411,11 +423,12 @@ def project_back(state):
     whitening (extract_spectral), so with C = Q^H Q and W = Q^{-1} upper
     triangular, sum_n |s|^2 = N ||w||^2 and sum_n x_ref conj(s) = N (C W w)_0
     = N (Q^H w)_0 = N w_0 / W_00, which gives a = w_0 / (W_00 ||w||^2). Its
-    accuracy is that of the whitening, about u kappa(C).
+    accuracy is that of the whitening, about u kappa(C). The result goes
+    into out, which may be state.estimate (scaled in place), or a new array.
     """
     norms2 = np.sum(np.abs(state.w) ** 2, axis=1)
     scale = state.w[:, 0] / (np.real(state.whiteners[:, 0, 0]) * norms2)
-    return scale[:, None] * state.estimate
+    return np.multiply(scale[:, None], state.estimate, out=out)
 
 
 def _initial_state(whiteners, data):
@@ -452,11 +465,19 @@ def extract_spectral(spec, config, callback=None):
     per kept channel. Only a reference silent in some bin can be dropped,
     and that raises SilentReferenceChannelError, which names the first such
     bin. Raw data that is not finite, or not (bins, frames, channels) with
-    a bin, raises the ValueError a SpectralTensor raises.
+    a bin, raises the ValueError a SpectralTensor raises. Data whose
+    squares overflow float64 raises ValueError for the first bin whose
+    sample covariance is not finite, and a reference that is nonzero in a
+    bin but whose squares underflow there to a zero power raises
+    ValueError, not SilentReferenceChannelError.
 
     callback(iteration, state) is invoked for the initial state (iteration
     0) and every kept update; state.estimate is the raw (un-projected)
-    extracted signal, and the last call's state is returned.
+    extracted signal, each state keeps its own, and the last call's state
+    is returned. Without a callback the run holds one (F, N) estimate, to
+    the same output bits: each update demixes into it (five_iteration's
+    out), a converged run demixes its returned state into it again, and
+    project_back scales it in place.
 
     Returns the projected (F, N) extracted signal and an ExtractionReport
     with one record per kept state (record 0: whitening and the initial
@@ -464,7 +485,7 @@ def extract_spectral(spec, config, callback=None):
     exhausts max_iterations certifies its last with one more pass
     (head_residual), which may converge it too. A converged run drops its
     certifying update and adds that update's time to the last record. Wall
-    times exclude only the NLL and that post-loop pass.
+    times exclude only the NLL and the passes after the loop.
     """
     t0 = time.perf_counter()
     original = spec.data if isinstance(spec, SpectralTensor) else np.asarray(spec)
@@ -482,6 +503,9 @@ def extract_spectral(spec, config, callback=None):
             f"covariance ({n_frames} frames, {n_chan} channels)"
         )
     cov, kept = _covariance_stack(original), np.r_[ref, np.delete(np.arange(n_chan), ref)]
+    if not np.all(np.isfinite(cov)):
+        f = np.flatnonzero(~np.isfinite(cov).all(axis=(1, 2)))[0]
+        raise ValueError(f"sample covariance is not finite in bin {f}: the squares of the samples overflow float64")
     if ref:
         cov = cov[:, kept[:, None], kept]
     while True:
@@ -491,10 +515,16 @@ def extract_spectral(spec, config, callback=None):
         except linalg.NotPositiveDefiniteError as exc:
             if exc.pivot_index == 0:
                 f = exc.matrix_index
+                if np.any(original[f, :, ref]):  # a zero sum of squares of samples that are not zero
+                    raise ValueError(
+                        f"reference channel {ref} is not silent in bin {f}, but the squares of its "
+                        "samples underflow float64 to 0"
+                    ) from exc
                 every = "" if np.any(original[f]) else ", as is every channel"
                 raise SilentReferenceChannelError(f"reference channel {ref} is silent in bin {f}{every}") from exc
             rest = np.delete(np.arange(len(kept)), exc.pivot_index)
             cov, kept = cov[:, rest[:, None], rest], kept[rest]
+    del cov  # an (F, M, M) stack kept through the run would raise every later peak
     data = original if np.array_equal(kept, np.arange(n_chan)) else np.take(original, kept, axis=2)
 
     state = _initial_state(whiteners, data)
@@ -516,10 +546,11 @@ def extract_spectral(spec, config, callback=None):
         report.converged = config.early_stop_tol is not None and residual <= config.early_stop_tol
         return report.converged
 
+    buffer = state.estimate if callback is None else None  # no state outlives its update: one estimate
     _record(setup_ms)
     for _ in range(config.max_iterations):
         t_iter = time.perf_counter()
-        update = five_iteration(state, data, contrast)
+        update = five_iteration(state, data, contrast, out=buffer)
         wall_ms = (time.perf_counter() - t_iter) * 1e3
         if _certify(update.previous_residual):  # the certifying update is dropped, its time kept
             last = report.records[-1]
@@ -530,8 +561,10 @@ def extract_spectral(spec, config, callback=None):
     if monitoring and not report.converged:  # the loop ran out: certify the last state
         _certify(head_residual(state, data, contrast))
     del update  # a dropped update's estimate would raise the peak of project_back
+    if buffer is not None and report.converged:  # the certifying update overwrote the state's estimate
+        _demix_shares(state.whiteners, state.w, data, buffer)
     report.iterations_run = state.iteration
-    return project_back(state), report
+    return project_back(state, out=buffer), report
 
 
 def extract(wave, stft_config, five_config):
@@ -539,8 +572,9 @@ def extract(wave, stft_config, five_config):
 
     Returns the extracted single-channel MultichannelWave (same length as
     the input) and the ExtractionReport. The working set is the (F, N, M)
-    spectrogram plus two (F, N) estimates; the spectrogram is released
-    before synthesize, which needs only the projected estimate.
+    spectrogram plus one (F, N) estimate, which every update overwrites and
+    the projection scales in place; the spectrogram is released before
+    synthesize, which needs only the projected estimate.
     """
     spec = analyze(wave, stft_config)
     extracted, report = extract_spectral(spec, five_config)

@@ -1064,6 +1064,111 @@ def test_converged_run_times_its_certifying_update(monkeypatch):
     assert timed_ms >= 1e3 * sleep_s * (report.iterations_run + 1)
 
 
+# ------------------------------------------------------- one estimate buffer
+
+# Without a callback the driver keeps one estimate buffer: each update
+# demixes into the estimate of the state it starts from, a converged run
+# demixes its returned state's estimate again, and the projection scales
+# the buffer in place. Each run below is one of: converged at state 0 (the
+# first update certifies the initial state), converged at some state k > 0,
+# and run out of updates.
+BUFFER_RUNS = {
+    "converged_at_0": dict(contrast=ContrastModel("laplace"), max_iterations=50, early_stop_tol=1e3),
+    "converged_at_k": dict(contrast=ContrastModel("laplace"), max_iterations=200, early_stop_tol=1e-8),
+    "ran_out": dict(contrast=ContrastModel("gauss", num_bins=16), max_iterations=4),
+}
+
+
+@pytest.fixture(params=[1, 2], ids=["one_share", "two_shares"])
+def shares(request, monkeypatch):
+    # (16, 400, 2) data holds 204,800 bytes: a 64 KiB gate splits it in two
+    monkeypatch.setattr(stft, "_WORKERS", request.param)
+    monkeypatch.setattr(stft, "_SHARE_BYTES", 1 << 16)
+    return request.param
+
+
+def _buffer_run(name, callback=None):
+    data = _two_source_mixture(np.random.default_rng(54), 16, 400)
+    extracted, report = extract_spectral(data, FiveConfig(**BUFFER_RUNS[name]), callback=callback)
+    return data, extracted, report
+
+
+def _check_buffer_run(name, report):
+    assert report.converged == name.startswith("converged")
+    assert (report.iterations_run == 0) == (name == "converged_at_0")
+
+
+@pytest.mark.parametrize("name", BUFFER_RUNS)
+def test_run_without_a_callback_matches_a_recorded_run_to_the_bit(shares, name):
+    _, alone, report = _buffer_run(name)
+    states = []
+    _, recorded, recorded_report = _buffer_run(name, lambda it, state: states.append(state))
+    _check_buffer_run(name, report)
+    assert np.array_equal(alone, recorded)
+    assert report.iterations_run == recorded_report.iterations_run == states[-1].iteration
+    assert report.converged == recorded_report.converged
+    assert [(r.iteration, r.nll, r.head_residual) for r in report.records] == [
+        (r.iteration, r.nll, r.head_residual) for r in recorded_report.records
+    ]
+
+
+@pytest.mark.parametrize("name", BUFFER_RUNS)
+def test_states_a_callback_holds_keep_their_own_estimates(shares, name):
+    # after the run, every state the callback received still carries the
+    # demix of its own filters, and no two share a buffer
+    states = []
+    data, extracted, report = _buffer_run(name, lambda it, state: states.append(state))
+    _check_buffer_run(name, report)
+    for state in states:
+        assert np.array_equal(state.estimate, apply_demixing(core._demixing_filters(state.whiteners, state.w), data))
+        assert not np.shares_memory(state.estimate, extracted)
+    assert len({id(state.estimate) for state in states}) == len(states)
+
+
+@pytest.mark.parametrize("name", BUFFER_RUNS)
+def test_converged_run_without_a_callback_demixes_once_more(monkeypatch, name):
+    # one demixing product per update, the dropped certifying update too;
+    # without a callback a converged run demixes its returned state once
+    # more, into the buffer the certifying update overwrote
+    counts = {"demix": 0}
+    product = core._demix
+
+    def counting_product(*args, **kwargs):
+        counts["demix"] += 1
+        return product(*args, **kwargs)
+
+    monkeypatch.setattr(core, "_demix", counting_product)
+    demixes = {}
+    for callback in (None, lambda it, state: None):
+        counts["demix"] = 0
+        _, _, report = _buffer_run(name, callback)
+        _check_buffer_run(name, report)
+        updates = report.iterations_run + report.converged
+        demixes[callback is None] = counts["demix"] - updates
+    assert demixes == {True: int(report.converged), False: 0}
+
+
+def test_update_and_projection_into_a_buffer_match_their_allocating_forms(shares):
+    data = _two_source_mixture(np.random.default_rng(54), 16, 400, noise_floor=0.01)
+    contrast = ContrastModel("gauss", num_bins=16)
+    state = core._initial_state(_whiteners(data), data)
+    for _ in range(3):
+        fresh = five_iteration(state, data, contrast)
+        buffer = state.estimate.copy()
+        reused = five_iteration(replace(state, estimate=buffer), data, contrast, out=buffer)
+        assert reused.estimate is buffer
+        assert np.array_equal(reused.estimate, fresh.estimate)
+        assert np.array_equal(reused.w, fresh.w)
+        assert np.array_equal(reused.activity, fresh.activity)
+        assert reused.previous_residual == fresh.previous_residual
+        state = fresh
+    projected = project_back(state)
+    buffer = state.estimate.copy()
+    in_place = project_back(replace(state, estimate=buffer), out=buffer)
+    assert in_place is buffer
+    assert np.array_equal(in_place, projected)
+
+
 def test_extract_spectral_ref_channel_validated():
     rng = np.random.default_rng(55)
     data = _two_source_mixture(rng, 4, 64)
@@ -1158,6 +1263,37 @@ def _extract_short(sample_rate, samples, ref_channel=0, callback=None):
     spec = analyze(MultichannelWave(sample_rate, samples), StftConfig(frame_size=1024))
     config = FiveConfig(contrast=ContrastModel("gauss", num_bins=513), ref_channel=ref_channel)
     return extract_spectral(spec, config, callback=callback)
+
+
+def test_an_overflowing_recording_is_not_called_silent(short_recording):
+    # at 2^510 the squares of the samples overflow: the covariance is not
+    # finite, which used to fail whitening as a silent reference in bin 0
+    from five import SilentReferenceChannelError
+
+    sample_rate, samples = short_recording
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError) as info:
+        _extract_short(sample_rate, np.ldexp(samples, 510))
+    assert not isinstance(info.value, SilentReferenceChannelError)
+    assert str(info.value) == (
+        "sample covariance is not finite in bin 0: the squares of the samples overflow float64"
+    )
+
+
+@pytest.mark.parametrize("exponent", [-560, -600])
+def test_an_underflowing_reference_is_not_called_silent(short_recording, exponent):
+    # the reference is nonzero in every bin, but the squares of its samples
+    # round to 0, so its power is 0 where whitening needs it positive
+    from five import SilentReferenceChannelError
+
+    sample_rate, samples = short_recording
+    scaled = np.ldexp(samples, exponent)
+    assert np.abs(scaled[:, 0]).max() > 0
+    with pytest.raises(ValueError) as info:
+        _extract_short(sample_rate, scaled)
+    assert not isinstance(info.value, SilentReferenceChannelError)
+    assert str(info.value) == (
+        "reference channel 0 is not silent in bin 0, but the squares of its samples underflow float64 to 0"
+    )
 
 
 @pytest.mark.parametrize(

@@ -1,15 +1,19 @@
 """Working-set bounds of the extraction, under tracemalloc.
 
-An extraction holds the (F, N, M) spectrogram and at most two (F, N)
-estimates at full size; every other temporary is a block of about
-stft._BLOCK_BYTES or a share of one (F, N) estimate. Each bound below is
-that working set plus a few blocks, well under one more (F, N) estimate.
-The input is above the gate of stft._split, and every pass runs with two
-workers, so the share count, and with it each bound, does not depend on
-the machine.
+An extraction holds the (F, N, M) spectrogram and one (F, N) estimate at
+full size: each update demixes into the estimate of the state it starts
+from, a converged run demixes its returned state's estimate back into that
+buffer, and the projection scales it in place. The set-up covariance is
+released before the first update. Every other temporary is a block of
+about stft._BLOCK_BYTES per share, or a per-frame vector. Each bound
+below is that working set plus a few blocks, well under one more (F, N)
+estimate. The input is above the gate of stft._split, and every pass runs
+with two workers, so the share count, and with it each bound, does not
+depend on the machine.
 """
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -67,10 +71,10 @@ def test_analyze_makes_no_copy_of_the_signal(wave):
     assert peak <= bound < spec.data.nbytes + wave.samples.nbytes
 
 
-def test_head_residual_holds_at_most_one_estimate_temporary(data, start):
+def test_head_residual_holds_a_block_per_share(data, start):
     _, peak = _peak(lambda: head_residual(start, data, ContrastModel("gauss", num_bins=len(data))))
-    # the two shares' weighted conj(s) make one (F, N) estimate together
-    assert peak <= start.estimate.nbytes + BLOCK < 2 * start.estimate.nbytes
+    # each of the two shares weights conj(s) one block of bins at a time, in one buffer
+    assert peak <= 3 * BLOCK < start.estimate.nbytes
 
 
 def test_activity_holds_one_block(start):
@@ -83,11 +87,47 @@ def test_activity_holds_one_block(start):
     assert peak <= 4 * 16 * n_frames < BLOCK
 
 
-def test_monitored_extraction_holds_the_spectrogram_and_two_estimates(wave):
-    config = FiveConfig(ContrastModel("gauss", num_bins=CONFIG.num_bins), max_iterations=3)
-    (_, report), peak = _peak(lambda: extract(wave, CONFIG, config))
-    assert report.iterations_run == 3
+def _one_estimate_bound(wave):
+    """The spectrogram plus one estimate plus a few blocks, below one more estimate."""
     n_frames = 1 + -(-(wave.num_samples - CONFIG.frame_size) // CONFIG.hop)
     estimate_bytes = 16 * CONFIG.num_bins * n_frames
-    working_set = wave.channels * estimate_bytes + 2 * estimate_bytes
-    assert peak <= working_set + 2 * BLOCK < working_set + estimate_bytes
+    working_set = wave.channels * estimate_bytes + estimate_bytes
+    bound = working_set + 4 * BLOCK
+    assert bound < working_set + estimate_bytes
+    return bound
+
+
+def test_monitored_extraction_holds_the_spectrogram_and_one_estimate(wave):
+    config = FiveConfig(ContrastModel("gauss", num_bins=CONFIG.num_bins), max_iterations=3)
+    (_, report), peak = _peak(lambda: extract(wave, CONFIG, config))
+    assert report.iterations_run == 3 and not report.converged
+    assert peak <= _one_estimate_bound(wave)
+
+
+def test_converged_extraction_holds_the_spectrogram_and_one_estimate(wave):
+    # the certifying update overwrites the returned state's estimate, which
+    # is demixed again into the same buffer
+    config = FiveConfig(ContrastModel("gauss", num_bins=CONFIG.num_bins), max_iterations=30, early_stop_tol=1e-3)
+    (_, report), peak = _peak(lambda: extract(wave, CONFIG, config))
+    assert report.converged and report.iterations_run > 0
+    assert peak <= _one_estimate_bound(wave)
+
+
+def test_set_up_covariance_is_released_before_the_first_update(monkeypatch, data):
+    # the (F, M, M) sample covariance serves only the whitening
+    covariances, held = [], []
+    stack, update = core._covariance_stack, core.five_iteration
+
+    def tracked_stack(data):
+        cov = stack(data)
+        covariances.append(weakref.ref(cov))
+        return cov
+
+    def checking_update(*args, **kwargs):
+        held.append(covariances[0]() is not None)
+        return update(*args, **kwargs)
+
+    monkeypatch.setattr(core, "_covariance_stack", tracked_stack)
+    monkeypatch.setattr(core, "five_iteration", checking_update)
+    core.extract_spectral(data, FiveConfig(ContrastModel("gauss", num_bins=len(data)), max_iterations=2))
+    assert held == [False, False]
