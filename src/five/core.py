@@ -172,12 +172,26 @@ class ExtractionReport:
         return [r.nll for r in self.records if r.nll is not None]
 
 
+def _chunks(start, stop, n_chan):
+    """Even slices of range(start, stop) of at least _BLOCK_BYTES of (M, M) matrices, if it holds that many.
+
+    That is 512 bins at M = 8; a share under 1820 bins at M <= 6 is one
+    slice. A share walked a chunk at a time holds a few _BLOCK_BYTES of
+    (M, M) temporaries. No chunk is shorter: numpy lays out a short stack
+    of V unlike a long one (see _covariance_block).
+    """
+    count = max(1, (stop - start) // max(1, _BLOCK_BYTES // (16 * n_chan * n_chan)))
+    bounds = [start + (stop - start) * k // count for k in range(count + 1)]
+    return [slice(first, last) for first, last in zip(bounds, bounds[1:])]
+
+
 def _covariance_stack(data):
-    """The sample covariance (1/N) sum_n x_fn x_fn^H of every bin; bins split over the cores."""
+    """The sample covariance (1/N) sum_n x_fn x_fn^H of every bin; bins split over the cores, in chunks."""
     cov = np.empty((len(data), data.shape[2], data.shape[2]), dtype=np.complex128)
 
     def build(start, stop):
-        cov[start:stop] = _covariance_block(data[start:stop])
+        for chunk in _chunks(start, stop, data.shape[2]):
+            cov[chunk] = _covariance_block(data[chunk])
 
     _split(build, len(data), data.nbytes)
     return cov
@@ -192,7 +206,8 @@ def _covariance_block(data, weights=None, whiteners=None):
     # contiguous copies inside the L2 cache, and each weighted block goes
     # into one reused buffer (a fresh temporary per block costs page faults).
     # Data that needs no copy is one block: many small products run slower
-    # side by side on two cores than one at a time.
+    # side by side on two cores than one at a time. Re and Im go into one
+    # complex array, and g is released before the whitening.
     n_bins, n_frames, n_chan = data.shape
     w = None if weights is None else np.repeat(weights, 2 * n_chan).reshape(n_frames, 2 * n_chan)
     g = np.empty((n_bins, 2 * n_chan, 2 * n_chan))
@@ -205,9 +220,14 @@ def _covariance_block(data, weights=None, whiteners=None):
         np.matmul(np.swapaxes(lhs, 1, 2), block, out=g[start : start + step])
     lhs = weighted = None  # a buffer that outlives the loop would raise the peak
     g /= n_frames
-    cov = g[:, 0::2, 0::2] + g[:, 1::2, 1::2] + 1j * (g[:, 1::2, 0::2] - g[:, 0::2, 1::2])
+    cov = np.empty((n_bins, n_chan, n_chan), dtype=np.complex128)
+    np.add(g[:, 0::2, 0::2], g[:, 1::2, 1::2], out=cov.real)
+    np.subtract(g[:, 1::2, 0::2], g[:, 0::2, 1::2], out=cov.imag)
+    g = None
     if whiteners is not None:
         cov = np.conj(np.swapaxes(whiteners, 1, 2)) @ (cov @ whiteners)
+    # numpy (2.4) lays this sum out per matrix row-major below 16384 entries and column-major
+    # from there, and the certificate's V w rounds differently on each: a rewrite keeps V, not its bits
     return 0.5 * (cov + np.conj(np.swapaxes(cov, 1, 2)))
 
 
@@ -255,7 +275,9 @@ def _demixing_filters(whiteners, w):
 
 
 def _demix(w, data, out):
-    """apply_demixing into the (F, N) complex128 out."""
+    """apply_demixing into the (F, N) complex128 out; a strided channel axis is copied first (faster)."""
+    if data.strides[2] != data.itemsize:
+        data = np.ascontiguousarray(data)
     np.matmul(data, np.conj(w)[:, :, None], out=out[:, :, None])
 
 
@@ -271,7 +293,8 @@ def _demix_shares(whiteners, w, data, out):
 
 def apply_demixing(w, data):
     """Extracted signal w^H x per bin and frame; w is (F, M), data (F, N, M), result (F, N) complex128."""
-    out = np.empty(np.shape(data)[:2], dtype=np.complex128)
+    data = np.asarray(data)
+    out = np.empty(data.shape[:2], dtype=np.complex128)
     _demix(w, data, out)
     return out
 
@@ -293,11 +316,13 @@ def five_iteration(state, data, contrast, out=None):
     the incoming state (see DemixingState).
 
     Both per-bin passes, V to w and then the estimate, run in shares of bins
-    over the cores (stft._split); the frame weights, the activity and the
-    certificate's max over bins are taken over every bin on the calling
-    thread. The new estimate goes into out, an (F, N) complex128 buffer
-    that may be the state's own estimate (the update never reads it);
-    without out it is allocated after the first pass has freed its V.
+    over the cores (stft._split), and each share builds V and its eigenpair
+    a chunk of bins at a time (_chunks), to the same bits. The frame
+    weights, the activity and the certificate's max over bins are taken
+    over every bin on the calling thread. The new estimate goes into out,
+    an (F, N) complex128 buffer that may be the state's own estimate (the
+    update never reads it); without out it is allocated after the first
+    pass has freed its V.
     """
     weights = _frame_weights(state.activity, contrast)
     whiteners, previous = state.whiteners, state.w
@@ -305,17 +330,18 @@ def five_iteration(state, data, contrast, out=None):
     residuals = np.empty(len(w))
 
     def update(start, stop):
-        share = slice(start, stop)
-        cov = _covariance_block(data[share], weights, whiteners[share])
-        values, vector = linalg.smallest_eigenpair(cov, previous[share])
-        smallest = values[:, -1]
-        bad = ~(smallest > 0)
-        if np.any(bad):
-            raise DegenerateCovarianceError(
-                f"weighted covariance degenerate at bin {start + np.flatnonzero(bad)[0]}"
-            )
-        w[share] = vector / np.sqrt(smallest)[:, None]
-        residuals[share] = _certificate(previous[share], (cov @ previous[share][:, :, None])[:, :, 0])
+        for chunk in _chunks(start, stop, data.shape[2]):
+            cov = _covariance_block(data[chunk], weights, whiteners[chunk])
+            values, vector = linalg.smallest_eigenpair(cov, previous[chunk])
+            smallest = values[:, -1]
+            bad = ~(smallest > 0)
+            if np.any(bad):
+                raise DegenerateCovarianceError(
+                    f"weighted covariance degenerate at bin {chunk.start + np.flatnonzero(bad)[0]}"
+                )
+            w[chunk] = vector / np.sqrt(smallest)[:, None]
+            residuals[chunk] = _certificate(previous[chunk], (cov @ previous[chunk][:, :, None])[:, :, 0])
+            cov = None  # not held through the next chunk's build
 
     _split(update, len(w), data.nbytes)
     estimate = np.empty(data.shape[:2], dtype=np.complex128) if out is None else out

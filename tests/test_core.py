@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -361,6 +362,24 @@ def test_apply_demixing_is_the_per_bin_product(layout):
     want = np.stack([np.conj(w[f]) @ data[f].T for f in range(9)])
     assert got.dtype == np.complex128 and got.shape == (9, 40)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_apply_demixing_copies_only_data_whose_channel_axis_is_strided():
+    # a transposed view is demixed as its contiguous copy, to the bit; a
+    # frame-strided view keeps a unit-stride channel axis and is read in place
+    rng = np.random.default_rng(40)
+    transposed = _cnormal(rng, (100, 4, 65)).transpose(2, 0, 1)
+    w = _cnormal(rng, (65, 4))
+    assert np.array_equal(apply_demixing(w, transposed), apply_demixing(w, np.ascontiguousarray(transposed)))
+    strided = np.ascontiguousarray(transposed)[:, ::2]
+    tracemalloc.start()
+    try:
+        got = apply_demixing(w, strided)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < got.nbytes + strided.nbytes // 2
+    assert np.array_equal(got, apply_demixing(w, np.ascontiguousarray(strided)))
 
 
 def test_initial_state_is_the_whitened_reference_channel():

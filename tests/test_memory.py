@@ -5,9 +5,10 @@ full size: each update demixes into the estimate of the state it starts
 from, a converged run demixes its returned state's estimate back into that
 buffer, and the projection scales it in place. The set-up covariance is
 released before the first update. Every other temporary is a block of
-about stft._BLOCK_BYTES per share, or a per-frame vector. Each bound
-below is that working set plus a few blocks, well under one more (F, N)
-estimate. The input is above the gate of stft._split, and every pass runs
+about stft._BLOCK_BYTES per share, or a per-frame vector; a share builds
+its per-bin (M, M) stacks a chunk of bins at a time (core._chunks), a
+few blocks at 8 channels. Each bound below is that working set plus a
+few blocks, well under one more (F, N) estimate. The input is above the gate of stft._split, and every pass runs
 with two workers, so the share count, and with it each bound, does not
 depend on the machine.
 """
@@ -131,3 +132,48 @@ def test_set_up_covariance_is_released_before_the_first_update(monkeypatch, data
     monkeypatch.setattr(core, "five_iteration", checking_update)
     core.extract_spectral(data, FiveConfig(ContrastModel("gauss", num_bins=len(data)), max_iterations=2))
     assert held == [False, False]
+
+
+EIGHT = StftConfig(frame_size=4096)
+
+
+@pytest.fixture(scope="module")
+def eight_channel_wave():
+    # 8 channels, 2049 bins, 40 frames: a bin-heavy 10.5 MB spectrogram,
+    # split in two shares of 1024 bins, each updated in two chunks of 512
+    rng = np.random.default_rng(81)
+    length = 39 * EIGHT.hop + EIGHT.frame_size
+    sources = rng.standard_normal((length, 8))
+    sources[:, 0] *= np.repeat(rng.laplace(size=length // EIGHT.hop + 1), EIGHT.hop)[:length] ** 2
+    return MultichannelWave(16000, sources @ rng.standard_normal((8, 8)))
+
+
+def test_eight_channel_update_and_set_up_hold_a_few_blocks_per_share(monkeypatch, eight_channel_wave):
+    # each share builds its (M, M) stacks a chunk at a time: its real product
+    # of two blocks and a few complex (M, M) blocks, not a whole share of them
+    peaks = {}
+
+    def stage(name):
+        fn = getattr(core, name)
+
+        def traced(*args, **kwargs):
+            tracemalloc.reset_peak()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                peaks[name] = max(peaks.get(name, 0), tracemalloc.get_traced_memory()[1])
+
+        monkeypatch.setattr(core, name, traced)
+
+    stage("_covariance_stack")
+    stage("five_iteration")
+    config = FiveConfig(ContrastModel("gauss", num_bins=EIGHT.num_bins), max_iterations=3)
+    _peak(lambda: extract(eight_channel_wave, EIGHT, config))
+    n_bins, n_chan = EIGHT.num_bins, eight_channel_wave.channels
+    n_frames = 1 + (eight_channel_wave.num_samples - EIGHT.frame_size) // EIGHT.hop
+    assert n_bins * n_frames * n_chan * 16 >= 2 * stft._SHARE_BYTES
+    spectrogram, estimate = n_bins * n_frames * n_chan * 16, n_bins * n_frames * 16
+    whiteners = n_bins * n_chan**2 * 16
+    # the set-up holds no estimate yet, and its output is the size of the whiteners
+    assert peaks["_covariance_stack"] <= spectrogram + whiteners + 8 * BLOCK
+    assert peaks["five_iteration"] <= spectrogram + estimate + whiteners + 12 * BLOCK

@@ -107,18 +107,53 @@ def test_many_workers_and_short_switch_interval_lose_no_share(monkeypatch, data)
         assert np.array_equal(update.w, want.w)
 
 
+def _few_bin_chunks(monkeypatch, bins):
+    """Chunks of at least bins bins at M = 4 (core._chunks), and weighted blocks of one bin."""
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 16 * SHAPE[2] ** 2 * bins)
+
+
+def test_chunks_tile_each_share_evenly():
+    # at M = 8, 512 bins or more per chunk: a share shorter than 1024 bins is one chunk
+    assert core._chunks(0, 1024, 8) == [slice(0, 512), slice(512, 1024)]
+    assert core._chunks(1024, 2049, 8) == [slice(1024, 1536), slice(1536, 2049)]
+    assert core._chunks(5, 1000, 8) == [slice(5, 1000)]
+    assert core._chunks(0, 2049, 4) == [slice(0, 2049)]
+
+
+def test_update_and_set_up_are_bit_identical_in_chunks(monkeypatch, data):
+    # 7-bin chunks put chunk bounds inside every share (share bounds 0, 85, 171, 257)
+    contrast = ContrastModel("gauss", num_bins=SHAPE[0])
+    state = five_iteration(_state(data), data, contrast)
+    monkeypatch.setattr(stft, "_WORKERS", 3)
+    whole, whole_cov = five_iteration(state, data, contrast), core._covariance_stack(data)
+    _few_bin_chunks(monkeypatch, 7)
+    assert len(core._chunks(85, 171, SHAPE[2])) == 12
+    chunked = five_iteration(state, data, contrast)
+    for name in ("w", "activity", "estimate"):
+        assert np.array_equal(getattr(whole, name), getattr(chunked, name)), name
+    assert whole.previous_residual == chunked.previous_residual
+    assert np.array_equal(whole_cov, core._covariance_stack(data))
+
+
 def test_degenerate_bin_is_named_by_its_global_index(monkeypatch, data):
     # zero whiteners make V zero in bins 100 and 200, in the second and third
-    # of three shares (bounds 0, 85, 171, 257): the error names bin 100
+    # of three shares (bounds 0, 85, 171, 257), and with 7-bin chunks in a
+    # later chunk of its share (the third; the fifteenth of one share): the
+    # error names bin 100
     state = _state(data)
     whiteners = state.whiteners.copy()
     whiteners[[100, 200]] = 0.0
     broken = core.DemixingState(whiteners, state.w, state.activity)
     contrast = ContrastModel("gauss", num_bins=SHAPE[0])
-    for workers in (1, 3):
-        monkeypatch.setattr(stft, "_WORKERS", workers)
-        with pytest.raises(DegenerateCovarianceError, match=r"at bin 100$"):
-            five_iteration(broken, data, contrast)
+    for chunk_bins in (None, 7):
+        if chunk_bins is not None:
+            _few_bin_chunks(monkeypatch, chunk_bins)
+            assert core._chunks(85, 171, SHAPE[2])[2] == slice(99, 106)
+            assert core._chunks(0, 257, SHAPE[2])[14] == slice(99, 107)
+        for workers in (1, 3):
+            monkeypatch.setattr(stft, "_WORKERS", workers)
+            with pytest.raises(DegenerateCovarianceError, match=r"at bin 100$"):
+                five_iteration(broken, data, contrast)
 
 
 def test_worker_exception_propagates_and_the_pool_still_works(monkeypatch, data):
