@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import linalg
-from .stft import _BLOCK_BYTES, SpectralTensor, _check_finite, _split, analyze, synthesize
+from .stft import SpectralTensor, _blocks, _check_finite, _is_integer, _split, analyze, synthesize
 
 __all__ = [
     "ContrastModel",
@@ -103,11 +103,6 @@ class ContrastModel:
         return 2.0 * self.num_bins * np.log(r)
 
 
-def _is_integer(value):
-    """An Integral other than a bool: True is no iteration count and no channel."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class FiveConfig:
     """Extraction settings; early_stop_tol, if set, bounds the head_residual of the returned state."""
@@ -121,8 +116,9 @@ class FiveConfig:
     def __post_init__(self):
         if not _is_integer(self.max_iterations) or self.max_iterations < 1:
             raise ValueError("max_iterations must be an integer >= 1")
-        if self.early_stop_tol is not None and not self.early_stop_tol > 0:  # also rejects NaN
-            raise ValueError("early_stop_tol must be None or > 0")
+        tol = self.early_stop_tol
+        if tol is not None and (isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol > 0):
+            raise ValueError("early_stop_tol must be None or a number > 0")  # not > 0 also rejects NaN
         if not _is_integer(self.ref_channel) or self.ref_channel < 0:
             raise ValueError("ref_channel must be an integer >= 0")
 
@@ -172,26 +168,13 @@ class ExtractionReport:
         return [r.nll for r in self.records if r.nll is not None]
 
 
-def _chunks(start, stop, n_chan):
-    """Even slices of range(start, stop) of at least _BLOCK_BYTES of (M, M) matrices, if it holds that many.
-
-    That is 512 bins at M = 8; a share under 1820 bins at M <= 6 is one
-    slice. A share walked a chunk at a time holds a few _BLOCK_BYTES of
-    (M, M) temporaries. No chunk is shorter: numpy lays out a short stack
-    of V unlike a long one (see _covariance_block).
-    """
-    count = max(1, (stop - start) // max(1, _BLOCK_BYTES // (16 * n_chan * n_chan)))
-    bounds = [start + (stop - start) * k // count for k in range(count + 1)]
-    return [slice(first, last) for first, last in zip(bounds, bounds[1:])]
-
-
 def _covariance_stack(data):
-    """The sample covariance (1/N) sum_n x_fn x_fn^H of every bin; bins split over the cores, in chunks."""
+    """The sample covariance (1/N) sum_n x_fn x_fn^H of every bin; bins split over the cores, in blocks."""
     cov = np.empty((len(data), data.shape[2], data.shape[2]), dtype=np.complex128)
 
     def build(start, stop):
-        for chunk in _chunks(start, stop, data.shape[2]):
-            cov[chunk] = _covariance_block(data[chunk])
+        for block in _blocks(start, stop, 16 * data.shape[2] ** 2):
+            cov[block] = _covariance_block(data[block])
 
     _split(build, len(data), data.nbytes)
     return cov
@@ -200,10 +183,10 @@ def _covariance_stack(data):
 def _covariance_block(data, weights=None, whiteners=None):
     # (1/N) sum_n weight_n x_fn x_fn^H per bin, on the calling thread; with
     # whiteners W that of the whitened y = W^H x, W^H (...) W; hermitized
-    # against rounding. A real product g = X^T (w X) on the interleaved (re, im)
-    # view X needs no conjugate copy: with x = a + ib, Re = g_aa + g_bb,
-    # Im = g_ba - g_ab. Blocks of bins of stft._BLOCK_BYTES keep the
-    # contiguous copies inside the L2 cache, and each weighted block goes
+    # against rounding into a C-ordered V. A real product g = X^T (w X) on the
+    # interleaved (re, im) view X needs no conjugate copy: with x = a + ib,
+    # Re = g_aa + g_bb, Im = g_ba - g_ab. Data that needs a copy is copied in
+    # blocks (stft._blocks) that stay inside the L2 cache, each weighted block
     # into one reused buffer (a fresh temporary per block costs page faults).
     # Data that needs no copy is one block: many small products run slower
     # side by side on two cores than one at a time. Re and Im go into one
@@ -212,12 +195,12 @@ def _covariance_block(data, weights=None, whiteners=None):
     w = None if weights is None else np.repeat(weights, 2 * n_chan).reshape(n_frames, 2 * n_chan)
     g = np.empty((n_bins, 2 * n_chan, 2 * n_chan))
     copied = w is not None or data.dtype != np.complex128 or not data.flags.c_contiguous
-    step = max(1, _BLOCK_BYTES // (16 * n_frames * n_chan)) if copied else max(1, n_bins)
-    weighted = None if w is None else np.empty((min(step, n_bins), n_frames, 2 * n_chan))
-    for start in range(0, n_bins, step):
-        block = np.ascontiguousarray(data[start : start + step], dtype=np.complex128).view(np.float64)
+    blocks = _blocks(0, n_bins, 16 * n_frames * n_chan) if copied else [slice(0, n_bins)]
+    weighted = None if w is None else np.empty((blocks[0].stop, n_frames, 2 * n_chan))
+    for span in blocks:
+        block = np.ascontiguousarray(data[span], dtype=np.complex128).view(np.float64)
         lhs = block if w is None else np.multiply(block, w, out=weighted[: len(block)])
-        np.matmul(np.swapaxes(lhs, 1, 2), block, out=g[start : start + step])
+        np.matmul(np.swapaxes(lhs, 1, 2), block, out=g[span])
     lhs = weighted = None  # a buffer that outlives the loop would raise the peak
     g /= n_frames
     cov = np.empty((n_bins, n_chan, n_chan), dtype=np.complex128)
@@ -226,9 +209,8 @@ def _covariance_block(data, weights=None, whiteners=None):
     g = None
     if whiteners is not None:
         cov = np.conj(np.swapaxes(whiteners, 1, 2)) @ (cov @ whiteners)
-    # numpy (2.4) lays this sum out per matrix row-major below 16384 entries and column-major
-    # from there, and the certificate's V w rounds differently on each: a rewrite keeps V, not its bits
-    return 0.5 * (cov + np.conj(np.swapaxes(cov, 1, 2)))
+    hermitian = np.add(cov, np.conj(np.swapaxes(cov, 1, 2)), out=np.empty_like(cov, order="C"))
+    return np.multiply(hermitian, 0.5, out=hermitian)
 
 
 def prewhiten(covariance):
@@ -315,37 +297,37 @@ def five_iteration(state, data, contrast, out=None):
     produce, raises DegenerateCovarianceError. V is also the matrix that certifies
     the incoming state (see DemixingState).
 
-    Both per-bin passes, V to w and then the estimate, run in shares of bins
-    over the cores (stft._split), and each share builds V and its eigenpair
-    a chunk of bins at a time (_chunks), to the same bits. The frame
-    weights, the activity and the certificate's max over bins are taken
-    over every bin on the calling thread. The new estimate goes into out,
+    The update is one pass in shares of bins over the cores (stft._split),
+    each walked a block of bins at a time (stft._blocks, 512 at M = 8):
+    build V, take its eigenpair, certify the incoming filter, drop V and
+    demix the block with its new filters, to the same bits however the bins
+    are cut. The frame weights, the activity and the certificate's max over
+    bins are taken on the calling thread. The new estimate goes into out,
     an (F, N) complex128 buffer that may be the state's own estimate (the
-    update never reads it); without out it is allocated after the first
-    pass has freed its V.
+    update never reads it); without out it is allocated before the pass.
     """
     weights = _frame_weights(state.activity, contrast)
     whiteners, previous = state.whiteners, state.w
     w = np.empty(previous.shape, dtype=np.complex128)
     residuals = np.empty(len(w))
+    estimate = np.empty(data.shape[:2], dtype=np.complex128) if out is None else out
 
     def update(start, stop):
-        for chunk in _chunks(start, stop, data.shape[2]):
-            cov = _covariance_block(data[chunk], weights, whiteners[chunk])
-            values, vector = linalg.smallest_eigenpair(cov, previous[chunk])
+        for block in _blocks(start, stop, 16 * data.shape[2] ** 2):
+            cov = _covariance_block(data[block], weights, whiteners[block])
+            values, vector = linalg.smallest_eigenpair(cov, previous[block])
             smallest = values[:, -1]
             bad = ~(smallest > 0)
             if np.any(bad):
                 raise DegenerateCovarianceError(
-                    f"weighted covariance degenerate at bin {chunk.start + np.flatnonzero(bad)[0]}"
+                    f"weighted covariance degenerate at bin {block.start + np.flatnonzero(bad)[0]}"
                 )
-            w[chunk] = vector / np.sqrt(smallest)[:, None]
-            residuals[chunk] = _certificate(previous[chunk], (cov @ previous[chunk][:, :, None])[:, :, 0])
-            cov = None  # not held through the next chunk's build
+            w[block] = vector / np.sqrt(smallest)[:, None]
+            residuals[block] = _certificate(previous[block], (cov @ previous[block][:, :, None])[:, :, 0])
+            cov = None  # not held through the demixing or the next build
+            _demix(_demixing_filters(whiteners[block], w[block]), data[block], estimate[block])
 
     _split(update, len(w), data.nbytes)
-    estimate = np.empty(data.shape[:2], dtype=np.complex128) if out is None else out
-    _demix_shares(whiteners, w, data, estimate)
     return DemixingState(
         whiteners=whiteners,
         w=w,
@@ -415,10 +397,10 @@ def head_residual(state, data, contrast):
     Only V w is needed, and it takes one pass over the data without forming
     V: W^H (1/N) sum_n weight_n x_n conj(s_n) for the state's estimate
     s = (W w)^H x (apply_demixing when it has none), in shares of bins over
-    the cores. Each share weights conj(s) in one buffer, a block of bins of
-    about stft._BLOCK_BYTES at a time, so the pass adds a block per share to
-    the data and the state's estimate. It agrees with five_iteration's
-    certificate of the same state up to rounding.
+    the cores. Each share weights conj(s) in one buffer, a block of bins at
+    a time (stft._blocks), so the pass adds a block per share to the data
+    and the state's estimate. It agrees with five_iteration's certificate
+    of the same state up to rounding.
     """
     weights = _frame_weights(state.activity, contrast) / state.activity.shape[0]
     whiteners, w = state.whiteners, state.w
@@ -426,13 +408,12 @@ def head_residual(state, data, contrast):
     if estimate is None:
         estimate = apply_demixing(_demixing_filters(whiteners, w), data)
     vw = np.empty(w.shape, dtype=np.complex128)
-    step = max(1, _BLOCK_BYTES // (16 * estimate.shape[1]))
 
     def product(start, stop):
-        buffer = np.empty((min(step, stop - start), estimate.shape[1]), dtype=np.complex128)
-        for first in range(start, stop, step):
-            block = slice(first, min(first + step, stop))
-            weighted = np.conj(estimate[block], out=buffer[: block.stop - first])
+        blocks = _blocks(start, stop, 16 * estimate.shape[1])
+        buffer = np.empty((blocks[0].stop - start, estimate.shape[1]), dtype=np.complex128)
+        for block in blocks:
+            weighted = np.conj(estimate[block], out=buffer[: block.stop - block.start])
             weighted *= weights
             raw = (weighted[:, None, :] @ data[block])[:, 0, :]
             vw[block] = (np.conj(np.swapaxes(whiteners[block], 1, 2)) @ raw[:, :, None])[:, :, 0]
@@ -451,7 +432,10 @@ def project_back(state, out=None):
     = N (Q^H w)_0 = N w_0 / W_00, which gives a = w_0 / (W_00 ||w||^2). Its
     accuracy is that of the whitening, about u kappa(C). The result goes
     into out, which may be state.estimate (scaled in place), or a new array.
+    A state without an estimate raises ValueError.
     """
+    if state.estimate is None:
+        raise ValueError("project_back needs the state's estimate, and the state has none")
     norms2 = np.sum(np.abs(state.w) ** 2, axis=1)
     scale = state.w[:, 0] / (np.real(state.whiteners[:, 0, 0]) * norms2)
     return np.multiply(scale[:, None], state.estimate, out=out)

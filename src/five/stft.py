@@ -16,10 +16,11 @@ overlap-adds hop-sized slabs.
 A large pass over independent frames or bins is split into contiguous
 shares, one per core the process may use, which run on one module-level
 thread pool (_split); analyze's frames and core's per-bin passes use it.
-Every share computes what the whole pass would, so outputs do not depend
-on the number of cores.
+Shares walk fixed blocks (_blocks) and compute what the whole pass would,
+so outputs do not depend on the number of cores.
 """
 
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -30,9 +31,8 @@ from .wavio import MultichannelWave
 
 __all__ = ["StftConfig", "SpectralTensor", "ShortSignalError", "analyze", "synthesize"]
 
-# Bytes per block of frames in analyze, and per block of bins in core's
-# covariance builds: a block's working copies stay inside a 2 MiB per-core
-# L2 cache.
+# Bytes per block of frames or bins (_blocks): a block's working copies stay
+# inside a 2 MiB per-core L2 cache.
 _BLOCK_BYTES = 1 << 19
 # Bytes of input a share of a split pass holds at least: below this the
 # hand-off to a thread costs more than the share's work saves.
@@ -65,6 +65,17 @@ def _split(kernel, count, nbytes):
         future.result()
 
 
+def _blocks(start, stop, item_bytes):
+    """Slices of range(start, stop) of _BLOCK_BYTES // item_bytes items each (at least one); the last may be shorter."""
+    step = max(1, _BLOCK_BYTES // item_bytes)
+    return [slice(first, min(first + step, stop)) for first in range(start, stop, step)]
+
+
+def _is_integer(value):
+    """An Integral other than a bool: True is no count, size or channel."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_finite(data):
     """Raise ValueError unless every entry of the array is finite; in shares over the cores."""
 
@@ -89,12 +100,12 @@ class StftConfig:
     hop: int | None = None
 
     def __post_init__(self):
-        if self.frame_size < 2 or self.frame_size % 2 != 0:
+        if not _is_integer(self.frame_size) or self.frame_size < 2 or self.frame_size % 2 != 0:
             raise ValueError("frame_size must be a positive even integer")
         if self.hop is None:
             object.__setattr__(self, "hop", self.frame_size // 2)
-        if not 0 < self.hop <= self.frame_size:
-            raise ValueError("hop must be in (0, frame_size]")
+        if not _is_integer(self.hop) or not 0 < self.hop <= self.frame_size:
+            raise ValueError("hop must be an integer in (0, frame_size]")
         # Constant overlap-add holds exactly when hop | frame and hop < frame.
         # Sample t of the interior sums the window taps j = t (mod hop). With
         # K = frame/hop >= 2 the cosine terms cancel over every residue class,
@@ -124,6 +135,8 @@ class SpectralTensor:
     num_samples: int | None = None  # original signal length, set by analyze
 
     def __post_init__(self):
+        if not _is_integer(self.sample_rate) or self.sample_rate <= 0:
+            raise ValueError("sample_rate must be a positive integer")
         data = np.asarray(self.data, dtype=np.complex128)
         if data.ndim != 3:
             raise ValueError("data must have shape (bins, frames, channels)")
@@ -195,16 +208,16 @@ def analyze(wave, config=None):
     # transposed spectra fill a contiguous run in every bin of the output.
     win = config.window_samples()
     spectra = np.empty((config.num_bins, n_frames, x.shape[1]), dtype=np.complex128)
-    step = max(1, _BLOCK_BYTES // (16 * config.num_bins * x.shape[1]))
 
     def transform(first, last):
-        windowed = np.empty((min(step, last - first), x.shape[1], frame))
-        for start in range(first, last, step):
-            block = windowed[: min(step, last - start)]
-            np.multiply(frames[start : start + len(block)], win, out=block[: inside - start])
-            if start + len(block) > inside:
+        blocks = _blocks(first, last, 16 * config.num_bins * x.shape[1])
+        windowed = np.empty((blocks[0].stop - first, x.shape[1], frame))
+        for span in blocks:
+            block = windowed[: span.stop - span.start]
+            np.multiply(frames[span], win, out=block[: inside - span.start])
+            if span.stop > inside:
                 np.multiply(tail, win, out=block[-1])
-            spectra[:, start : start + len(block)] = np.fft.rfft(block, axis=-1).transpose(2, 0, 1)
+            spectra[:, span] = np.fft.rfft(block, axis=-1).transpose(2, 0, 1)
 
     _split(transform, n_frames, spectra.nbytes)
     return SpectralTensor(

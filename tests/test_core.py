@@ -115,6 +115,8 @@ def test_config_validation():
         with pytest.raises(ValueError):
             FiveConfig(contrast, **bad)
     FiveConfig(contrast, max_iterations=np.int64(5), early_stop_tol=1e-8)
+    for tol in (np.float64(1e-3), 1, np.inf):
+        assert FiveConfig(contrast, early_stop_tol=tol).early_stop_tol == tol
     # a fractional or bool channel would fail inside the extraction with an
     # IndexError or a numpy error about boolean arrays; True would run one update
     for bad in ({"ref_channel": 1.5}, {"ref_channel": True}, {"ref_channel": -1},
@@ -122,6 +124,13 @@ def test_config_validation():
         with pytest.raises(ValueError, match="must be an integer"):
             FiveConfig(contrast, **bad)
     assert FiveConfig(contrast, ref_channel=np.int64(2)).ref_channel == 2
+
+
+@pytest.mark.parametrize("tol", [True, np.True_, "1e-3", 1e-3j], ids=["true", "numpy_true", "string", "complex"])
+def test_config_rejects_a_tolerance_that_is_not_a_number(tol):
+    # True would be a tolerance of 1.0, and a string or a complex number a bare TypeError
+    with pytest.raises(ValueError, match="early_stop_tol must be None or a number > 0"):
+        FiveConfig(ContrastModel("laplace"), early_stop_tol=tol)
 
 
 # ---------------------------------------------------------------- prewhiten
@@ -913,6 +922,16 @@ def test_project_back_least_squares_oracle():
             radius *= 0.3
         grid_residual = np.sum(np.abs(reference - center * estimate[f]) ** 2)
         assert analytic_residual <= grid_residual + 1e-9 * grid_residual
+
+
+def test_project_back_names_a_missing_estimate():
+    # DemixingState.estimate defaults to None; head_residual demixes such a state itself
+    _, state = _projection_state(59)
+    bare = replace(state, estimate=None)
+    with pytest.raises(ValueError, match="estimate"):
+        project_back(bare)
+    with pytest.raises(ValueError, match="estimate"):
+        project_back(bare, out=np.empty_like(state.estimate))
 
 
 def test_project_back_rescales_quiet_bins():

@@ -5,8 +5,8 @@ full size: each update demixes into the estimate of the state it starts
 from, a converged run demixes its returned state's estimate back into that
 buffer, and the projection scales it in place. The set-up covariance is
 released before the first update. Every other temporary is a block of
-about stft._BLOCK_BYTES per share, or a per-frame vector; a share builds
-its per-bin (M, M) stacks a chunk of bins at a time (core._chunks), a
+about stft._BLOCK_BYTES per share (stft._blocks), or a per-frame vector;
+a share builds its per-bin (M, M) stacks a block of bins at a time, a
 few blocks at 8 channels. Each bound below is that working set plus a
 few blocks, well under one more (F, N) estimate. The input is above the gate of stft._split, and every pass runs
 with two workers, so the share count, and with it each bound, does not

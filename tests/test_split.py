@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+import five
 from five import core, stft
 from five.core import ContrastModel, DegenerateCovarianceError, FiveConfig, extract_spectral, five_iteration
 from five.stft import StftConfig, analyze
@@ -107,53 +108,109 @@ def test_many_workers_and_short_switch_interval_lose_no_share(monkeypatch, data)
         assert np.array_equal(update.w, want.w)
 
 
-def _few_bin_chunks(monkeypatch, bins):
-    """Chunks of at least bins bins at M = 4 (core._chunks), and weighted blocks of one bin."""
-    monkeypatch.setattr(core, "_BLOCK_BYTES", 16 * SHAPE[2] ** 2 * bins)
+def _few_bin_blocks(monkeypatch, bins):
+    """Blocks of bins bins for the (M, M) stacks at M = 4, and of one bin for the weighted copies and products."""
+    monkeypatch.setattr(stft, "_BLOCK_BYTES", 16 * SHAPE[2] ** 2 * bins)
 
 
-def test_chunks_tile_each_share_evenly():
-    # at M = 8, 512 bins or more per chunk: a share shorter than 1024 bins is one chunk
-    assert core._chunks(0, 1024, 8) == [slice(0, 512), slice(512, 1024)]
-    assert core._chunks(1024, 2049, 8) == [slice(1024, 1536), slice(1536, 2049)]
-    assert core._chunks(5, 1000, 8) == [slice(5, 1000)]
-    assert core._chunks(0, 2049, 4) == [slice(0, 2049)]
+def test_blocks_tile_the_range():
+    # at M = 8, 512 bins per block, counted from the start of the range
+    assert stft._blocks(0, 1024, 16 * 8**2) == [slice(0, 512), slice(512, 1024)]
+    assert stft._blocks(1024, 2049, 16 * 8**2) == [slice(1024, 1536), slice(1536, 2048), slice(2048, 2049)]
+    assert stft._blocks(5, 1000, 16 * 8**2) == [slice(5, 517), slice(517, 1000)]
+    assert stft._blocks(0, 2049, 16 * 4**2) == [slice(0, 2048), slice(2048, 2049)]
+    # an item larger than a block is a block of its own, and an empty range has none
+    assert stft._blocks(3, 6, 2 * stft._BLOCK_BYTES) == [slice(3, 4), slice(4, 5), slice(5, 6)]
+    assert stft._blocks(7, 7, 16) == []
+    for start, stop, item_bytes in [(0, 257, 16 * 1874), (85, 171, 16 * 4**2), (0, 2049, 16 * 78 * 8), (9, 10, 1)]:
+        blocks = stft._blocks(start, stop, item_bytes)
+        step = max(1, stft._BLOCK_BYTES // item_bytes)
+        assert blocks[0].start == start and blocks[-1].stop == stop
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        assert all(b.stop - b.start == step for b in blocks[:-1])
+        assert 0 < blocks[-1].stop - blocks[-1].start <= step
 
 
-def test_update_and_set_up_are_bit_identical_in_chunks(monkeypatch, data):
-    # 7-bin chunks put chunk bounds inside every share (share bounds 0, 85, 171, 257)
+def test_update_and_set_up_are_bit_identical_in_blocks(monkeypatch, data):
+    # 7-bin blocks put block bounds inside every share (share bounds 0, 85, 171, 257)
     contrast = ContrastModel("gauss", num_bins=SHAPE[0])
     state = five_iteration(_state(data), data, contrast)
     monkeypatch.setattr(stft, "_WORKERS", 3)
     whole, whole_cov = five_iteration(state, data, contrast), core._covariance_stack(data)
-    _few_bin_chunks(monkeypatch, 7)
-    assert len(core._chunks(85, 171, SHAPE[2])) == 12
-    chunked = five_iteration(state, data, contrast)
+    whole_residual = core.head_residual(whole, data, contrast)
+    _few_bin_blocks(monkeypatch, 7)
+    assert len(stft._blocks(85, 171, 16 * SHAPE[2] ** 2)) == 13
+    blocked = five_iteration(state, data, contrast)
     for name in ("w", "activity", "estimate"):
-        assert np.array_equal(getattr(whole, name), getattr(chunked, name)), name
-    assert whole.previous_residual == chunked.previous_residual
+        assert np.array_equal(getattr(whole, name), getattr(blocked, name)), name
+    assert whole.previous_residual == blocked.previous_residual
     assert np.array_equal(whole_cov, core._covariance_stack(data))
+    assert whole_residual == core.head_residual(blocked, data, contrast)
+
+
+def test_update_is_one_split_pass(monkeypatch, data):
+    # the filters and the estimate come from one pass over the bins
+    calls = []
+
+    def counted(kernel, count, nbytes):
+        calls.append(count)
+        stft._split(kernel, count, nbytes)
+
+    monkeypatch.setattr(core, "_split", counted)
+    contrast = ContrastModel("gauss", num_bins=SHAPE[0])
+    state = _state(data)
+    calls.clear()
+    for out in (None, np.empty(SHAPE[:2], dtype=np.complex128)):
+        five_iteration(state, data, contrast, out=out)
+        assert calls == [SHAPE[0]]
+        calls.clear()
 
 
 def test_degenerate_bin_is_named_by_its_global_index(monkeypatch, data):
     # zero whiteners make V zero in bins 100 and 200, in the second and third
-    # of three shares (bounds 0, 85, 171, 257), and with 7-bin chunks in a
-    # later chunk of its share (the third; the fifteenth of one share): the
+    # of three shares (bounds 0, 85, 171, 257), and with 7-bin blocks in a
+    # later block of its share (the third; the fifteenth of one share): the
     # error names bin 100
     state = _state(data)
     whiteners = state.whiteners.copy()
     whiteners[[100, 200]] = 0.0
     broken = core.DemixingState(whiteners, state.w, state.activity)
     contrast = ContrastModel("gauss", num_bins=SHAPE[0])
-    for chunk_bins in (None, 7):
-        if chunk_bins is not None:
-            _few_bin_chunks(monkeypatch, chunk_bins)
-            assert core._chunks(85, 171, SHAPE[2])[2] == slice(99, 106)
-            assert core._chunks(0, 257, SHAPE[2])[14] == slice(99, 107)
+    for block_bins in (None, 7):
+        if block_bins is not None:
+            _few_bin_blocks(monkeypatch, block_bins)
+            assert stft._blocks(85, 171, 16 * SHAPE[2] ** 2)[2] == slice(99, 106)
+            assert stft._blocks(0, 257, 16 * SHAPE[2] ** 2)[14] == slice(98, 105)
         for workers in (1, 3):
             monkeypatch.setattr(stft, "_WORKERS", workers)
             with pytest.raises(DegenerateCovarianceError, match=r"at bin 100$"):
                 five_iteration(broken, data, contrast)
+
+
+def test_no_output_depends_on_the_core_count(monkeypatch):
+    # 8 channels at frame 1024: 513 bins, and 260 frames put 4 shares over the
+    # gate. The shares' stacks of V straddle 16384 entries (256 bins at M = 8):
+    # 513 and 257 bins on 1 and 2 workers, 171 and 129 on 3 and 4, a layout
+    # numpy would pick differently on each side if V's were not fixed
+    config = StftConfig(frame_size=1024)
+    rng = np.random.default_rng(72)
+    length = 259 * config.hop + config.frame_size
+    sources = rng.standard_normal((length, 8))
+    sources[:, 0] *= np.repeat(rng.laplace(size=length // config.hop + 1), config.hop)[:length] ** 2
+    wave = MultichannelWave(16000, sources @ rng.standard_normal((8, 8)))
+    five_config = FiveConfig(ContrastModel("gauss", num_bins=config.num_bins), max_iterations=3)
+    runs = []
+    for workers in (1, 2, 3, 4):
+        monkeypatch.setattr(stft, "_WORKERS", workers)
+        runs.append(five.extract(wave, config, five_config))
+    (want, want_report), rest = runs[0], runs[1:]
+    assert analyze(wave, config).data.nbytes // stft._SHARE_BYTES >= 4
+    assert all(r.head_residual is not None and r.nll is not None for r in want_report.records)
+    for got, report in rest:
+        assert np.array_equal(got.samples, want.samples)
+        assert [(r.nll, r.head_residual) for r in report.records] == [
+            (r.nll, r.head_residual) for r in want_report.records
+        ]
 
 
 def test_worker_exception_propagates_and_the_pool_still_works(monkeypatch, data):

@@ -67,6 +67,20 @@ def test_config_validation():
         StftConfig(frame_size=255)
     with pytest.raises(ValueError):
         StftConfig(frame_size=256, hop=0)
+    config = StftConfig(frame_size=np.int64(256), hop=np.int32(64))
+    assert (config.frame_size, config.hop, config.num_bins) == (256, 64, 129)
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [{"frame_size": 512.0}, {"frame_size": True}, {"frame_size": "512"}, {"hop": True}, {"hop": 128.0},
+     {"hop": np.True_}],
+    ids=["float_frame", "bool_frame", "string_frame", "bool_hop", "float_hop", "numpy_bool_hop"],
+)
+def test_config_rejects_sizes_that_are_not_integers(settings):
+    # a float frame would fail in analyze with a TypeError, and True would be a hop of 1
+    with pytest.raises(ValueError, match="integer"):
+        StftConfig(**{"frame_size": 256, **settings})
 
 
 def test_zero_input_gives_zero_tensor():
@@ -266,6 +280,13 @@ def test_tensor_validation():
         SpectralTensor(np.full((129, 4, 1), np.nan, dtype=complex), 8000, config)
     with pytest.raises(ValueError, match="shape"):
         SpectralTensor(np.zeros((129, 4), dtype=complex), 8000, config)
+
+
+@pytest.mark.parametrize("rate", [-5, 0, 8000.0, True, "8000"])
+def test_tensor_rejects_a_sample_rate_that_is_not_a_positive_integer(rate):
+    # MultichannelWave rejects a rate that is not positive, and synthesize builds one from this rate
+    with pytest.raises(ValueError, match="sample_rate"):
+        SpectralTensor(np.zeros((129, 4, 1), dtype=complex), rate, StftConfig(frame_size=256))
 
 
 def test_quarter_hop_roundtrip():
