@@ -40,7 +40,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import linalg
-from .stft import SpectralTensor, _blocks, _check_finite, _is_integer, _split, analyze, synthesize
+from .stft import SpectralTensor, _blocks, _check_finite, _split, analyze, synthesize
+from .wavio import _is_integer
 
 __all__ = [
     "ContrastModel",
@@ -133,8 +134,8 @@ class DemixingState:
     current estimate. The states of a run also carry that estimate, the
     (F, N) signal (W_f w_f)^H x_fn; five_iteration sets previous_residual,
     the head_residual (up to rounding) of the state it started from. A run
-    without a callback passes one estimate buffer from state to state, so
-    only its latest state's estimate is valid. The background demixing
+    passes one estimate buffer from state to state, valid for the latest;
+    a callback gets copies (extract_spectral). The background demixing
     block is not stored: the monitor takes the orthonormal complement of w.
     Coordinate 0 is the reference channel, the first one whitened.
     """
@@ -263,21 +264,18 @@ def _demix(w, data, out):
     np.matmul(data, np.conj(w)[:, :, None], out=out[:, :, None])
 
 
-def _demix_shares(whiteners, w, data, out):
-    """The estimate (W w)^H x of filters w in whitened coordinates into out, in shares of bins over the cores."""
+def apply_demixing(w, data, out=None):
+    """Extracted signal w^H x per bin and frame; w is (F, M), data (F, N, M), result (F, N) complex128.
+
+    The result goes into out, which is not read, or a new array; in shares of bins over the cores (stft._split).
+    """
+    data = np.asarray(data)
+    out = np.empty(data.shape[:2], dtype=np.complex128) if out is None else out
 
     def demix(start, stop):
-        share = slice(start, stop)
-        _demix(_demixing_filters(whiteners[share], w[share]), data[share], out[share])
+        _demix(w[start:stop], data[start:stop], out[start:stop])
 
     _split(demix, len(w), data.nbytes)
-
-
-def apply_demixing(w, data):
-    """Extracted signal w^H x per bin and frame; w is (F, M), data (F, N, M), result (F, N) complex128."""
-    data = np.asarray(data)
-    out = np.empty(data.shape[:2], dtype=np.complex128)
-    _demix(w, data, out)
     return out
 
 
@@ -481,13 +479,12 @@ def extract_spectral(spec, config, callback=None):
     bin but whose squares underflow there to a zero power raises
     ValueError, not SilentReferenceChannelError.
 
-    callback(iteration, state) is invoked for the initial state (iteration
-    0) and every kept update; state.estimate is the raw (un-projected)
-    extracted signal, each state keeps its own, and the last call's state
-    is returned. Without a callback the run holds one (F, N) estimate, to
-    the same output bits: each update demixes into it (five_iteration's
-    out), a converged run demixes its returned state into it again, and
-    project_back scales it in place.
+    The run holds one (F, N) estimate: each update demixes into it
+    (five_iteration's out), a run that drops its certifying update demixes
+    the returned state into it again (apply_demixing), and project_back
+    scales it in place. callback(iteration, state) gets the initial state
+    (iteration 0) and every kept update as a copy that owns a copy of the
+    raw (un-projected) estimate; a callback changes no output bit.
 
     Returns the projected (F, N) extracted signal and an ExtractionReport
     with one record per kept state (record 0: whitening and the initial
@@ -495,7 +492,7 @@ def extract_spectral(spec, config, callback=None):
     exhausts max_iterations certifies its last with one more pass
     (head_residual), which may converge it too. A converged run drops its
     certifying update and adds that update's time to the last record. Wall
-    times exclude only the NLL and the passes after the loop.
+    times exclude the NLL, the callback and the passes after the last update.
     """
     t0 = time.perf_counter()
     original = spec.data if isinstance(spec, SpectralTensor) else np.asarray(spec)
@@ -547,8 +544,8 @@ def extract_spectral(spec, config, callback=None):
     def _record(wall_ms):
         nll = evaluate_nll(state, contrast) if monitoring else None
         report.records.append(IterationRecord(state.iteration, nll, None, wall_ms))
-        if callback is not None:
-            callback(state.iteration, state)
+        if callback is not None:  # a snapshot: the run's next update overwrites its estimate
+            callback(state.iteration, replace(state, estimate=state.estimate.copy()))
 
     def _certify(residual):
         if monitoring:
@@ -556,25 +553,22 @@ def extract_spectral(spec, config, callback=None):
         report.converged = config.early_stop_tol is not None and residual <= config.early_stop_tol
         return report.converged
 
-    buffer = state.estimate if callback is None else None  # no state outlives its update: one estimate
     _record(setup_ms)
     for _ in range(config.max_iterations):
         t_iter = time.perf_counter()
-        update = five_iteration(state, data, contrast, out=buffer)
+        update = five_iteration(state, data, contrast, out=state.estimate)
         wall_ms = (time.perf_counter() - t_iter) * 1e3
-        if _certify(update.previous_residual):  # the certifying update is dropped, its time kept
+        if _certify(update.previous_residual):  # drop the certifying update, keep its time, undo its demix
             last = report.records[-1]
             report.records[-1] = replace(last, wall_time_ms=last.wall_time_ms + wall_ms)
+            apply_demixing(_demixing_filters(state.whiteners, state.w), data, out=state.estimate)
             break
         state = update
         _record(wall_ms)
     if monitoring and not report.converged:  # the loop ran out: certify the last state
         _certify(head_residual(state, data, contrast))
-    del update  # a dropped update's estimate would raise the peak of project_back
-    if buffer is not None and report.converged:  # the certifying update overwrote the state's estimate
-        _demix_shares(state.whiteners, state.w, data, buffer)
     report.iterations_run = state.iteration
-    return project_back(state, out=buffer), report
+    return project_back(state, out=state.estimate), report
 
 
 def extract(wave, stft_config, five_config):

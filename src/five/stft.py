@@ -20,14 +20,13 @@ Shares walk fixed blocks (_blocks) and compute what the whole pass would,
 so outputs do not depend on the number of cores.
 """
 
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .wavio import MultichannelWave
+from .wavio import MultichannelWave, _is_integer
 
 __all__ = ["StftConfig", "SpectralTensor", "ShortSignalError", "analyze", "synthesize"]
 
@@ -69,11 +68,6 @@ def _blocks(start, stop, item_bytes):
     """Slices of range(start, stop) of _BLOCK_BYTES // item_bytes items each (at least one); the last may be shorter."""
     step = max(1, _BLOCK_BYTES // item_bytes)
     return [slice(first, min(first + step, stop)) for first in range(start, stop, step)]
-
-
-def _is_integer(value):
-    """An Integral other than a bool: True is no count, size or channel."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _check_finite(data):

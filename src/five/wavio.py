@@ -5,6 +5,7 @@ Only uncompressed little-endian WAV is handled: 16-bit integer PCM
 is rejected so the rest of the pipeline never sees half-decoded audio.
 """
 
+import numbers
 import struct
 from dataclasses import dataclass
 
@@ -19,6 +20,11 @@ __all__ = [
 ]
 
 _PCM16_SCALE = 32768.0
+
+
+def _is_integer(value):
+    """An Integral other than a bool: True is no count, size, rate or channel."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class WaveFormatError(ValueError):
@@ -40,8 +46,8 @@ class MultichannelWave:
         samples = np.asarray(self.samples, dtype=np.float64)
         if samples.ndim != 2 or samples.shape[1] < 1:
             raise ValueError("samples must be a (num_samples, channels) matrix")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+        if not _is_integer(self.sample_rate) or self.sample_rate <= 0:
+            raise ValueError("sample_rate must be a positive integer")
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite")
         object.__setattr__(self, "samples", samples)
@@ -113,11 +119,9 @@ def read_wave(path):
     if block_align != channels * width or len(data) % (channels * width) != 0:
         raise TruncatedWaveError(f"{path}: data chunk is not a whole number of frames")
 
-    raw = np.frombuffer(data, dtype=dtype).reshape(-1, channels)
+    samples = np.frombuffer(data, dtype=dtype).reshape(-1, channels).astype(np.float64)
     if code == 1:
-        samples = raw.astype(np.float64) / _PCM16_SCALE
-    else:
-        samples = raw.astype(np.float64)
+        samples /= _PCM16_SCALE
     return MultichannelWave(sample_rate=rate, samples=samples)
 
 

@@ -31,7 +31,7 @@ def test_every_traced_target_resolves():
 def test_monitored_extraction_leaves_no_span_silent():
     # every span reads the path a monitored extraction runs, except the
     # explicit whitening product (off the path), the eigen fallback and
-    # apply_demixing, whose product five_iteration makes in place
+    # apply_demixing, which only a converged run calls
     spans = _load_spans()
     rng = np.random.default_rng(0)
     wave = five.MultichannelWave(16000, rng.standard_normal((16 * 256, 3)))
@@ -62,3 +62,22 @@ def test_trace_of_a_split_extraction_nests(monkeypatch):
             assert parent.start <= span.start <= span.end <= parent.end
     for per_name in tracer.per_extraction().values():
         assert all(self_ms >= 0 for self_ms, _, _ in per_name.values())
+
+
+def test_converged_extraction_demixes_its_returned_state_in_one_span():
+    # the dropped certifying update overwrote the returned state's estimate:
+    # one apply_demixing call restores it after the last update, from the
+    # calling thread (no pool thread calls a traced function), before the
+    # projection
+    spans = _load_spans()
+    rng = np.random.default_rng(2)
+    wave = five.MultichannelWave(16000, rng.standard_normal((16 * 256, 3)))
+    config = five.FiveConfig(five.ContrastModel("laplace"), max_iterations=50, early_stop_tol=1e3)
+    with spans.Tracer() as tracer:
+        _, report = five.extract(wave, five.StftConfig(frame_size=256), config)
+    assert report.converged
+    demix = [span for span in tracer.spans if span.name == "core.apply_demixing"]
+    assert len(demix) == 1 and demix[0].parent is None
+    (projection,) = [span for span in tracer.spans if span.name == "core.project_back"]
+    last_update = max(span.end for span in tracer.spans if span.name == "core.five_iteration")
+    assert last_update <= demix[0].start <= demix[0].end <= projection.start

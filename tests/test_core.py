@@ -1104,12 +1104,12 @@ def test_converged_run_times_its_certifying_update(monkeypatch):
 
 # ------------------------------------------------------- one estimate buffer
 
-# Without a callback the driver keeps one estimate buffer: each update
-# demixes into the estimate of the state it starts from, a converged run
-# demixes its returned state's estimate again, and the projection scales
-# the buffer in place. Each run below is one of: converged at state 0 (the
-# first update certifies the initial state), converged at some state k > 0,
-# and run out of updates.
+# The driver keeps one estimate buffer: each update demixes into the
+# estimate of the state it starts from, a converged run demixes its returned
+# state's estimate again, the projection scales the buffer in place, and a
+# callback gets snapshots with copies. Each run below is one of: converged
+# at state 0 (the first update certifies the initial state), converged at
+# some state k > 0, and run out of updates.
 BUFFER_RUNS = {
     "converged_at_0": dict(contrast=ContrastModel("laplace"), max_iterations=50, early_stop_tol=1e3),
     "converged_at_k": dict(contrast=ContrastModel("laplace"), max_iterations=200, early_stop_tol=1e-8),
@@ -1164,10 +1164,10 @@ def test_states_a_callback_holds_keep_their_own_estimates(shares, name):
 
 
 @pytest.mark.parametrize("name", BUFFER_RUNS)
-def test_converged_run_without_a_callback_demixes_once_more(monkeypatch, name):
+def test_converged_run_demixes_its_returned_state_once_more(monkeypatch, name):
     # one demixing product per update, the dropped certifying update too;
-    # without a callback a converged run demixes its returned state once
-    # more, into the buffer the certifying update overwrote
+    # with or without a callback a converged run demixes its returned state
+    # once more, into the buffer the certifying update overwrote
     counts = {"demix": 0}
     product = core._demix
 
@@ -1176,14 +1176,26 @@ def test_converged_run_without_a_callback_demixes_once_more(monkeypatch, name):
         return product(*args, **kwargs)
 
     monkeypatch.setattr(core, "_demix", counting_product)
-    demixes = {}
     for callback in (None, lambda it, state: None):
         counts["demix"] = 0
         _, _, report = _buffer_run(name, callback)
         _check_buffer_run(name, report)
-        updates = report.iterations_run + report.converged
-        demixes[callback is None] = counts["demix"] - updates
-    assert demixes == {True: int(report.converged), False: 0}
+        assert counts["demix"] == report.iterations_run + 2 * report.converged
+
+
+def test_run_converged_by_its_last_certificate_demixes_no_more(monkeypatch):
+    # a monitored run that uses all its updates and then certifies its last
+    # state within the tolerance dropped no update: its estimate stands
+    _, converged, converged_report = _buffer_run("converged_at_k")
+    k = converged_report.iterations_run
+    product, calls = core._demix, []
+    monkeypatch.setattr(core, "_demix", lambda *args: calls.append(1) or product(*args))
+    data = _two_source_mixture(np.random.default_rng(54), 16, 400)
+    config = FiveConfig(**{**BUFFER_RUNS["converged_at_k"], "max_iterations": k})
+    extracted, report = extract_spectral(data, config)
+    assert report.converged and report.iterations_run == k
+    assert len(calls) == k
+    assert np.array_equal(extracted, converged)
 
 
 def test_update_and_projection_into_a_buffer_match_their_allocating_forms(shares):

@@ -78,6 +78,25 @@ def test_update_and_certificate_are_bit_identical_split(monkeypatch, data):
     assert serial == split
 
 
+def test_apply_demixing_is_bit_identical_split(monkeypatch, data):
+    # into a given out and into a new array, one _demix per share
+    w = _cnormal(np.random.default_rng(72), (SHAPE[0], SHAPE[2]))
+    product, calls = core._demix, []
+    monkeypatch.setattr(core, "_demix", lambda *args: calls.append(len(args[0])) or product(*args))
+    for given in (False, True):
+
+        def demix():
+            out = np.empty(SHAPE[:2], dtype=np.complex128) if given else None
+            got = core.apply_demixing(w, data, out=out)
+            assert out is None or got is out
+            return got
+
+        calls.clear()
+        serial, split = _both(monkeypatch, demix)
+        assert sorted(calls) == [85, 86, 86, 257]
+        assert np.array_equal(serial, split)
+
+
 def test_extraction_is_bit_identical_split(monkeypatch, data):
     config = FiveConfig(ContrastModel("gauss", num_bins=SHAPE[0]), max_iterations=3)
     (serial, serial_report), (split, split_report) = _both(monkeypatch, lambda: extract_spectral(data, config))

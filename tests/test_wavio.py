@@ -135,3 +135,13 @@ def test_wave_invariants():
 def test_unknown_write_format(tmp_path):
     with pytest.raises(ValueError, match="unknown format"):
         write_wave(tmp_path / "x.wav", MultichannelWave(8000, np.zeros((4, 1))), format="mp3")
+
+
+def test_sample_rate_must_be_an_integer(tmp_path):
+    # a float rate made write_wave die in struct.pack, and True wrote a 1 Hz file
+    for rate in (16000.5, np.float64(16000.0), True):
+        with pytest.raises(ValueError, match="sample_rate must be a positive integer"):
+            MultichannelWave(rate, np.zeros((4, 1)))
+    path = tmp_path / "rate.wav"
+    write_wave(path, MultichannelWave(np.int64(16000), np.zeros((4, 1))))
+    assert read_wave(path).sample_rate == 16000
