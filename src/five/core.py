@@ -62,6 +62,7 @@ __all__ = [
 ]
 
 ACTIVITY_OFFSET = 1e-4
+_GROUP_BINS = 16  # bins per running sum of the activity (_activity_pass): fixed, not tied to a block size
 
 
 class DegenerateCovarianceError(RuntimeError):
@@ -130,12 +131,12 @@ class DemixingState:
 
     whiteners holds the per-bin upper-triangular whitening factors W = Q^{-1}
     (prewhiten), w the demixing vectors in whitened coordinates, so that W w
-    demixes the raw data, and activity the per-frame source magnitude of the
-    current estimate. The states of a run also carry that estimate, the
-    (F, N) signal (W_f w_f)^H x_fn; five_iteration sets previous_residual,
-    the head_residual (up to rounding) of the state it started from. A run
-    passes one estimate buffer from state to state, valid for the latest;
-    a callback gets copies (extract_spectral). The background demixing
+    demixes the raw data, and activity the per-frame source magnitude of its
+    estimate, the (F, N) signal (W_f w_f)^H x_fn. That is all an update
+    reads, so a state between updates holds no estimate: extract_spectral
+    forms it once, for the returned state, and for each state its callback
+    receives. five_iteration sets previous_residual, the head_residual (up
+    to rounding) of the state it started from. The background demixing
     block is not stored: the monitor takes the orthonormal complement of w.
     Coordinate 0 is the reference channel, the first one whitened.
     """
@@ -228,9 +229,51 @@ def prewhiten(covariance):
     return linalg.inverse_upper_triangular(linalg.cholesky(covariance))
 
 
-def _activity(extracted):
-    """Per-frame magnitude sqrt(sum_f |s_fn|^2) across all bins of the (F, N) estimate; no (F, N) temporary."""
-    return np.sqrt(np.vecdot(extracted, extracted, axis=0).real)
+def _activity_pass(data, kernel):
+    """Per-frame magnitude sqrt(sum_f |s_fn|^2) of an estimate s that is demixed block by block, never whole.
+
+    kernel(start, stop, add) runs on shares of whole groups of _GROUP_BINS
+    bins (stft._split) and calls add(filters, block) on consecutive blocks of
+    its bins, once their own temporaries are released. add demixes a block
+    into a buffer of about a block (stft._blocks), squares it in place and
+    adds each bin's row of Re(s_fn)^2 and Im(s_fn)^2 into its group's sum; a
+    group cut by a block carries its sum into the next block's first row.
+    numpy sums the rows of a C-ordered block one at a time, in order, and
+    the calling thread adds the group sums in group order, then Re and Im,
+    so every frame is summed in one order however the bins are cut.
+    """
+    n_bins, n_frames = data.shape[:2]
+    sums = np.empty((-(-n_bins // _GROUP_BINS), 2 * n_frames))  # of Re(s)^2 and Im(s)^2, interleaved
+
+    def add(filters, block):
+        subs = _blocks(block.start, block.stop, 16 * n_frames)
+        estimate = np.empty((subs[0].stop - block.start, n_frames), dtype=np.complex128)
+        for sub in subs:
+            s = estimate[: sub.stop - sub.start]
+            _demix(filters[sub.start - block.start : sub.stop - block.start], data[sub], s)
+            rows = np.square(s.view(np.float64), out=s.view(np.float64))
+            head = min(-(-sub.start // _GROUP_BINS) * _GROUP_BINS, sub.stop)  # the rest of a group cut at start
+            tail = max(sub.stop // _GROUP_BINS * _GROUP_BINS, head)  # the part of a group cut at stop
+            for lo, hi in ((sub.start, head), (tail, sub.stop)):
+                if lo < hi:
+                    part = rows[lo - sub.start : hi - sub.start]
+                    if lo % _GROUP_BINS:  # the group began in an earlier block
+                        part[0] += sums[lo // _GROUP_BINS]
+                    part.sum(axis=0, out=sums[lo // _GROUP_BINS])
+            whole = rows[head - sub.start : tail - sub.start].reshape(-1, _GROUP_BINS, rows.shape[1])
+            whole.sum(axis=1, out=sums[head // _GROUP_BINS : tail // _GROUP_BINS])
+
+    def share(first, last):  # groups first..last
+        kernel(first * _GROUP_BINS, min(last * _GROUP_BINS, n_bins), add)
+
+    _split(share, len(sums), data.nbytes)
+    power = sums.sum(axis=0)
+    return np.sqrt(power[0::2] + power[1::2])
+
+
+def _activity(filters, data):
+    """The activity of the estimate filters^H x of the raw (F, N, M) data, which is not formed (_activity_pass)."""
+    return _activity_pass(data, lambda start, stop, add: add(filters[start:stop], slice(start, stop)))
 
 
 def _offset_activity(activity):
@@ -264,13 +307,13 @@ def _demix(w, data, out):
     np.matmul(data, np.conj(w)[:, :, None], out=out[:, :, None])
 
 
-def apply_demixing(w, data, out=None):
+def apply_demixing(w, data):
     """Extracted signal w^H x per bin and frame; w is (F, M), data (F, N, M), result (F, N) complex128.
 
-    The result goes into out, which is not read, or a new array; in shares of bins over the cores (stft._split).
+    In shares of bins over the cores (stft._split).
     """
     data = np.asarray(data)
-    out = np.empty(data.shape[:2], dtype=np.complex128) if out is None else out
+    out = np.empty(data.shape[:2], dtype=np.complex128)
 
     def demix(start, stop):
         _demix(w[start:stop], data[start:stop], out[start:stop])
@@ -279,7 +322,7 @@ def apply_demixing(w, data, out=None):
     return out
 
 
-def five_iteration(state, data, contrast, out=None):
+def five_iteration(state, data, contrast):
     """One demixing update of the raw (F, N, M) data.
 
     Per bin: build the weighted covariance from the current activity and
@@ -288,29 +331,27 @@ def five_iteration(state, data, contrast, out=None):
     exact, the global minimizer of the majorizer: linalg.smallest_eigenpair
     takes the eigenvalues from LAPACK and r by shifted inverse iteration
     started from the current w, under a residual guard. V is Hermitian by
-    construction, so it is not checked. The estimate (W w)^H x, one pass
-    over the data, and its activity come from the new filters. Whitened V
-    is bounded below (_frame_weights), so lambda > 0; a bin
-    where it is not, which only whiteners that do not whiten the data can
-    produce, raises DegenerateCovarianceError. V is also the matrix that certifies
-    the incoming state (see DemixingState).
+    construction, so it is not checked. Whitened V is bounded below
+    (_frame_weights), so lambda > 0; a bin where it is not, which only
+    whiteners that do not whiten the data can produce, raises
+    DegenerateCovarianceError. V is also the matrix that certifies the
+    incoming state (see DemixingState).
 
-    The update is one pass in shares of bins over the cores (stft._split),
-    each walked a block of bins at a time (stft._blocks, 512 at M = 8):
-    build V, take its eigenpair, certify the incoming filter, drop V and
-    demix the block with its new filters, to the same bits however the bins
-    are cut. The frame weights, the activity and the certificate's max over
-    bins are taken on the calling thread. The new estimate goes into out,
-    an (F, N) complex128 buffer that may be the state's own estimate (the
-    update never reads it); without out it is allocated before the pass.
+    The update is one pass in shares of whole groups of bins over the cores
+    (_activity_pass), each walked a block of bins at a time (stft._blocks,
+    512 at M = 8): build V, take its eigenpair, certify the incoming filter,
+    drop V, demix the block with its new filters and add its |s|^2 into the
+    activity's group sums, to the same bits however the bins are cut. The
+    frame weights, the activity's square root and the certificate's max
+    over bins are taken on the calling thread. The returned state holds no
+    estimate: the update never holds one whole.
     """
     weights = _frame_weights(state.activity, contrast)
     whiteners, previous = state.whiteners, state.w
     w = np.empty(previous.shape, dtype=np.complex128)
     residuals = np.empty(len(w))
-    estimate = np.empty(data.shape[:2], dtype=np.complex128) if out is None else out
 
-    def update(start, stop):
+    def update(start, stop, add):
         for block in _blocks(start, stop, 16 * data.shape[2] ** 2):
             cov = _covariance_block(data[block], weights, whiteners[block])
             values, vector = linalg.smallest_eigenpair(cov, previous[block])
@@ -323,15 +364,14 @@ def five_iteration(state, data, contrast, out=None):
             w[block] = vector / np.sqrt(smallest)[:, None]
             residuals[block] = _certificate(previous[block], (cov @ previous[block][:, :, None])[:, :, 0])
             cov = None  # not held through the demixing or the next build
-            _demix(_demixing_filters(whiteners[block], w[block]), data[block], estimate[block])
+            add(_demixing_filters(whiteners[block], w[block]), block)
 
-    _split(update, len(w), data.nbytes)
+    activity = _activity_pass(data, update)
     return DemixingState(
         whiteners=whiteners,
         w=w,
-        activity=_activity(estimate),
+        activity=activity,
         iteration=state.iteration + 1,
-        estimate=estimate,
         previous_residual=float(residuals.max()),
     )
 
@@ -394,11 +434,12 @@ def head_residual(state, data, contrast):
 
     Only V w is needed, and it takes one pass over the data without forming
     V: W^H (1/N) sum_n weight_n x_n conj(s_n) for the state's estimate
-    s = (W w)^H x (apply_demixing when it has none), in shares of bins over
+    s = (W w)^H x (apply_demixing when it has none; extract_spectral passes
+    the returned state's, which becomes the output), in shares of bins over
     the cores. Each share weights conj(s) in one buffer, a block of bins at
     a time (stft._blocks), so the pass adds a block per share to the data
-    and the state's estimate. It agrees with five_iteration's certificate
-    of the same state up to rounding.
+    and the estimate. It agrees with five_iteration's certificate of the
+    same state up to rounding.
     """
     weights = _frame_weights(state.activity, contrast) / state.activity.shape[0]
     whiteners, w = state.whiteners, state.w
@@ -440,29 +481,18 @@ def project_back(state, out=None):
 
 
 def _initial_state(whiteners, data):
-    """The state of the filter e_0: the whitened reference x_ref / sqrt(C_ref,ref), demixed by W e_0.
-
-    W is upper triangular, so W e_0 = W_00 e_0: channel 0 scaled by the real W_00, with no product,
-    in shares of bins over the cores.
-    """
-    scale = np.real(whiteners[:, 0, 0])[:, None]
-    estimate = np.empty(data.shape[:2], dtype=np.complex128)
-
-    def scaled(start, stop):
-        np.multiply(data[start:stop, :, 0], scale[start:stop], out=estimate[start:stop])
-
-    _split(scaled, len(data), data.nbytes)
+    """The state of the filter e_0, whose estimate is the whitened reference x_ref / sqrt(C_ref,ref)."""
     w = np.zeros(whiteners.shape[:2], dtype=np.complex128)
     w[:, 0] = 1.0
-    return DemixingState(whiteners, w, _activity(estimate), estimate=estimate)
+    return DemixingState(whiteners, w, _activity(whiteners[:, :1, 0], data[:, :, :1]))
 
 
 def extract_spectral(spec, config, callback=None):
     """Run the full extraction on a spectrogram: a SpectralTensor or its raw (F, N, M) data.
 
     Pipeline: build the sample covariance once and whiten it (prewhiten)
-    with the reference channel first, initialize the estimate as the
-    whitened reference channel, iterate demixing updates until one
+    with the reference channel first, start from the filter whose estimate
+    is the whitened reference channel, iterate demixing updates until one
     certifies the state it starts from within early_stop_tol
     (head_residual), then project that state's estimate back onto the
     reference channel (project_back). Whenever whitening names a channel
@@ -479,12 +509,13 @@ def extract_spectral(spec, config, callback=None):
     bin but whose squares underflow there to a zero power raises
     ValueError, not SilentReferenceChannelError.
 
-    The run holds one (F, N) estimate: each update demixes into it
-    (five_iteration's out), a run that drops its certifying update demixes
-    the returned state into it again (apply_demixing), and project_back
-    scales it in place. callback(iteration, state) gets the initial state
-    (iteration 0) and every kept update as a copy that owns a copy of the
-    raw (un-projected) estimate; a callback changes no output bit.
+    Between updates the run holds filters and activities, no estimate
+    (five_iteration). Every run, converged or not, ends with one demix of
+    the returned state (apply_demixing); the last certificate of a
+    monitored run reads that estimate, and project_back scales it in place.
+    callback(iteration, state) gets the initial state (iteration 0) and
+    every kept update as a copy with a freshly demixed raw (un-projected)
+    estimate that it owns; a callback changes no output bit.
 
     Returns the projected (F, N) extracted signal and an ExtractionReport
     with one record per kept state (record 0: whitening and the initial
@@ -541,11 +572,14 @@ def extract_spectral(spec, config, callback=None):
     monitoring = config.nll_monitoring
     report = ExtractionReport()
 
+    def _estimate(state):
+        return replace(state, estimate=apply_demixing(_demixing_filters(state.whiteners, state.w), data))
+
     def _record(wall_ms):
         nll = evaluate_nll(state, contrast) if monitoring else None
         report.records.append(IterationRecord(state.iteration, nll, None, wall_ms))
-        if callback is not None:  # a snapshot: the run's next update overwrites its estimate
-            callback(state.iteration, replace(state, estimate=state.estimate.copy()))
+        if callback is not None:
+            callback(state.iteration, _estimate(state))
 
     def _certify(residual):
         if monitoring:
@@ -556,15 +590,15 @@ def extract_spectral(spec, config, callback=None):
     _record(setup_ms)
     for _ in range(config.max_iterations):
         t_iter = time.perf_counter()
-        update = five_iteration(state, data, contrast, out=state.estimate)
+        update = five_iteration(state, data, contrast)
         wall_ms = (time.perf_counter() - t_iter) * 1e3
-        if _certify(update.previous_residual):  # drop the certifying update, keep its time, undo its demix
+        if _certify(update.previous_residual):  # drop the certifying update, keep its time
             last = report.records[-1]
             report.records[-1] = replace(last, wall_time_ms=last.wall_time_ms + wall_ms)
-            apply_demixing(_demixing_filters(state.whiteners, state.w), data, out=state.estimate)
             break
         state = update
         _record(wall_ms)
+    state = _estimate(state)
     if monitoring and not report.converged:  # the loop ran out: certify the last state
         _certify(head_residual(state, data, contrast))
     report.iterations_run = state.iteration
@@ -576,9 +610,10 @@ def extract(wave, stft_config, five_config):
 
     Returns the extracted single-channel MultichannelWave (same length as
     the input) and the ExtractionReport. The working set is the (F, N, M)
-    spectrogram plus one (F, N) estimate, which every update overwrites and
-    the projection scales in place; the spectrogram is released before
-    synthesize, which needs only the projected estimate.
+    spectrogram plus a few blocks through the updates, and the (F, N)
+    estimate after them, which the projection scales in place; the
+    spectrogram is released before synthesize, which needs only the
+    projected estimate.
     """
     spec = analyze(wave, stft_config)
     extracted, report = extract_spectral(spec, five_config)

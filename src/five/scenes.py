@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .stft import SpectralTensor, StftConfig
-from .wavio import MultichannelWave, read_wave, write_wave
+from .wavio import MultichannelWave, _is_integer, read_wave, write_wave
 
 __all__ = [
     "SceneSpec",
@@ -67,8 +67,8 @@ class SceneSpec:
             raise ValueError("num_bins must be >= 1")
         if self.num_frames < self.num_channels:
             raise ValueError("num_frames must be >= num_channels")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+        if not _is_integer(self.sample_rate) or self.sample_rate <= 0:
+            raise ValueError("sample_rate must be a positive integer")
         if self.target_model not in TARGET_MODELS:
             raise ValueError(f"target_model must be one of {TARGET_MODELS}")
         if self.mixing not in MIXING_MODES:

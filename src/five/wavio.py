@@ -129,21 +129,32 @@ def write_wave(path, wave, format="float32"):
     """Write a MultichannelWave as PCM16 or float32 WAV.
 
     In pcm16 mode, samples outside [-1, 1] are hard-clipped; the number of
-    clipped samples is returned (always 0 for float32).
+    clipped samples is returned (always 0 for float32). A value that its
+    header field cannot hold (a sample rate or byte rate of 2**32 or more,
+    say) raises ValueError naming the field, and no file is opened.
     """
+    if format not in ("pcm16", "float32"):
+        raise ValueError(f"unknown format {format!r}; use 'pcm16' or 'float32'")
+    code, width = (1, 2) if format == "pcm16" else (3, 4)
+    channels = wave.channels
+    fields = [  # (name, value, bits) of every header field that grows with the wave
+        ("channel count", channels, 16),
+        ("sample rate", wave.sample_rate, 32),
+        ("byte rate", wave.sample_rate * channels * width, 32),
+        ("block align", channels * width, 16),
+        ("RIFF chunk size", 36 + wave.num_samples * channels * width, 32),
+    ]
+    for name, value, bits in fields:
+        if value >= 1 << bits:
+            raise ValueError(f"{name} {value} does not fit the {bits}-bit WAV header field")
     if format == "pcm16":
-        code, width = 1, 2
         clipped = int(np.count_nonzero(np.abs(wave.samples) > 1.0))
         ints = np.rint(np.clip(wave.samples, -1.0, 1.0) * _PCM16_SCALE)
         payload = np.clip(ints, -32768, 32767).astype("<i2").tobytes()
-    elif format == "float32":
-        code, width = 3, 4
+    else:
         clipped = 0
         payload = wave.samples.astype("<f4").tobytes()
-    else:
-        raise ValueError(f"unknown format {format!r}; use 'pcm16' or 'float32'")
 
-    channels = wave.channels
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF",

@@ -25,6 +25,12 @@ def whiten_by_cholesky(data):
     return linalg.apply_inverse_hermitian_transpose(q, data), q
 
 
+def estimate(state, data):
+    """The (F, N) estimate (W w)^H x of a state's filters w, demixed through its whiteners W."""
+    filters = np.einsum("fij,fj->fi", state.whiteners, state.w)
+    return np.einsum("fni,fi->fn", data, np.conj(filters))
+
+
 def activity(extracted):
     """Per-frame magnitude sqrt(sum_f |s_fn|^2) of an (F, N) estimate, in one pass over every bin."""
     return np.sqrt(np.sum(np.abs(extracted) ** 2, axis=0))

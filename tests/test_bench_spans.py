@@ -30,8 +30,7 @@ def test_every_traced_target_resolves():
 
 def test_monitored_extraction_leaves_no_span_silent():
     # every span reads the path a monitored extraction runs, except the
-    # explicit whitening product (off the path), the eigen fallback and
-    # apply_demixing, which only a converged run calls
+    # explicit whitening product (off the path) and the eigen fallback
     spans = _load_spans()
     rng = np.random.default_rng(0)
     wave = five.MultichannelWave(16000, rng.standard_normal((16 * 256, 3)))
@@ -39,7 +38,7 @@ def test_monitored_extraction_leaves_no_span_silent():
     with spans.Tracer() as tracer:
         five.extract(wave, five.StftConfig(frame_size=256), config)
     silent = set(spans.SPAN_NAMES) - {span.name for span in tracer.spans}
-    assert silent == {"linalg.apply_inverse_hermitian_transpose", "linalg.eig_hermitian", "core.apply_demixing"}
+    assert silent == {"linalg.apply_inverse_hermitian_transpose", "linalg.eig_hermitian"}
 
 
 def test_trace_of_a_split_extraction_nests(monkeypatch):
@@ -65,8 +64,8 @@ def test_trace_of_a_split_extraction_nests(monkeypatch):
 
 
 def test_converged_extraction_demixes_its_returned_state_in_one_span():
-    # the dropped certifying update overwrote the returned state's estimate:
-    # one apply_demixing call restores it after the last update, from the
+    # updates hold no estimate: one apply_demixing call forms the returned
+    # state's after the last update, the dropped certifying one too, from the
     # calling thread (no pool thread calls a traced function), before the
     # projection
     spans = _load_spans()

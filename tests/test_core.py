@@ -279,19 +279,24 @@ def test_weighted_covariance_floors_activity():
 # ---------------------------------------------------------------- activity
 
 
+def _activity_of(extracted):
+    # the activity of an (F, N) estimate: the demix of extracted[:, :, None] by unit filters
+    return core._activity(np.ones((len(extracted), 1)), extracted[:, :, None])
+
+
 def test_activity_pythagorean():
     extracted = np.array([[3.0 + 4.0j]])
-    assert core._activity(extracted)[0] == pytest.approx(5.0, abs=0)
+    assert _activity_of(extracted)[0] == pytest.approx(5.0, abs=0)
 
 
 def test_activity_zero_frame():
-    assert core._activity(np.zeros((4, 3), dtype=complex))[1] == 0.0
+    assert _activity_of(np.zeros((4, 3), dtype=complex))[1] == 0.0
 
 
 def test_activity_matches_elementwise_oracle():
     rng = np.random.default_rng(35)
     extracted = _cnormal(rng, (16, 4))
-    got = core._activity(extracted)
+    got = _activity_of(extracted)
     for n in range(4):
         want = np.sqrt(sum(abs(extracted[f, n]) ** 2 for f in range(16)))
         assert abs(got[n] - want) <= 1e-12
@@ -306,7 +311,27 @@ def test_activity_matches_one_pass_within_rounding(n_frames):
     for n_bins in (1, step - 1, step, step + 1, 2 * step + 3):
         extracted = _cnormal(rng, (n_bins, n_frames)) * np.exp(5 * rng.standard_normal((n_bins, 1)))
         want = oracles.activity(extracted)
-        assert np.all(np.abs(core._activity(extracted) - want) <= (n_bins + 2) * np.finfo(float).eps * want)
+        assert np.all(np.abs(_activity_of(extracted) - want) <= (n_bins + 2) * np.finfo(float).eps * want)
+
+
+def test_activity_does_not_depend_on_shares_or_blocks(monkeypatch):
+    # 100 bins are 7 groups, the last of 4 bins: 1 or 3 shares of whole
+    # groups, and blocks of 1, 3 (cutting every group) or all bins give
+    # one sum per frame to the bit
+    rng = np.random.default_rng(34)
+    data = _cnormal(rng, (100, 50, 3)) * np.exp(5 * rng.standard_normal((100, 1, 1)))
+    filters = _cnormal(rng, (100, 3))
+    monkeypatch.setattr(stft, "_SHARE_BYTES", 1 << 10)
+    runs = []
+    for workers in (1, 3):
+        monkeypatch.setattr(stft, "_WORKERS", workers)
+        for bins in (1, 3, None):
+            block_bytes = 1 << 19 if bins is None else 16 * 50 * bins
+            monkeypatch.setattr(stft, "_BLOCK_BYTES", block_bytes)
+            runs.append(core._activity(filters, data))
+    want = oracles.activity(apply_demixing(filters, data))
+    assert np.all(np.abs(runs[0] - want) <= 102 * np.finfo(float).eps * want)
+    assert all(np.array_equal(run, runs[0]) for run in runs[1:])
 
 
 # ---------------------------------------------------------------- iteration
@@ -318,7 +343,7 @@ def test_iteration_single_channel_is_rescale():
     whiteners = _whiteners(data)
     whitened = whiten(data, whiteners)
     state = five_iteration(core._initial_state(whiteners, data), data, ContrastModel("laplace"))
-    extracted = state.estimate
+    extracted = oracles.estimate(state, data)
     for f in range(4):
         ratio = extracted[f] / whitened[f, :, 0]
         assert np.max(np.abs(ratio - ratio[0])) <= 1e-12
@@ -349,9 +374,9 @@ def test_iteration_activity_consistent_with_estimate():
     data = _two_source_mixture(rng, 8, 200)
     whiteners = _whiteners(data)
     state = five_iteration(core._initial_state(whiteners, data), data, ContrastModel("laplace"))
-    recomputed = core._activity(apply_demixing(core._demixing_filters(whiteners, state.w), data))
+    recomputed = oracles.activity(apply_demixing(state.w, whiten(data, whiteners)))
     assert np.max(np.abs(recomputed - state.activity)) <= 1e-10
-    assert np.max(np.abs(apply_demixing(state.w, whiten(data, whiteners)) - state.estimate)) <= 1e-10
+    assert np.max(np.abs(recomputed - oracles.activity(oracles.estimate(state, data)))) <= 1e-10
 
 
 @pytest.mark.parametrize("layout", ["strided", "transposed", "complex64"])
@@ -398,12 +423,14 @@ def test_initial_state_is_the_whitened_reference_channel():
     data = _cnormal(rng, (8, 100, 4)) * np.array([1.0, 3.0, 0.2, 7.0])
     whiteners = _whiteners(data)
     state = core._initial_state(whiteners, data)
+    estimate = oracles.estimate(state, data)
     want = whiten(data, whiteners)[:, :, 0]
-    assert np.max(np.abs(state.estimate - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.max(np.abs(estimate - want)) <= 1e-13 * np.max(np.abs(want))
     rms = np.sqrt(np.real(sample_covariance(data)[:, 0, 0]))
-    assert np.max(np.abs(state.estimate - data[:, :, 0] / rms[:, None])) <= 1e-13 * np.max(np.abs(want))
+    assert np.max(np.abs(estimate - data[:, :, 0] / rms[:, None])) <= 1e-13 * np.max(np.abs(want))
     assert np.array_equal(state.w, np.tile(np.eye(4)[0], (8, 1)))
-    assert np.array_equal(state.activity, core._activity(state.estimate))
+    assert state.estimate is None
+    assert np.all(np.abs(state.activity - oracles.activity(want)) <= 10 * np.finfo(float).eps * state.activity)
 
 
 def test_iteration_reaches_fixed_point_two_channels():
@@ -472,8 +499,8 @@ def test_iteration_equivariant_under_unitary():
     s2 = five_iteration(base, rotated, contrast)
 
     assert np.max(np.abs(_fix_phase_vec(s2.w[2]) - _fix_phase_vec(unitary @ s1.w[2]))) <= 1e-10
-    e1 = s1.estimate[2]
-    e2 = s2.estimate[2]
+    e1 = oracles.estimate(s1, data)[2]
+    e2 = oracles.estimate(s2, rotated)[2]
     assert np.max(np.abs(np.abs(e2) - np.abs(e1))) <= 1e-10
     corr = np.vdot(e2, e1)
     assert abs(abs(corr) - np.linalg.norm(e1) * np.linalg.norm(e2)) <= 1e-10 * abs(corr)
@@ -494,8 +521,8 @@ def test_gauss_iterates_scale_invariant():
     for _ in range(4):
         state_a = five_iteration(state_a, data, contrast)
         state_b = five_iteration(state_b, scaled, contrast)
-        ea = state_a.estimate
-        eb = state_b.estimate
+        ea = oracles.estimate(state_a, data)
+        eb = oracles.estimate(state_b, scaled)
         assert np.max(np.abs(ea / np.linalg.norm(ea) - eb / np.linalg.norm(eb))) <= 1e-10
 
 
@@ -557,7 +584,7 @@ def test_nll_includes_whitening_constant():
     base = DemixingState(
         whiteners=np.broadcast_to(np.eye(2, dtype=complex), (2, 2, 2)),
         w=np.ones((2, 2), dtype=complex) / np.sqrt(2),
-        activity=core._activity(data[:, :, 0]),
+        activity=oracles.activity(data[:, :, 0]),
     )
     scaled = DemixingState(
         whiteners=np.broadcast_to(0.5 * np.eye(2, dtype=complex), (2, 2, 2)),
@@ -582,7 +609,7 @@ def _monitor_states(rng, data, whiteners, contrast):
     states = [core._initial_state(whiteners, data)]
     for _ in range(2):
         w = _cnormal(rng, (n_bins, n_chan))
-        activity = core._activity(apply_demixing(core._demixing_filters(whiteners, w), data))
+        activity = core._activity(core._demixing_filters(whiteners, w), data)
         states.append(DemixingState(whiteners, w, activity))
     for _ in range(3):
         states.append(five_iteration(states[-1], data, contrast))
@@ -767,32 +794,46 @@ def test_monitored_run_costs_one_covariance_build(monkeypatch, monitoring):
     assert counts == {"pair": 4, "eig": 0, "cov": 4, "certify": int(monitoring)}
 
 
-@pytest.mark.parametrize("monitoring", [True, False])
-def test_run_makes_one_demixing_product_per_update(monkeypatch, monitoring):
-    # K updates make K demixing products: the initial estimate is channel 0
-    # scaled by W_00 (W e_0 = W_00 e_0, bit-identical to its demix), each
-    # update demixes once, the callback gets the state of the update, and
-    # the output is the projection of the last state
-    counts = {"demix": 0, "raw": 0}
-    demix, product = core.apply_demixing, core._demix
+def _counting_demixes(monkeypatch):
+    # the bins every demixing product covers, and the apply_demixing calls
+    counts = {"bins": 0, "calls": 0}
+    product, demix = core._demix, core.apply_demixing
 
-    def counting_product(*args, **kwargs):
-        counts["demix"] += 1
-        return product(*args, **kwargs)
+    def counting_product(w, *args):
+        counts["bins"] += len(w)
+        return product(w, *args)
+
+    def counting_demix(*args, **kwargs):
+        counts["calls"] += 1
+        return demix(*args, **kwargs)
 
     monkeypatch.setattr(core, "_demix", counting_product)
+    monkeypatch.setattr(core, "apply_demixing", counting_demix)
+    return counts
+
+
+@pytest.mark.parametrize("monitoring", [True, False])
+def test_run_makes_one_demixing_product_per_update(monkeypatch, monitoring):
+    # K updates demix every bin K times, the initial state's activity once,
+    # and the run's one apply_demixing once more, into the output; a
+    # callback gets each state with a demix of its own, and the same output
     rng = np.random.default_rng(62)
     data = _two_source_mixture(rng, 8, 200, noise_floor=0.01)
     spec = SpectralTensor(data, 16000, StftConfig(frame_size=14))
     config = FiveConfig(
         contrast=ContrastModel("gauss", num_bins=8), max_iterations=4, nll_monitoring=monitoring
     )
-    states = []
-    extracted, report = extract_spectral(spec, config, callback=lambda it, state: states.append(state))
+    counts = _counting_demixes(monkeypatch)
+    extracted, report = extract_spectral(spec, config)
     assert report.iterations_run == 4
-    assert counts["demix"] == 4
+    assert counts == {"bins": 8 * (4 + 2), "calls": 1}
+    states = []
+    counts.update(bins=0, calls=0)
+    recorded, _ = extract_spectral(spec, config, callback=lambda it, state: states.append(state))
     assert len(states) == 5
-    assert np.array_equal(states[0].estimate, demix(states[0].whiteners[:, :, 0], data))
+    assert counts == {"bins": 8 * (4 + 2 + 5), "calls": 1 + 5}
+    assert np.array_equal(recorded, extracted)
+    assert np.array_equal(states[0].estimate, apply_demixing(states[0].whiteners[:, :, 0], data))
     assert np.array_equal(extracted, project_back(states[-1]))
 
 
@@ -881,7 +922,8 @@ def _projection_state(seed, scale=1.0, shape=(4, 32, 2)):
     # so its estimate, (W scale w)^H x, by conj(scale)
     data = _cnormal(np.random.default_rng(seed), shape)
     state = core._initial_state(_whiteners(data), data)
-    return data, replace(state, w=scale * state.w, estimate=np.conj(scale) * state.estimate)
+    state = replace(state, w=scale * state.w)
+    return data, replace(state, estimate=oracles.estimate(state, data))
 
 
 def test_project_back_fixed_point():
@@ -903,8 +945,8 @@ def test_project_back_least_squares_oracle():
     # closed-form projection of an updated state
     data, state = _projection_state(52, shape=(3, 40, 2))
     state = five_iteration(state, data, ContrastModel("laplace"))
-    estimate = state.estimate
-    out = project_back(state)
+    estimate = oracles.estimate(state, data)
+    out = project_back(replace(state, estimate=estimate))
     for f in range(3):
         reference = data[f, :, 0]
         best = out[f]
@@ -1102,14 +1144,13 @@ def test_converged_run_times_its_certifying_update(monkeypatch):
     assert timed_ms >= 1e3 * sleep_s * (report.iterations_run + 1)
 
 
-# ------------------------------------------------------- one estimate buffer
+# ------------------------------------------------------- one estimate per run
 
-# The driver keeps one estimate buffer: each update demixes into the
-# estimate of the state it starts from, a converged run demixes its returned
-# state's estimate again, the projection scales the buffer in place, and a
-# callback gets snapshots with copies. Each run below is one of: converged
-# at state 0 (the first update certifies the initial state), converged at
-# some state k > 0, and run out of updates.
+# The driver holds no estimate between updates: every run ends with one
+# demix of the state it returns, into the output that the projection scales
+# in place, and a callback gets states with estimates of their own. Each run
+# below is one of: converged at state 0 (the first update certifies the
+# initial state), converged at some state k > 0, and run out of updates.
 BUFFER_RUNS = {
     "converged_at_0": dict(contrast=ContrastModel("laplace"), max_iterations=50, early_stop_tol=1e3),
     "converged_at_k": dict(contrast=ContrastModel("laplace"), max_iterations=200, early_stop_tol=1e-8),
@@ -1164,54 +1205,43 @@ def test_states_a_callback_holds_keep_their_own_estimates(shares, name):
 
 
 @pytest.mark.parametrize("name", BUFFER_RUNS)
-def test_converged_run_demixes_its_returned_state_once_more(monkeypatch, name):
-    # one demixing product per update, the dropped certifying update too;
-    # with or without a callback a converged run demixes its returned state
-    # once more, into the buffer the certifying update overwrote
-    counts = {"demix": 0}
-    product = core._demix
-
-    def counting_product(*args, **kwargs):
-        counts["demix"] += 1
-        return product(*args, **kwargs)
-
-    monkeypatch.setattr(core, "_demix", counting_product)
+def test_every_run_demixes_its_returned_state_once(monkeypatch, name):
+    # every bin once per update, the dropped certifying update too, and once
+    # for the initial state; with or without a callback the returned state
+    # once more, by one apply_demixing, and each state the callback gets once
+    counts = _counting_demixes(monkeypatch)
     for callback in (None, lambda it, state: None):
-        counts["demix"] = 0
+        counts.update(bins=0, calls=0)
         _, _, report = _buffer_run(name, callback)
         _check_buffer_run(name, report)
-        assert counts["demix"] == report.iterations_run + 2 * report.converged
+        updates = report.iterations_run + report.converged
+        recorded = 0 if callback is None else report.iterations_run + 1
+        assert counts == {"bins": 16 * (updates + 2 + recorded), "calls": 1 + recorded}
 
 
 def test_run_converged_by_its_last_certificate_demixes_no_more(monkeypatch):
     # a monitored run that uses all its updates and then certifies its last
-    # state within the tolerance dropped no update: its estimate stands
+    # state within the tolerance dropped no update: it demixes what any run
+    # of k updates does, and its output is the converged run's
     _, converged, converged_report = _buffer_run("converged_at_k")
     k = converged_report.iterations_run
-    product, calls = core._demix, []
-    monkeypatch.setattr(core, "_demix", lambda *args: calls.append(1) or product(*args))
+    counts = _counting_demixes(monkeypatch)
     data = _two_source_mixture(np.random.default_rng(54), 16, 400)
     config = FiveConfig(**{**BUFFER_RUNS["converged_at_k"], "max_iterations": k})
     extracted, report = extract_spectral(data, config)
     assert report.converged and report.iterations_run == k
-    assert len(calls) == k
+    assert counts == {"bins": 16 * (k + 2), "calls": 1}
     assert np.array_equal(extracted, converged)
 
 
-def test_update_and_projection_into_a_buffer_match_their_allocating_forms(shares):
+def test_updates_hold_no_estimate_and_projection_into_a_buffer_matches(shares):
     data = _two_source_mixture(np.random.default_rng(54), 16, 400, noise_floor=0.01)
     contrast = ContrastModel("gauss", num_bins=16)
     state = core._initial_state(_whiteners(data), data)
     for _ in range(3):
-        fresh = five_iteration(state, data, contrast)
-        buffer = state.estimate.copy()
-        reused = five_iteration(replace(state, estimate=buffer), data, contrast, out=buffer)
-        assert reused.estimate is buffer
-        assert np.array_equal(reused.estimate, fresh.estimate)
-        assert np.array_equal(reused.w, fresh.w)
-        assert np.array_equal(reused.activity, fresh.activity)
-        assert reused.previous_residual == fresh.previous_residual
-        state = fresh
+        state = five_iteration(state, data, contrast)
+        assert state.estimate is None
+    state = replace(state, estimate=oracles.estimate(state, data))
     projected = project_back(state)
     buffer = state.estimate.copy()
     in_place = project_back(replace(state, estimate=buffer), out=buffer)
@@ -1531,7 +1561,7 @@ def _updates_on_explicitly_whitened_data(data, contrast, iterations):
     state = core._initial_state(identity, whitened)
     for _ in range(iterations):
         state = five_iteration(state, whitened, contrast)
-    return state.estimate
+    return oracles.estimate(state, whitened)
 
 
 def _congruence_against_explicit(samples, frame_size=1024, iterations=3):

@@ -1,20 +1,23 @@
 """Working-set bounds of the extraction, under tracemalloc.
 
-An extraction holds the (F, N, M) spectrogram and one (F, N) estimate at
-full size: each update demixes into the estimate of the state it starts
-from, a converged run demixes its returned state's estimate back into that
-buffer, and the projection scales it in place. The set-up covariance is
-released before the first update. Every other temporary is a block of
-about stft._BLOCK_BYTES per share (stft._blocks), or a per-frame vector;
-a share builds its per-bin (M, M) stacks a block of bins at a time, a
-few blocks at 8 channels. Each bound below is that working set plus a
-few blocks, well under one more (F, N) estimate. The input is above the gate of stft._split, and every pass runs
-with two workers, so the share count, and with it each bound, does not
-depend on the machine.
+An extraction holds the (F, N, M) spectrogram at full size, and one (F, N)
+estimate only after its last update: an update reads the filters and the
+activity, and demixes its new filters a block of bins at a time, adding
+each block's |s|^2 into the activity's group sums. The run then demixes
+the returned state once, into the output that the projection scales in
+place. The set-up covariance is released before the first update. Every
+other temporary is a block of about stft._BLOCK_BYTES per share
+(stft._blocks), a per-frame vector, or a row per group of bins; a share
+builds its per-bin (M, M) stacks a block of bins at a time, a few blocks
+at 8 channels. Each bound below is that working set plus a few blocks,
+well under one more (F, N) estimate. The input is above the gate of
+stft._split, and every pass runs with two workers, so the share count,
+and with it each bound, does not depend on the machine.
 """
 
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -73,19 +76,36 @@ def test_analyze_makes_no_copy_of_the_signal(wave):
 
 
 def test_head_residual_holds_a_block_per_share(data, start):
-    _, peak = _peak(lambda: head_residual(start, data, ContrastModel("gauss", num_bins=len(data))))
+    state = replace(start, estimate=oracles.estimate(start, data))
+    _, peak = _peak(lambda: head_residual(state, data, ContrastModel("gauss", num_bins=len(data))))
     # each of the two shares weights conj(s) one block of bins at a time, in one buffer
-    assert peak <= 3 * BLOCK < start.estimate.nbytes
+    assert peak <= 3 * BLOCK < state.estimate.nbytes
 
 
-def test_activity_holds_one_block(start):
-    estimate = start.estimate
-    n_bins, n_frames = estimate.shape
-    activity, peak = _peak(lambda: core._activity(estimate))
-    want = oracles.activity(estimate)
+def test_activity_holds_one_block(data, start):
+    # each of the two shares demixes into one block, and the 17 groups of 16
+    # bins hold a row of Re(s)^2 and Im(s)^2 sums each: (17, 2N), 0.6 blocks here
+    n_bins, n_frames = data.shape[:2]
+    filters = start.whiteners[:, :, 0]
+    activity, peak = _peak(lambda: core._activity(filters, data))
+    want = oracles.activity(oracles.estimate(start, data))
     assert np.all(np.abs(activity - want) <= (n_bins + 2) * np.finfo(float).eps * want)
-    # a few (N,) vectors, far inside one block
-    assert peak <= 4 * 16 * n_frames < BLOCK
+    sums = 8 * 2 * n_frames * -(-n_bins // 16)
+    assert peak <= 2 * BLOCK + sums + 4 * 8 * n_frames < 16 * n_bins * n_frames
+
+
+def test_update_of_a_caller_held_tensor_holds_no_estimate():
+    # (257, 2000, 4): an 8.2 MB estimate, 16 blocks. Each update holds the
+    # whiteners, the state it returns and a few blocks per share, not the
+    # estimate of its filters
+    data = np.random.default_rng(82).standard_normal((257, 2000, 8)).view(np.complex128)
+    state = core._initial_state(core.prewhiten(core._covariance_stack(data)), data)
+    contrast = ContrastModel("gauss", num_bins=len(data))
+    estimate = 16 * 257 * 2000
+    for _ in range(2):
+        state, peak = _peak(lambda: core.five_iteration(state, data, contrast))
+        assert state.estimate is None
+        assert peak <= state.whiteners.nbytes + 6 * BLOCK < estimate
 
 
 def _one_estimate_bound(wave):
@@ -106,8 +126,7 @@ def test_monitored_extraction_holds_the_spectrogram_and_one_estimate(wave):
 
 
 def test_converged_extraction_holds_the_spectrogram_and_one_estimate(wave):
-    # the certifying update overwrites the returned state's estimate, which
-    # is demixed again into the same buffer
+    # the returned state is demixed once, after the certifying update
     config = FiveConfig(ContrastModel("gauss", num_bins=CONFIG.num_bins), max_iterations=30, early_stop_tol=1e-3)
     (_, report), peak = _peak(lambda: extract(wave, CONFIG, config))
     assert report.converged and report.iterations_run > 0
@@ -172,8 +191,8 @@ def test_eight_channel_update_and_set_up_hold_a_few_blocks_per_share(monkeypatch
     n_bins, n_chan = EIGHT.num_bins, eight_channel_wave.channels
     n_frames = 1 + (eight_channel_wave.num_samples - EIGHT.frame_size) // EIGHT.hop
     assert n_bins * n_frames * n_chan * 16 >= 2 * stft._SHARE_BYTES
-    spectrogram, estimate = n_bins * n_frames * n_chan * 16, n_bins * n_frames * 16
+    spectrogram = n_bins * n_frames * n_chan * 16
     whiteners = n_bins * n_chan**2 * 16
-    # the set-up holds no estimate yet, and its output is the size of the whiteners
+    # neither holds an estimate, and the set-up's output is the size of the whiteners
     assert peaks["_covariance_stack"] <= spectrogram + whiteners + 8 * BLOCK
-    assert peaks["five_iteration"] <= spectrogram + estimate + whiteners + 12 * BLOCK
+    assert peaks["five_iteration"] <= spectrogram + whiteners + 12 * BLOCK

@@ -8,7 +8,6 @@ from five import core, scenes
 from five.core import (
     ContrastModel,
     DemixingState,
-    apply_demixing,
     five_iteration,
     prewhiten,
 )
@@ -115,6 +114,14 @@ def test_spec_validation():
         generate_scene(SceneSpec(num_channels=1, num_bins=1, num_frames=4))
 
 
+@pytest.mark.parametrize("sample_rate", [16000.5, np.float64(16000.0), True, 0, -8000])
+@pytest.mark.parametrize("mixing", ["instantaneous_per_bin", "convolutive_fir"])
+def test_spec_rejects_a_sample_rate_that_is_not_a_positive_integer(sample_rate, mixing):
+    # a float rate died in numpy with a bare TypeError when the scene was generated
+    with pytest.raises(ValueError, match="sample_rate must be a positive integer"):
+        _spec(mixing=mixing, num_channels=2, sample_rate=sample_rate)
+
+
 @pytest.mark.parametrize("num_samples", [0, -5])
 def test_spec_rejects_nonpositive_num_samples(num_samples):
     with pytest.raises(ValueError, match="num_samples"):
@@ -206,7 +213,7 @@ def test_oracle_dominates_random_probes_and_five():
     contrast = ContrastModel("gauss", num_bins=16)
     w0 = np.zeros((16, 3), dtype=complex)
     w0[:, 0] = 1.0
-    state = DemixingState(whiteners, w0, core._activity(apply_demixing(whiteners[:, :, 0], data)))
+    state = DemixingState(whiteners, w0, core._activity(whiteners[:, :, 0], data))
     for _ in range(10):
         state = five_iteration(state, data, contrast)
     w_five = (whiteners @ state.w[:, :, None])[:, :, 0]  # back to input coordinates

@@ -19,6 +19,7 @@ from five import core, stft
 from five.core import ContrastModel, DegenerateCovarianceError, FiveConfig, extract_spectral, five_iteration
 from five.stft import StftConfig, analyze
 from five.wavio import MultichannelWave
+import oracles
 
 SHAPE = (257, 1024, 4)
 
@@ -71,30 +72,22 @@ def test_update_and_certificate_are_bit_identical_split(monkeypatch, data):
     contrast = ContrastModel("gauss", num_bins=SHAPE[0])
     state = _state(data)
     serial, split = _both(monkeypatch, lambda: five_iteration(state, data, contrast))
-    for name in ("w", "activity", "estimate"):
+    for name in ("w", "activity"):
         assert np.array_equal(getattr(serial, name), getattr(split, name)), name
+    assert np.array_equal(oracles.estimate(serial, data), oracles.estimate(split, data))
     assert serial.previous_residual == split.previous_residual
     serial, split = _both(monkeypatch, lambda: core.head_residual(serial, data, contrast))
     assert serial == split
 
 
 def test_apply_demixing_is_bit_identical_split(monkeypatch, data):
-    # into a given out and into a new array, one _demix per share
+    # one _demix per share
     w = _cnormal(np.random.default_rng(72), (SHAPE[0], SHAPE[2]))
     product, calls = core._demix, []
     monkeypatch.setattr(core, "_demix", lambda *args: calls.append(len(args[0])) or product(*args))
-    for given in (False, True):
-
-        def demix():
-            out = np.empty(SHAPE[:2], dtype=np.complex128) if given else None
-            got = core.apply_demixing(w, data, out=out)
-            assert out is None or got is out
-            return got
-
-        calls.clear()
-        serial, split = _both(monkeypatch, demix)
-        assert sorted(calls) == [85, 86, 86, 257]
-        assert np.array_equal(serial, split)
+    serial, split = _both(monkeypatch, lambda: core.apply_demixing(w, data))
+    assert sorted(calls) == [85, 86, 86, 257]
+    assert np.array_equal(serial, split)
 
 
 def test_extraction_is_bit_identical_split(monkeypatch, data):
@@ -123,7 +116,7 @@ def test_many_workers_and_short_switch_interval_lose_no_share(monkeypatch, data)
     finally:
         sys.setswitchinterval(interval)
     for update in got:
-        assert np.array_equal(update.estimate, want.estimate)
+        assert np.array_equal(update.activity, want.activity)
         assert np.array_equal(update.w, want.w)
 
 
@@ -151,7 +144,9 @@ def test_blocks_tile_the_range():
 
 
 def test_update_and_set_up_are_bit_identical_in_blocks(monkeypatch, data):
-    # 7-bin blocks put block bounds inside every share (share bounds 0, 85, 171, 257)
+    # 7-bin blocks put block bounds inside every share (share bounds 0, 85, 171,
+    # 257 for the set-up; 0, 80, 176, 257, on whole groups of 16 bins, for the
+    # update) and inside every group of the update's activity sums
     contrast = ContrastModel("gauss", num_bins=SHAPE[0])
     state = five_iteration(_state(data), data, contrast)
     monkeypatch.setattr(stft, "_WORKERS", 3)
@@ -160,15 +155,17 @@ def test_update_and_set_up_are_bit_identical_in_blocks(monkeypatch, data):
     _few_bin_blocks(monkeypatch, 7)
     assert len(stft._blocks(85, 171, 16 * SHAPE[2] ** 2)) == 13
     blocked = five_iteration(state, data, contrast)
-    for name in ("w", "activity", "estimate"):
+    for name in ("w", "activity"):
         assert np.array_equal(getattr(whole, name), getattr(blocked, name)), name
+    assert np.array_equal(oracles.estimate(whole, data), oracles.estimate(blocked, data))
     assert whole.previous_residual == blocked.previous_residual
     assert np.array_equal(whole_cov, core._covariance_stack(data))
     assert whole_residual == core.head_residual(blocked, data, contrast)
 
 
 def test_update_is_one_split_pass(monkeypatch, data):
-    # the filters and the estimate come from one pass over the bins
+    # the filters and the activity come from one pass over the 17 groups of
+    # 16 bins (the last of one bin), whole groups to a share
     calls = []
 
     def counted(kernel, count, nbytes):
@@ -179,17 +176,15 @@ def test_update_is_one_split_pass(monkeypatch, data):
     contrast = ContrastModel("gauss", num_bins=SHAPE[0])
     state = _state(data)
     calls.clear()
-    for out in (None, np.empty(SHAPE[:2], dtype=np.complex128)):
-        five_iteration(state, data, contrast, out=out)
-        assert calls == [SHAPE[0]]
-        calls.clear()
+    five_iteration(state, data, contrast)
+    assert calls == [17] and 16 * 16 < SHAPE[0] <= 16 * 17
 
 
 def test_degenerate_bin_is_named_by_its_global_index(monkeypatch, data):
     # zero whiteners make V zero in bins 100 and 200, in the second and third
-    # of three shares (bounds 0, 85, 171, 257), and with 7-bin blocks in a
-    # later block of its share (the third; the fifteenth of one share): the
-    # error names bin 100
+    # of three shares (bounds 0, 80, 176, 257: whole groups of 16 bins), and
+    # with 7-bin blocks in a later block of its share (the third; the
+    # fifteenth of one share): the error names bin 100
     state = _state(data)
     whiteners = state.whiteners.copy()
     whiteners[[100, 200]] = 0.0
@@ -198,7 +193,7 @@ def test_degenerate_bin_is_named_by_its_global_index(monkeypatch, data):
     for block_bins in (None, 7):
         if block_bins is not None:
             _few_bin_blocks(monkeypatch, block_bins)
-            assert stft._blocks(85, 171, 16 * SHAPE[2] ** 2)[2] == slice(99, 106)
+            assert stft._blocks(80, 176, 16 * SHAPE[2] ** 2)[2] == slice(94, 101)
             assert stft._blocks(0, 257, 16 * SHAPE[2] ** 2)[14] == slice(98, 105)
         for workers in (1, 3):
             monkeypatch.setattr(stft, "_WORKERS", workers)
@@ -209,7 +204,7 @@ def test_degenerate_bin_is_named_by_its_global_index(monkeypatch, data):
 def test_no_output_depends_on_the_core_count(monkeypatch):
     # 8 channels at frame 1024: 513 bins, and 260 frames put 4 shares over the
     # gate. The shares' stacks of V straddle 16384 entries (256 bins at M = 8):
-    # 513 and 257 bins on 1 and 2 workers, 171 and 129 on 3 and 4, a layout
+    # 513 and 257 bins on 1 and 2 workers, 176 and 129 on 3 and 4, a layout
     # numpy would pick differently on each side if V's were not fixed
     config = StftConfig(frame_size=1024)
     rng = np.random.default_rng(72)

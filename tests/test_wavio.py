@@ -145,3 +145,27 @@ def test_sample_rate_must_be_an_integer(tmp_path):
     path = tmp_path / "rate.wav"
     write_wave(path, MultichannelWave(np.int64(16000), np.zeros((4, 1))))
     assert read_wave(path).sample_rate == 16000
+
+
+@pytest.mark.parametrize(
+    "rate, channels, format, field",
+    [
+        (2**32, 1, "float32", "sample rate"),
+        (2**29, 3, "float32", "byte rate"),  # 2**29 * 3 * 4 bytes per second
+        (2**31, 1, "pcm16", "byte rate"),
+        (8000, 2**16, "pcm16", "channel count"),
+        (8000, 2**14, "float32", "block align"),  # 2**14 * 4 bytes per frame
+    ],
+)
+def test_write_wave_names_a_header_field_too_small_for_its_value(tmp_path, rate, channels, format, field):
+    # each died in struct.pack; the check runs before the file is opened
+    path = tmp_path / "big.wav"
+    with pytest.raises(ValueError, match=f"^{field} "):
+        write_wave(path, MultichannelWave(rate, np.zeros((1, channels))), format=format)
+    assert not path.exists()
+
+
+def test_write_wave_takes_the_largest_byte_rate_its_header_holds(tmp_path):
+    path = tmp_path / "edge.wav"
+    write_wave(path, MultichannelWave(2**31 - 1, np.zeros((2, 1))), format="pcm16")  # 2**32 - 2 bytes per second
+    assert read_wave(path).sample_rate == 2**31 - 1
