@@ -6,14 +6,8 @@ from .core import (
     ExtractionReport,
     FiveConfig,
     SilentReferenceChannelError,
-    apply_demixing,
-    evaluate_nll,
     extract,
     extract_spectral,
-    five_iteration,
-    head_residual,
-    prewhiten,
-    project_back,
 )
 from .metrics import MetricReport, evaluate_extraction, si_sdr, si_sir
 from .scenes import (
@@ -41,17 +35,11 @@ __all__ = [
     "SpectralTensor",
     "StftConfig",
     "analyze",
-    "apply_demixing",
     "evaluate_extraction",
-    "evaluate_nll",
     "extract",
     "extract_spectral",
-    "five_iteration",
     "generate_scene",
-    "head_residual",
     "load_scene",
-    "prewhiten",
-    "project_back",
     "read_wave",
     "save_scene",
     "si_sdr",

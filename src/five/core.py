@@ -89,8 +89,8 @@ class ContrastModel:
     def __post_init__(self):
         if self.kind not in ("laplace", "gauss"):
             raise ValueError(f"unknown contrast kind {self.kind!r}")
-        if self.kind == "gauss" and (self.num_bins is None or self.num_bins < 1):
-            raise ValueError("gauss contrast requires num_bins >= 1")
+        if not (_is_integer(self.num_bins) and self.num_bins >= 1 or self.num_bins is None and self.kind == "laplace"):
+            raise ValueError("num_bins must be an integer >= 1, or None for the laplace contrast")
 
     def weight(self, r):
         r = np.asarray(r, dtype=np.float64)
@@ -132,11 +132,12 @@ class DemixingState:
     whiteners holds the per-bin upper-triangular whitening factors W = Q^{-1}
     (prewhiten), w the demixing vectors in whitened coordinates, so that W w
     demixes the raw data, and activity the per-frame source magnitude of its
-    estimate, the (F, N) signal (W_f w_f)^H x_fn. That is all an update
-    reads, so a state between updates holds no estimate: extract_spectral
-    forms it once, for the returned state, and for each state its callback
-    receives. five_iteration sets previous_residual, the head_residual (up
-    to rounding) of the state it started from. The background demixing
+    estimate, the (F, N) signal (W_f w_f)^H x_fn. That is all an update or
+    a certificate reads, so a state between updates holds no estimate:
+    extract_spectral forms it once, for the returned state and for each
+    state its callback receives, and only project_back reads it.
+    five_iteration sets previous_residual, the head_residual (up to
+    rounding) of the state it started from. The background demixing
     block is not stored: the monitor takes the orthonormal complement of w.
     Coordinate 0 is the reference channel, the first one whitened.
     """
@@ -235,7 +236,7 @@ def _activity_pass(data, kernel):
     kernel(start, stop, add) runs on shares of whole groups of _GROUP_BINS
     bins (stft._split) and calls add(filters, block) on consecutive blocks of
     its bins, once their own temporaries are released. add demixes a block
-    into a buffer of about a block (stft._blocks), squares it in place and
+    into a buffer of about a block (_demixed_blocks), squares it in place and
     adds each bin's row of Re(s_fn)^2 and Im(s_fn)^2 into its group's sum; a
     group cut by a block carries its sum into the next block's first row.
     numpy sums the rows of a C-ordered block one at a time, in order, and
@@ -246,11 +247,7 @@ def _activity_pass(data, kernel):
     sums = np.empty((-(-n_bins // _GROUP_BINS), 2 * n_frames))  # of Re(s)^2 and Im(s)^2, interleaved
 
     def add(filters, block):
-        subs = _blocks(block.start, block.stop, 16 * n_frames)
-        estimate = np.empty((subs[0].stop - block.start, n_frames), dtype=np.complex128)
-        for sub in subs:
-            s = estimate[: sub.stop - sub.start]
-            _demix(filters[sub.start - block.start : sub.stop - block.start], data[sub], s)
+        for sub, s in _demixed_blocks(filters, data, block):
             rows = np.square(s.view(np.float64), out=s.view(np.float64))
             head = min(-(-sub.start // _GROUP_BINS) * _GROUP_BINS, sub.stop)  # the rest of a group cut at start
             tail = max(sub.stop // _GROUP_BINS * _GROUP_BINS, head)  # the part of a group cut at stop
@@ -305,6 +302,16 @@ def _demix(w, data, out):
     if data.strides[2] != data.itemsize:
         data = np.ascontiguousarray(data)
     np.matmul(data, np.conj(w)[:, :, None], out=out[:, :, None])
+
+
+def _demixed_blocks(filters, data, bins):
+    """(block, filters^H x of the block) for each block of bins (stft._blocks), demixed into one reused buffer."""
+    blocks = _blocks(bins.start, bins.stop, 16 * data.shape[1])
+    buffer = np.empty((blocks[0].stop - bins.start, data.shape[1]), dtype=np.complex128)
+    for block in blocks:
+        s = buffer[: block.stop - block.start]
+        _demix(filters[block.start - bins.start : block.stop - bins.start], data[block], s)
+        yield block, s
 
 
 def apply_demixing(w, data):
@@ -433,27 +440,21 @@ def head_residual(state, data, contrast):
     u = w/||w||. At a fixed point of five_iteration the residual vanishes.
 
     Only V w is needed, and it takes one pass over the data without forming
-    V: W^H (1/N) sum_n weight_n x_n conj(s_n) for the state's estimate
-    s = (W w)^H x (apply_demixing when it has none; extract_spectral passes
-    the returned state's, which becomes the output), in shares of bins over
-    the cores. Each share weights conj(s) in one buffer, a block of bins at
-    a time (stft._blocks), so the pass adds a block per share to the data
-    and the estimate. It agrees with five_iteration's certificate of the
-    same state up to rounding.
+    V: W^H (1/N) sum_n weight_n x_n conj(s_n) for s = (W w)^H x, in shares
+    of bins over the cores. Each share demixes its bins a block at a time
+    into one buffer (_demixed_blocks, as the update does) and weights
+    conj(s) there: the pass never reads state.estimate and holds a block per
+    share. It agrees with five_iteration's certificate of the same state up
+    to rounding.
     """
     weights = _frame_weights(state.activity, contrast) / state.activity.shape[0]
     whiteners, w = state.whiteners, state.w
-    estimate = state.estimate
-    if estimate is None:
-        estimate = apply_demixing(_demixing_filters(whiteners, w), data)
     vw = np.empty(w.shape, dtype=np.complex128)
 
     def product(start, stop):
-        blocks = _blocks(start, stop, 16 * estimate.shape[1])
-        buffer = np.empty((blocks[0].stop - start, estimate.shape[1]), dtype=np.complex128)
-        for block in blocks:
-            weighted = np.conj(estimate[block], out=buffer[: block.stop - block.start])
-            weighted *= weights
+        filters = _demixing_filters(whiteners[start:stop], w[start:stop])
+        for block, s in _demixed_blocks(filters, data, slice(start, stop)):
+            weighted = np.multiply(np.conj(s, out=s), weights, out=s)
             raw = (weighted[:, None, :] @ data[block])[:, 0, :]
             vw[block] = (np.conj(np.swapaxes(whiteners[block], 1, 2)) @ raw[:, :, None])[:, :, 0]
 
@@ -510,9 +511,10 @@ def extract_spectral(spec, config, callback=None):
     ValueError, not SilentReferenceChannelError.
 
     Between updates the run holds filters and activities, no estimate
-    (five_iteration). Every run, converged or not, ends with one demix of
-    the returned state (apply_demixing); the last certificate of a
-    monitored run reads that estimate, and project_back scales it in place.
+    (five_iteration). A monitored run that uses every update certifies its
+    last state (head_residual) before any (F, N) array exists. Every run
+    then ends with one demix of the returned state (apply_demixing), into
+    the output that project_back scales in place.
     callback(iteration, state) gets the initial state (iteration 0) and
     every kept update as a copy with a freshly demixed raw (un-projected)
     estimate that it owns; a callback changes no output bit.
@@ -598,10 +600,10 @@ def extract_spectral(spec, config, callback=None):
             break
         state = update
         _record(wall_ms)
-    state = _estimate(state)
     if monitoring and not report.converged:  # the loop ran out: certify the last state
         _certify(head_residual(state, data, contrast))
     report.iterations_run = state.iteration
+    state = _estimate(state)
     return project_back(state, out=state.estimate), report
 
 

@@ -15,6 +15,7 @@ also carry the true per-bin target and background covariances, which
 the max-SINR oracles of the tests and the benchmark read.
 """
 
+import numbers
 import struct
 import typing
 from dataclasses import dataclass, fields
@@ -61,6 +62,9 @@ class SceneSpec:
     num_samples: int | None = None  # convolutive mode; defaults to 1 s
 
     def __post_init__(self):
+        for name in ("num_channels", "num_bins", "num_frames", "num_interferers", "seed", "fir_length", "num_samples"):
+            if not _is_integer(getattr(self, name)) and not (name == "num_samples" and self.num_samples is None):
+                raise ValueError(f"{name} must be an integer")
         if self.num_channels < 1:
             raise ValueError("num_channels must be >= 1")
         if self.num_bins < 1:
@@ -73,9 +77,13 @@ class SceneSpec:
             raise ValueError(f"target_model must be one of {TARGET_MODELS}")
         if self.mixing not in MIXING_MODES:
             raise ValueError(f"mixing must be one of {MIXING_MODES}")
-        if self.num_interferers < 0:
-            raise ValueError("num_interferers must be >= 0")
-        if not 0.0 <= self.uncorrelated_noise_fraction <= 1.0:
+        for name in ("num_interferers", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        if not isinstance(self.input_sinr_db, numbers.Real) or not np.isfinite(self.input_sinr_db):
+            raise ValueError("input_sinr_db must be a finite number")
+        noise = self.uncorrelated_noise_fraction
+        if not isinstance(noise, numbers.Real) or not 0.0 <= noise <= 1.0:
             raise ValueError("uncorrelated_noise_fraction must be in [0, 1]")
         if self.fir_length < 1:
             raise ValueError("fir_length must be >= 1")

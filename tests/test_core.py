@@ -104,6 +104,15 @@ def test_contrast_validation():
         ContrastModel("gauss")  # needs num_bins
 
 
+@pytest.mark.parametrize("kind", ["gauss", "laplace"])
+@pytest.mark.parametrize("num_bins", [64.5, 64.0, True, "64"])
+def test_contrast_rejects_a_bin_count_that_is_not_a_positive_integer(kind, num_bins):
+    # a fractional or bool count was accepted silently, and a string died
+    # with a bare TypeError in the weight
+    with pytest.raises(ValueError, match="num_bins"):
+        ContrastModel(kind, num_bins=num_bins)
+
+
 def test_config_validation():
     contrast = ContrastModel("laplace")
     with pytest.raises(ValueError):
@@ -716,6 +725,17 @@ def test_head_residual_matches_explicit_gram_on_prewhiten_output():
         assert abs(head_residual(state, data, contrast) - want) <= 1e-12
 
 
+def test_head_residual_reads_no_estimate():
+    # the certificate demixes the filters itself: a state that carries a
+    # wrong (zero) estimate is certified as the same state without one
+    rng = np.random.default_rng(61)
+    data = _two_source_mixture(rng, 8, 200)
+    contrast = ContrastModel("gauss", num_bins=8)
+    state = five_iteration(core._initial_state(_whiteners(data), data), data, contrast)
+    zeros = replace(state, estimate=np.zeros(data.shape[:2], dtype=complex))
+    assert head_residual(zeros, data, contrast) == head_residual(state, data, contrast)
+
+
 def test_iteration_carries_certificate_of_incoming_state():
     rng = np.random.default_rng(59)
     data = _two_source_mixture(rng, 8, 200)
@@ -815,8 +835,9 @@ def _counting_demixes(monkeypatch):
 @pytest.mark.parametrize("monitoring", [True, False])
 def test_run_makes_one_demixing_product_per_update(monkeypatch, monitoring):
     # K updates demix every bin K times, the initial state's activity once,
-    # and the run's one apply_demixing once more, into the output; a
-    # callback gets each state with a demix of its own, and the same output
+    # the last certificate of a monitored run once, a block at a time, and
+    # the run's one apply_demixing once more, into the output; a callback
+    # gets each state with a demix of its own, and the same output
     rng = np.random.default_rng(62)
     data = _two_source_mixture(rng, 8, 200, noise_floor=0.01)
     spec = SpectralTensor(data, 16000, StftConfig(frame_size=14))
@@ -826,12 +847,12 @@ def test_run_makes_one_demixing_product_per_update(monkeypatch, monitoring):
     counts = _counting_demixes(monkeypatch)
     extracted, report = extract_spectral(spec, config)
     assert report.iterations_run == 4
-    assert counts == {"bins": 8 * (4 + 2), "calls": 1}
+    assert counts == {"bins": 8 * (4 + 2 + monitoring), "calls": 1}
     states = []
     counts.update(bins=0, calls=0)
     recorded, _ = extract_spectral(spec, config, callback=lambda it, state: states.append(state))
     assert len(states) == 5
-    assert counts == {"bins": 8 * (4 + 2 + 5), "calls": 1 + 5}
+    assert counts == {"bins": 8 * (4 + 2 + monitoring + 5), "calls": 1 + 5}
     assert np.array_equal(recorded, extracted)
     assert np.array_equal(states[0].estimate, apply_demixing(states[0].whiteners[:, :, 0], data))
     assert np.array_equal(extracted, project_back(states[-1]))
@@ -967,7 +988,7 @@ def test_project_back_least_squares_oracle():
 
 
 def test_project_back_names_a_missing_estimate():
-    # DemixingState.estimate defaults to None; head_residual demixes such a state itself
+    # DemixingState.estimate defaults to None; project_back alone reads it
     _, state = _projection_state(59)
     bare = replace(state, estimate=None)
     with pytest.raises(ValueError, match="estimate"):
@@ -1207,8 +1228,10 @@ def test_states_a_callback_holds_keep_their_own_estimates(shares, name):
 @pytest.mark.parametrize("name", BUFFER_RUNS)
 def test_every_run_demixes_its_returned_state_once(monkeypatch, name):
     # every bin once per update, the dropped certifying update too, and once
-    # for the initial state; with or without a callback the returned state
-    # once more, by one apply_demixing, and each state the callback gets once
+    # for the initial state; a monitored run that runs out once more, a block
+    # at a time, for its last certificate; with or without a callback the
+    # returned state once more, by one apply_demixing, and each state the
+    # callback gets once
     counts = _counting_demixes(monkeypatch)
     for callback in (None, lambda it, state: None):
         counts.update(bins=0, calls=0)
@@ -1216,13 +1239,15 @@ def test_every_run_demixes_its_returned_state_once(monkeypatch, name):
         _check_buffer_run(name, report)
         updates = report.iterations_run + report.converged
         recorded = 0 if callback is None else report.iterations_run + 1
-        assert counts == {"bins": 16 * (updates + 2 + recorded), "calls": 1 + recorded}
+        certified = int(name == "ran_out")
+        assert counts == {"bins": 16 * (updates + 2 + certified + recorded), "calls": 1 + recorded}
 
 
 def test_run_converged_by_its_last_certificate_demixes_no_more(monkeypatch):
     # a monitored run that uses all its updates and then certifies its last
-    # state within the tolerance dropped no update: it demixes what any run
-    # of k updates does, and its output is the converged run's
+    # state within the tolerance dropped no update: its certificate demixes
+    # the bins in place of the converged run's dropped update, so it demixes
+    # what that run does, and its output is the converged run's
     _, converged, converged_report = _buffer_run("converged_at_k")
     k = converged_report.iterations_run
     counts = _counting_demixes(monkeypatch)
@@ -1230,7 +1255,7 @@ def test_run_converged_by_its_last_certificate_demixes_no_more(monkeypatch):
     config = FiveConfig(**{**BUFFER_RUNS["converged_at_k"], "max_iterations": k})
     extracted, report = extract_spectral(data, config)
     assert report.converged and report.iterations_run == k
-    assert counts == {"bins": 16 * (k + 2), "calls": 1}
+    assert counts == {"bins": 16 * (k + 3), "calls": 1}
     assert np.array_equal(extracted, converged)
 
 

@@ -1,18 +1,20 @@
 """Working-set bounds of the extraction, under tracemalloc.
 
-An extraction holds the (F, N, M) spectrogram at full size, and one (F, N)
-estimate only after its last update: an update reads the filters and the
-activity, and demixes its new filters a block of bins at a time, adding
-each block's |s|^2 into the activity's group sums. The run then demixes
-the returned state once, into the output that the projection scales in
-place. The set-up covariance is released before the first update. Every
-other temporary is a block of about stft._BLOCK_BYTES per share
-(stft._blocks), a per-frame vector, or a row per group of bins; a share
-builds its per-bin (M, M) stacks a block of bins at a time, a few blocks
-at 8 channels. Each bound below is that working set plus a few blocks,
-well under one more (F, N) estimate. The input is above the gate of
-stft._split, and every pass runs with two workers, so the share count,
-and with it each bound, does not depend on the machine.
+An extraction holds the (F, N, M) spectrogram at full size, and one
+(F, N) estimate only after its last update: an update reads the filters
+and the activity, and demixes its new filters a block of bins at a time,
+adding each block's |s|^2 into the activity's group sums. A monitored
+run that uses every update certifies its last state a block of bins at a
+time, before the output exists. The run then demixes the returned state
+once, into the output that the projection scales in place. The set-up
+covariance is released before the first update. Every other temporary is
+a block of about stft._BLOCK_BYTES per share (stft._blocks), a per-frame
+vector, or a row per group of bins; a share builds its per-bin (M, M)
+stacks a block of bins at a time, a few blocks at 8 channels. Each bound
+below is that working set plus a few blocks, well under one more (F, N)
+estimate. The input is above the gate of stft._split, and every pass
+runs with two workers, so the share count, and with it each bound, does
+not depend on the machine.
 """
 
 import tracemalloc
@@ -76,10 +78,14 @@ def test_analyze_makes_no_copy_of_the_signal(wave):
 
 
 def test_head_residual_holds_a_block_per_share(data, start):
-    state = replace(start, estimate=oracles.estimate(start, data))
-    _, peak = _peak(lambda: head_residual(state, data, ContrastModel("gauss", num_bins=len(data))))
-    # each of the two shares weights conj(s) one block of bins at a time, in one buffer
-    assert peak <= 3 * BLOCK < state.estimate.nbytes
+    # a bare state, as five_iteration returns it, gets no whole estimate, and
+    # one the state carries is not read: each of the two shares demixes a
+    # block of bins at a time into one buffer and weights conj(s) there
+    contrast = ContrastModel("gauss", num_bins=len(data))
+    bare = core.five_iteration(start, data, contrast)
+    for state in (bare, replace(bare, estimate=oracles.estimate(bare, data))):
+        _, peak = _peak(lambda: head_residual(state, data, contrast))
+        assert peak <= 3 * BLOCK < 16 * data.shape[0] * data.shape[1]
 
 
 def test_activity_holds_one_block(data, start):
@@ -130,6 +136,30 @@ def test_converged_extraction_holds_the_spectrogram_and_one_estimate(wave):
     config = FiveConfig(ContrastModel("gauss", num_bins=CONFIG.num_bins), max_iterations=30, early_stop_tol=1e-3)
     (_, report), peak = _peak(lambda: extract(wave, CONFIG, config))
     assert report.converged and report.iterations_run > 0
+    assert peak <= _one_estimate_bound(wave)
+
+
+def test_last_certificate_comes_before_the_output(monkeypatch):
+    # a monitored run of the (257, 1874, 4) shape certifies its last state
+    # while it holds the spectrogram and the whiteners, and no (F, N) array
+    rng = np.random.default_rng(83)
+    wave = MultichannelWave(16000, rng.standard_normal((30 * 16000, 4)))
+    held = []
+    certify = core.head_residual
+
+    def tracked_certify(*args, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return certify(*args, **kwargs)
+
+    monkeypatch.setattr(core, "head_residual", tracked_certify)
+    config = FiveConfig(ContrastModel("gauss", num_bins=CONFIG.num_bins), max_iterations=2)
+    _, peak = _peak(lambda: extract(wave, CONFIG, config))
+    n_frames = 1 + -(-(wave.num_samples - CONFIG.frame_size) // CONFIG.hop)
+    assert (CONFIG.num_bins, n_frames) == (257, 1874)
+    estimate = 16 * CONFIG.num_bins * n_frames
+    spectrogram, whiteners = wave.channels * estimate, 16 * CONFIG.num_bins * wave.channels**2
+    assert len(held) == 1
+    assert held[0] <= spectrogram + whiteners + BLOCK < spectrogram + estimate
     assert peak <= _one_estimate_bound(wave)
 
 

@@ -128,6 +128,31 @@ def test_spec_rejects_nonpositive_num_samples(num_samples):
         _spec(mixing="convolutive_fir", num_samples=num_samples)
 
 
+@pytest.mark.parametrize(
+    "field, value, mixing",
+    [
+        ("num_channels", 4.0, "instantaneous_per_bin"),
+        ("num_channels", True, "instantaneous_per_bin"),
+        ("num_bins", 8.0, "instantaneous_per_bin"),
+        ("num_frames", 100.0, "instantaneous_per_bin"),
+        ("num_interferers", 2.0, "instantaneous_per_bin"),
+        ("seed", 1.5, "instantaneous_per_bin"),
+        ("seed", -1, "instantaneous_per_bin"),
+        ("fir_length", 16.0, "convolutive_fir"),
+        ("num_samples", 16000.0, "convolutive_fir"),
+        ("input_sinr_db", float("nan"), "instantaneous_per_bin"),
+        ("input_sinr_db", float("inf"), "convolutive_fir"),
+        ("input_sinr_db", "5", "instantaneous_per_bin"),
+        ("uncorrelated_noise_fraction", "0.5", "instantaneous_per_bin"),
+    ],
+)
+def test_spec_rejects_a_malformed_number_by_name(field, value, mixing):
+    # each died deep in numpy with a bare TypeError when the scene was
+    # generated, or (a NaN SINR) made a mixture that is not finite
+    with pytest.raises(ValueError, match=field):
+        _spec(**{"mixing": mixing, "num_channels": 2, field: value})
+
+
 # ---------------------------------------------------------------- oracle beamformer
 
 
@@ -327,7 +352,7 @@ def test_spectral_scene_roundtrip(tmp_path):
     scene = generate_scene(_spec(seed=31))
     save_scene(scene, tmp_path / "scene")
     loaded = load_scene(tmp_path / "scene")
-    assert loaded.spec == scene.spec
+    assert loaded.spec == scene.spec and loaded.spec.num_samples is None
     assert np.array_equal(loaded.mixture.data, scene.mixture.data)
     assert np.array_equal(loaded.target_image, scene.target_image)
     assert np.array_equal(loaded.background_image, scene.background_image)
