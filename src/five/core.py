@@ -172,15 +172,24 @@ class ExtractionReport:
 
 
 def _covariance_stack(data):
-    """The sample covariance (1/N) sum_n x_fn x_fn^H of every bin; bins split over the cores, in blocks."""
+    """The sample covariance (1/N) sum_n x_fn x_fn^H of every bin; in shares over the cores, in _matrix_blocks."""
     cov = np.empty((len(data), data.shape[2], data.shape[2]), dtype=np.complex128)
 
     def build(start, stop):
-        for block in _blocks(start, stop, 16 * data.shape[2] ** 2):
+        for block in _matrix_blocks(start, stop, data.shape[2]):
             cov[block] = _covariance_block(data[block])
 
     _split(build, len(data), data.nbytes)
     return cov
+
+
+def _matrix_blocks(start, stop, n_chan):
+    """Blocks of bins (stft._blocks) for the per-bin (M, M) stacks, sized by the largest: the real product g.
+
+    _covariance_block's g is a (2M, 2M) float64, 32 M^2 bytes, per bin: blocks
+    of 256 bins at M = 8, 1024 at M = 4.
+    """
+    return _blocks(start, stop, 32 * n_chan**2)
 
 
 def _covariance_block(data, weights=None, whiteners=None):
@@ -226,8 +235,27 @@ def prewhiten(covariance):
     definite raises linalg.NotPositiveDefiniteError, whose pivot_index is
     the first channel that adds no rank in some bin; extract_spectral drops
     that channel.
+
+    The bins are factored and inverted a block at a time (_matrix_blocks),
+    into one stack laid out as a whole-stack inverse is, each matrix
+    column-major: the later products' rounding depends on it. A failing block does not stop the loop: the error names
+    the lowest failing pivot over all bins and the first bin failing there,
+    as one factorization of the whole stack would. linalg.cholesky checks
+    each block's symmetry against that block's largest entry; the set-up
+    covariances are Hermitian to the bit (_covariance_block), so no check
+    depends on how the bins are cut.
     """
-    return linalg.inverse_upper_triangular(linalg.cholesky(covariance))
+    n_bins, n_chan = covariance.shape[:2]
+    whiteners = np.empty((n_bins, n_chan, n_chan), dtype=np.complex128).swapaxes(1, 2)
+    failures = []
+    for block in _matrix_blocks(0, n_bins, n_chan):
+        try:
+            whiteners[block] = linalg.inverse_upper_triangular(linalg.cholesky(covariance[block]))
+        except linalg.NotPositiveDefiniteError as exc:
+            failures.append((exc.pivot_index, block.start + exc.matrix_index))
+    if failures:
+        raise linalg.NotPositiveDefiniteError(*min(failures))
+    return whiteners
 
 
 def _activity_pass(data, kernel):
@@ -345,8 +373,8 @@ def five_iteration(state, data, contrast):
     incoming state (see DemixingState).
 
     The update is one pass in shares of whole groups of bins over the cores
-    (_activity_pass), each walked a block of bins at a time (stft._blocks,
-    512 at M = 8): build V, take its eigenpair, certify the incoming filter,
+    (_activity_pass), each walked a block of bins at a time (_matrix_blocks,
+    256 at M = 8): build V, take its eigenpair, certify the incoming filter,
     drop V, demix the block with its new filters and add its |s|^2 into the
     activity's group sums, to the same bits however the bins are cut. The
     frame weights, the activity's square root and the certificate's max
@@ -359,7 +387,7 @@ def five_iteration(state, data, contrast):
     residuals = np.empty(len(w))
 
     def update(start, stop, add):
-        for block in _blocks(start, stop, 16 * data.shape[2] ** 2):
+        for block in _matrix_blocks(start, stop, data.shape[2]):
             cov = _covariance_block(data[block], weights, whiteners[block])
             values, vector = linalg.smallest_eigenpair(cov, previous[block])
             smallest = values[:, -1]

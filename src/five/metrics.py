@@ -94,8 +94,10 @@ def evaluate_extraction(scene, extracted, edge_trim=0):
     For spectral scenes the complex (F, N) arrays are compared as real
     vectors. For time-domain scenes, edge_trim samples are dropped from
     both ends of every signal so analysis edge effects do not bias the
-    scores. The unprocessed mixture channel 1 provides the baseline for the
-    delta columns.
+    scores. A time-domain estimate is one channel, (T,) or (T, 1); more
+    channels raise ValueError rather than being scored interleaved. The
+    unprocessed mixture channel 1 provides the baseline for the delta
+    columns.
     """
     if scene.is_spectral:
         if np.asarray(extracted).shape != scene.target_image.shape:
@@ -105,6 +107,9 @@ def evaluate_extraction(scene, extracted, edge_trim=0):
         background = _as_real_vector(scene.background_image)
         baseline = _as_real_vector(scene.mixture.data[:, :, 0])
     else:
+        shape = np.shape(extracted)
+        if not (len(shape) == 1 or len(shape) == 2 and shape[1] == 1):
+            raise ValueError(f"a time-domain estimate must have shape (T,) or (T, 1), not {shape}")
         length = min(
             len(_as_real_vector(extracted)),
             len(scene.target_image),

@@ -126,7 +126,7 @@ class SpectralTensor:
     data: np.ndarray
     sample_rate: int
     config: StftConfig = field(default_factory=StftConfig)
-    num_samples: int | None = None  # original signal length, set by analyze
+    num_samples: int | None = None  # original signal length, set by analyze; at most the overlap-add length
 
     def __post_init__(self):
         if not _is_integer(self.sample_rate) or self.sample_rate <= 0:
@@ -138,6 +138,14 @@ class SpectralTensor:
             raise ValueError(
                 f"bin count {data.shape[0]} does not match frame_size "
                 f"{self.config.frame_size} (expected {self.config.num_bins})"
+            )
+        # synthesize trims its overlap-add to num_samples, so more than that
+        # many samples, or fewer than one, cannot be honoured
+        length = (data.shape[1] - 1) * self.config.hop + self.config.frame_size
+        if self.num_samples is not None and not (_is_integer(self.num_samples) and 1 <= self.num_samples <= length):
+            raise ValueError(
+                f"num_samples must be None or an integer in [1, {length}] for {data.shape[1]} frames, "
+                f"got {self.num_samples!r}"
             )
         _check_finite(data)
         self.data = data

@@ -198,6 +198,41 @@ def test_prewhiten_tolerance_is_per_bin():
         assert np.linalg.norm(cov - np.eye(3)) <= 1e-8
 
 
+@pytest.mark.parametrize("ref", [0, 3], ids=["c_contiguous", "reference_first"])
+def test_prewhiten_in_blocks_matches_the_whole_stack_to_the_bit(ref):
+    # 600 bins at M = 8 are three blocks, of 256, 256 and 88. A ref != 0 run
+    # whitens a fancy-indexed covariance, whose bin axis is the fastest; the
+    # whiteners keep the whole-stack inverse's layout, each matrix
+    # column-major, which the later products' rounding depends on
+    cov = core._covariance_stack(_cnormal(np.random.default_rng(36), (600, 16, 8)))
+    if ref:
+        kept = np.r_[ref, np.delete(np.arange(8), ref)]
+        cov = cov[:, kept[:, None], kept]
+    assert len(core._matrix_blocks(0, len(cov), 8)) == 3
+    whiteners = prewhiten(cov)
+    want = linalg.inverse_upper_triangular(linalg.cholesky(cov))
+    assert np.array_equal(whiteners, want)
+    assert whiteners.strides == want.strides
+
+
+@pytest.mark.parametrize("also", [None, 300], ids=["third_block", "second_block_too"])
+def test_prewhiten_names_the_lowest_failing_pivot_over_every_block(also):
+    # 768 bins at M = 8 are three blocks of 256. Bin 10, in the first, fails
+    # only at pivot 5; bins 600 on, in the third, fail at pivot 2, and so does
+    # bin 300, in the second, if also is set. A factorization of the whole
+    # stack names pivot 2 and its first bin, and so does prewhiten
+    data = _cnormal(np.random.default_rng(37), (768, 16, 8))
+    data[10, :, 5] = data[10, :, 0]
+    data[600:, :, 2] = data[600:, :, 1]
+    if also is not None:
+        data[also, :, 2] = data[also, :, 1]
+    cov = core._covariance_stack(data)
+    for factor in (linalg.cholesky, prewhiten):
+        with pytest.raises(linalg.NotPositiveDefiniteError) as info:
+            factor(cov)
+        assert (info.value.pivot_index, info.value.matrix_index) == (2, 600 if also is None else also)
+
+
 # ---------------------------------------------------------------- weighted covariance
 
 
@@ -1329,6 +1364,20 @@ def test_silent_reference_error_names_the_first_silent_bin(zeroed, message):
     data[(zeroed[0], slice(None), zeroed[1])] = 0.0
     data[12, :, 0] = 0.0  # a later silent bin is not the one named
     with pytest.raises(SilentReferenceChannelError, match=message):
+        extract_spectral(data, FiveConfig(contrast=ContrastModel("laplace")))
+
+
+def test_silent_reference_in_a_later_block_is_named_past_a_dropped_channel():
+    # 768 bins at M = 8 are three whitening blocks of 256. Channel 5 adds no
+    # rank in bin 10, in the first; the reference is silent from bin 400 on,
+    # in the second. The reference's pivot is the lowest, so the run names
+    # its first silent bin, as it would with one block
+    from five import SilentReferenceChannelError
+
+    data = _cnormal(np.random.default_rng(38), (768, 16, 8))
+    data[10, :, 5] = data[10, :, 0]
+    data[400:, :, 0] = 0.0
+    with pytest.raises(SilentReferenceChannelError, match=r"reference channel 0 is silent in bin 400$"):
         extract_spectral(data, FiveConfig(contrast=ContrastModel("laplace")))
 
 

@@ -10,7 +10,9 @@ once, into the output that the projection scales in place. The set-up
 covariance is released before the first update. Every other temporary is
 a block of about stft._BLOCK_BYTES per share (stft._blocks), a per-frame
 vector, or a row per group of bins; a share builds its per-bin (M, M)
-stacks a block of bins at a time, a few blocks at 8 channels. Each bound
+stacks a block of bins at a time, a few blocks at 8 channels, and the
+whitening factors and inverts the set-up covariance in the same blocks
+(core._matrix_blocks). Each bound
 below is that working set plus a few blocks, well under one more (F, N)
 estimate. The input is above the gate of stft._split, and every pass
 runs with two workers, so the share count, and with it each bound, does
@@ -58,6 +60,35 @@ def data(wave):
 @pytest.fixture(scope="module")
 def start(data):
     return core._initial_state(core.prewhiten(core._covariance_stack(data)), data)
+
+
+@pytest.fixture
+def stage_peaks(monkeypatch):
+    """stage_peaks(*names) wraps those functions of core; the dict it returns gets each one's largest traced peak.
+
+    The peak counts everything traced while the function runs, so it
+    includes what its caller holds.
+    """
+    peaks = {}
+
+    def wrap(name):
+        fn = getattr(core, name)
+
+        def traced(*args, **kwargs):
+            tracemalloc.reset_peak()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                peaks[name] = max(peaks.get(name, 0), tracemalloc.get_traced_memory()[1])
+
+        monkeypatch.setattr(core, name, traced)
+
+    def stage(*names):
+        for name in names:
+            wrap(name)
+        return peaks
+
+    return stage
 
 
 def _peak(fn):
@@ -189,7 +220,7 @@ EIGHT = StftConfig(frame_size=4096)
 @pytest.fixture(scope="module")
 def eight_channel_wave():
     # 8 channels, 2049 bins, 40 frames: a bin-heavy 10.5 MB spectrogram,
-    # split in two shares of 1024 bins, each updated in two chunks of 512
+    # split in two shares of about 1024 bins, each walked in blocks of 256
     rng = np.random.default_rng(81)
     length = 39 * EIGHT.hop + EIGHT.frame_size
     sources = rng.standard_normal((length, 8))
@@ -197,32 +228,22 @@ def eight_channel_wave():
     return MultichannelWave(16000, sources @ rng.standard_normal((8, 8)))
 
 
-def test_eight_channel_update_and_set_up_hold_a_few_blocks_per_share(monkeypatch, eight_channel_wave):
-    # each share builds its (M, M) stacks a chunk at a time: its real product
-    # of two blocks and a few complex (M, M) blocks, not a whole share of them
-    peaks = {}
-
-    def stage(name):
-        fn = getattr(core, name)
-
-        def traced(*args, **kwargs):
-            tracemalloc.reset_peak()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                peaks[name] = max(peaks.get(name, 0), tracemalloc.get_traced_memory()[1])
-
-        monkeypatch.setattr(core, name, traced)
-
-    stage("_covariance_stack")
-    stage("five_iteration")
+def test_eight_channel_update_and_set_up_hold_a_few_blocks_per_share(stage_peaks, eight_channel_wave):
+    # each share builds its (M, M) stacks a block of 256 bins at a time, sized
+    # by the real product g, a (2M, 2M) float64 per bin: one g and one
+    # weighted copy per share, and a few complex (M, M) blocks, not a whole
+    # share of them. prewhiten factors and inverts a block at a time, so it
+    # holds the covariance, the whiteners and a few blocks
+    peaks = stage_peaks("_covariance_stack", "prewhiten", "five_iteration")
     config = FiveConfig(ContrastModel("gauss", num_bins=EIGHT.num_bins), max_iterations=3)
     _peak(lambda: extract(eight_channel_wave, EIGHT, config))
     n_bins, n_chan = EIGHT.num_bins, eight_channel_wave.channels
     n_frames = 1 + (eight_channel_wave.num_samples - EIGHT.frame_size) // EIGHT.hop
     assert n_bins * n_frames * n_chan * 16 >= 2 * stft._SHARE_BYTES
+    assert len(core._matrix_blocks(0, n_bins, n_chan)) == 9
     spectrogram = n_bins * n_frames * n_chan * 16
-    whiteners = n_bins * n_chan**2 * 16
-    # neither holds an estimate, and the set-up's output is the size of the whiteners
-    assert peaks["_covariance_stack"] <= spectrogram + whiteners + 8 * BLOCK
-    assert peaks["five_iteration"] <= spectrogram + whiteners + 12 * BLOCK
+    whiteners = n_bins * n_chan**2 * 16  # and the set-up covariance, its size
+    # none holds an estimate, and the set-up's output is the size of the whiteners
+    assert peaks["_covariance_stack"] <= spectrogram + whiteners + 4 * BLOCK
+    assert peaks["prewhiten"] <= spectrogram + 2 * whiteners + 3 * BLOCK
+    assert peaks["five_iteration"] <= spectrogram + whiteners + 7 * BLOCK

@@ -176,3 +176,17 @@ def test_shape_mismatch_rejected():
     with pytest.raises(ValueError, match="match"):
         evaluate_extraction(scene, scene.target_image[:, :10])
 
+
+
+def test_time_domain_estimate_is_one_channel():
+    # the (T, 2) mixture would be scored with its channels interleaved as one
+    # signal (-47.7 dB, against 0 dB for its channel 0), and a (1, T) row too;
+    # a (T, 1) column scores as its channel
+    scene = _scene(num_channels=2, mixing="convolutive_fir", num_samples=16000, seed=3)
+    with pytest.raises(ValueError, match=r"\(16000, 2\)"):
+        evaluate_extraction(scene, scene.mixture.samples)
+    with pytest.raises(ValueError, match=r"\(1, 16000\)"):
+        evaluate_extraction(scene, scene.mixture.samples[:, :1].T)
+    column = evaluate_extraction(scene, scene.mixture.samples[:, :1])
+    assert column == evaluate_extraction(scene, scene.mixture.samples[:, 0])
+    assert column.delta_si_sdr_db == 0.0

@@ -121,16 +121,20 @@ def test_many_workers_and_short_switch_interval_lose_no_share(monkeypatch, data)
 
 
 def _few_bin_blocks(monkeypatch, bins):
-    """Blocks of bins bins for the (M, M) stacks at M = 4, and of one bin for the weighted copies and products."""
-    monkeypatch.setattr(stft, "_BLOCK_BYTES", 16 * SHAPE[2] ** 2 * bins)
+    """Blocks of bins bins for the (M, M) stacks at M = 4 (core._matrix_blocks).
+
+    The weighted copies and the demix products get blocks of one bin.
+    """
+    monkeypatch.setattr(stft, "_BLOCK_BYTES", 32 * SHAPE[2] ** 2 * bins)
 
 
 def test_blocks_tile_the_range():
-    # at M = 8, 512 bins per block, counted from the start of the range
-    assert stft._blocks(0, 1024, 16 * 8**2) == [slice(0, 512), slice(512, 1024)]
-    assert stft._blocks(1024, 2049, 16 * 8**2) == [slice(1024, 1536), slice(1536, 2048), slice(2048, 2049)]
-    assert stft._blocks(5, 1000, 16 * 8**2) == [slice(5, 517), slice(517, 1000)]
-    assert stft._blocks(0, 2049, 16 * 4**2) == [slice(0, 2048), slice(2048, 2049)]
+    # the (M, M) stacks' blocks: at M = 8, 256 bins per block, counted from the start of the range
+    assert stft._blocks(0, 512, 32 * 8**2) == [slice(0, 256), slice(256, 512)]
+    assert stft._blocks(1024, 1537, 32 * 8**2) == [slice(1024, 1280), slice(1280, 1536), slice(1536, 1537)]
+    assert stft._blocks(5, 500, 32 * 8**2) == [slice(5, 261), slice(261, 500)]
+    assert stft._blocks(0, 2049, 32 * 4**2) == [slice(0, 1024), slice(1024, 2048), slice(2048, 2049)]
+    assert core._matrix_blocks(1024, 1537, 8) == stft._blocks(1024, 1537, 32 * 8**2)
     # an item larger than a block is a block of its own, and an empty range has none
     assert stft._blocks(3, 6, 2 * stft._BLOCK_BYTES) == [slice(3, 4), slice(4, 5), slice(5, 6)]
     assert stft._blocks(7, 7, 16) == []
@@ -153,7 +157,7 @@ def test_update_and_set_up_are_bit_identical_in_blocks(monkeypatch, data):
     whole, whole_cov = five_iteration(state, data, contrast), core._covariance_stack(data)
     whole_residual = core.head_residual(whole, data, contrast)
     _few_bin_blocks(monkeypatch, 7)
-    assert len(stft._blocks(85, 171, 16 * SHAPE[2] ** 2)) == 13
+    assert len(core._matrix_blocks(85, 171, SHAPE[2])) == 13
     blocked = five_iteration(state, data, contrast)
     for name in ("w", "activity"):
         assert np.array_equal(getattr(whole, name), getattr(blocked, name)), name
@@ -193,8 +197,8 @@ def test_degenerate_bin_is_named_by_its_global_index(monkeypatch, data):
     for block_bins in (None, 7):
         if block_bins is not None:
             _few_bin_blocks(monkeypatch, block_bins)
-            assert stft._blocks(80, 176, 16 * SHAPE[2] ** 2)[2] == slice(94, 101)
-            assert stft._blocks(0, 257, 16 * SHAPE[2] ** 2)[14] == slice(98, 105)
+            assert core._matrix_blocks(80, 176, SHAPE[2])[2] == slice(94, 101)
+            assert core._matrix_blocks(0, 257, SHAPE[2])[14] == slice(98, 105)
         for workers in (1, 3):
             monkeypatch.setattr(stft, "_WORKERS", workers)
             with pytest.raises(DegenerateCovarianceError, match=r"at bin 100$"):
@@ -203,9 +207,10 @@ def test_degenerate_bin_is_named_by_its_global_index(monkeypatch, data):
 
 def test_no_output_depends_on_the_core_count(monkeypatch):
     # 8 channels at frame 1024: 513 bins, and 260 frames put 4 shares over the
-    # gate. The shares' stacks of V straddle 16384 entries (256 bins at M = 8):
-    # 513 and 257 bins on 1 and 2 workers, 176 and 129 on 3 and 4, a layout
-    # numpy would pick differently on each side if V's were not fixed
+    # gate. The blocks of V differ with the worker count (core._matrix_blocks,
+    # 256 bins at most): 256 and 1 bins on 1 and 2 workers, 176 and 161 on 3,
+    # 128 and 129 on 4, stacks numpy could lay out differently if V's layout
+    # were not fixed
     config = StftConfig(frame_size=1024)
     rng = np.random.default_rng(72)
     length = 259 * config.hop + config.frame_size

@@ -289,6 +289,20 @@ def test_tensor_rejects_a_sample_rate_that_is_not_a_positive_integer(rate):
         SpectralTensor(np.zeros((129, 4, 1), dtype=complex), rate, StftConfig(frame_size=256))
 
 
+@pytest.mark.parametrize("num_samples", [-5, 0, 353, 1000, 100.0, True, "100"])
+def test_tensor_rejects_a_num_samples_that_synthesis_cannot_honour(num_samples):
+    # 10 frames of 64 at hop 32 overlap-add to 352 samples: synthesize would
+    # return fewer samples than asked for, or drop some from the end, or fail
+    with pytest.raises(ValueError, match="num_samples"):
+        SpectralTensor(np.zeros((33, 10, 1), dtype=complex), 8000, StftConfig(frame_size=64), num_samples)
+
+
+@pytest.mark.parametrize("num_samples", [None, 1, 300, 352])
+def test_tensor_synthesizes_the_num_samples_it_accepts(num_samples):
+    spec = SpectralTensor(np.ones((33, 10, 1), dtype=complex), 8000, StftConfig(frame_size=64), num_samples)
+    assert synthesize(spec).num_samples == (352 if num_samples is None else num_samples)
+
+
 def test_quarter_hop_roundtrip():
     # 75% overlap also satisfies constant overlap-add for the periodic window
     rng = np.random.default_rng(8)
