@@ -135,7 +135,8 @@ class DemixingState:
     estimate, the (F, N) signal (W_f w_f)^H x_fn. That is all an update or
     a certificate reads, so a state between updates holds no estimate:
     extract_spectral forms it once, for the returned state and for each
-    state its callback receives, and only project_back reads it.
+    state its callback receives, and only project_back reads it. extract
+    gives project_back the estimate of a block of frames at a time.
     five_iteration sets previous_residual, the head_residual (up to
     rounding) of the state it started from. The background demixing
     block is not stored: the monitor takes the orthonormal complement of w.
@@ -192,8 +193,14 @@ def _matrix_blocks(start, stop, n_chan):
     return _blocks(start, stop, 32 * n_chan**2)
 
 
+def _frame_rows(weights, n_chan):
+    """Each frame's weight repeated over its 2M interleaved (re, im) columns: _covariance_block's weights."""
+    return np.repeat(weights, 2 * n_chan).reshape(len(weights), 2 * n_chan)
+
+
 def _covariance_block(data, weights=None, whiteners=None):
-    # (1/N) sum_n weight_n x_fn x_fn^H per bin, on the calling thread; with
+    # (1/N) sum_n weight_n x_fn x_fn^H per bin, on the calling thread, the
+    # weights repeated by _frame_rows (once per update, not per block); with
     # whiteners W that of the whitened y = W^H x, W^H (...) W; hermitized
     # against rounding into a C-ordered V. A real product g = X^T (w X) on the
     # interleaved (re, im) view X needs no conjugate copy: with x = a + ib,
@@ -204,14 +211,13 @@ def _covariance_block(data, weights=None, whiteners=None):
     # side by side on two cores than one at a time. Re and Im go into one
     # complex array, and g is released before the whitening.
     n_bins, n_frames, n_chan = data.shape
-    w = None if weights is None else np.repeat(weights, 2 * n_chan).reshape(n_frames, 2 * n_chan)
     g = np.empty((n_bins, 2 * n_chan, 2 * n_chan))
-    copied = w is not None or data.dtype != np.complex128 or not data.flags.c_contiguous
+    copied = weights is not None or data.dtype != np.complex128 or not data.flags.c_contiguous
     blocks = _blocks(0, n_bins, 16 * n_frames * n_chan) if copied else [slice(0, n_bins)]
-    weighted = None if w is None else np.empty((blocks[0].stop, n_frames, 2 * n_chan))
+    weighted = None if weights is None else np.empty((blocks[0].stop, n_frames, 2 * n_chan))
     for span in blocks:
         block = np.ascontiguousarray(data[span], dtype=np.complex128).view(np.float64)
-        lhs = block if w is None else np.multiply(block, w, out=weighted[: len(block)])
+        lhs = block if weights is None else np.multiply(block, weights, out=weighted[: len(block)])
         np.matmul(np.swapaxes(lhs, 1, 2), block, out=g[span])
     lhs = weighted = None  # a buffer that outlives the loop would raise the peak
     g /= n_frames
@@ -250,7 +256,7 @@ def prewhiten(covariance):
     failures = []
     for block in _matrix_blocks(0, n_bins, n_chan):
         try:
-            whiteners[block] = linalg.inverse_upper_triangular(linalg.cholesky(covariance[block]))
+            linalg.inverse_upper_triangular(linalg.cholesky(covariance[block]), out=whiteners[block])
         except linalg.NotPositiveDefiniteError as exc:
             failures.append((exc.pivot_index, block.start + exc.matrix_index))
     if failures:
@@ -342,13 +348,14 @@ def _demixed_blocks(filters, data, bins):
         yield block, s
 
 
-def apply_demixing(w, data):
+def apply_demixing(w, data, out=None):
     """Extracted signal w^H x per bin and frame; w is (F, M), data (F, N, M), result (F, N) complex128.
 
-    In shares of bins over the cores (stft._split).
+    In shares of bins over the cores (stft._split), into out if given.
     """
     data = np.asarray(data)
-    out = np.empty(data.shape[:2], dtype=np.complex128)
+    if out is None:
+        out = np.empty(data.shape[:2], dtype=np.complex128)
 
     def demix(start, stop):
         _demix(w[start:stop], data[start:stop], out[start:stop])
@@ -381,7 +388,7 @@ def five_iteration(state, data, contrast):
     over bins are taken on the calling thread. The returned state holds no
     estimate: the update never holds one whole.
     """
-    weights = _frame_weights(state.activity, contrast)
+    weights = _frame_rows(_frame_weights(state.activity, contrast), data.shape[2])
     whiteners, previous = state.whiteners, state.w
     w = np.empty(previous.shape, dtype=np.complex128)
     residuals = np.empty(len(w))
@@ -498,9 +505,11 @@ def project_back(state, out=None):
     whitening (extract_spectral), so with C = Q^H Q and W = Q^{-1} upper
     triangular, sum_n |s|^2 = N ||w||^2 and sum_n x_ref conj(s) = N (C W w)_0
     = N (Q^H w)_0 = N w_0 / W_00, which gives a = w_0 / (W_00 ||w||^2). Its
-    accuracy is that of the whitening, about u kappa(C). The result goes
-    into out, which may be state.estimate (scaled in place), or a new array.
-    A state without an estimate raises ValueError.
+    accuracy is that of the whitening, about u kappa(C). The estimate may
+    be any (F, n) run of frames: extract scales a block of frames at a time
+    in synthesize's buffer. The result goes into out, which may be
+    state.estimate (scaled in place), or a new array. A state without an
+    estimate raises ValueError.
     """
     if state.estimate is None:
         raise ValueError("project_back needs the state's estimate, and the state has none")
@@ -542,7 +551,8 @@ def extract_spectral(spec, config, callback=None):
     (five_iteration). A monitored run that uses every update certifies its
     last state (head_residual) before any (F, N) array exists. Every run
     then ends with one demix of the returned state (apply_demixing), into
-    the output that project_back scales in place.
+    the output that project_back scales in place; extract, which
+    synthesizes that state, forms it a block of frames at a time instead.
     callback(iteration, state) gets the initial state (iteration 0) and
     every kept update as a copy with a freshly demixed raw (un-projected)
     estimate that it owns; a callback changes no output bit.
@@ -555,6 +565,13 @@ def extract_spectral(spec, config, callback=None):
     certifying update and adds that update's time to the last record. Wall
     times exclude the NLL, the callback and the passes after the last update.
     """
+    state, data, report = _fit(spec, config, callback)
+    estimate = apply_demixing(_demixing_filters(state.whiteners, state.w), data)
+    return project_back(replace(state, estimate=estimate), out=estimate), report
+
+
+def _fit(spec, config, callback=None):
+    """extract_spectral up to its returned state: (that state, the kept channels' (F, N, M) data, the report)."""
     t0 = time.perf_counter()
     original = spec.data if isinstance(spec, SpectralTensor) else np.asarray(spec)
     if not isinstance(spec, SpectralTensor):  # a SpectralTensor was checked when it was made
@@ -631,21 +648,44 @@ def extract_spectral(spec, config, callback=None):
     if monitoring and not report.converged:  # the loop ran out: certify the last state
         _certify(head_residual(state, data, contrast))
     report.iterations_run = state.iteration
-    state = _estimate(state)
-    return project_back(state, out=state.estimate), report
+    return state, data, report
+
+
+class _ProjectedEstimate:
+    """A state's projected estimate, as synthesize reads a one-channel SpectralTensor, formed a block at a time.
+
+    _spectra demixes a block of frames straight into synthesize's buffer
+    (apply_demixing) and scales it there per bin (project_back): neither
+    the (F, N) estimate nor a whole transposed copy exists. The scale is
+    applied after the demix, as extract_spectral applies it, so the output
+    bits are the same.
+    """
+
+    num_channels = 1
+
+    def __init__(self, state, data, spec):
+        self.state, self.data = state, data
+        self.filters = _demixing_filters(state.whiteners, state.w)
+        self.config, self.sample_rate, self.num_samples = spec.config, spec.sample_rate, spec.num_samples
+        self.num_frames = data.shape[1]
+
+    def _spectra(self, frames, out):
+        estimate = apply_demixing(self.filters, self.data[:, frames], out=out[:, :, 0])
+        project_back(replace(self.state, estimate=estimate), out=estimate)
 
 
 def extract(wave, stft_config, five_config):
     """End-to-end extraction from a multichannel wave to a mono wave.
 
     Returns the extracted single-channel MultichannelWave (same length as
-    the input) and the ExtractionReport. The working set is the (F, N, M)
-    spectrogram plus a few blocks through the updates, and the (F, N)
-    estimate after them, which the projection scales in place; the
-    spectrogram is released before synthesize, which needs only the
-    projected estimate.
+    the input) and the ExtractionReport, the output extract_spectral's
+    projected estimate synthesizes to, to the bit. The run is
+    extract_spectral's, but the returned state's estimate is never formed
+    whole: synthesize demixes, projects and overlap-adds it a block of
+    frames at a time (_ProjectedEstimate). The working set is the (F, N, M)
+    spectrogram and the whiteners, plus a few blocks through the updates
+    and the output wave after them.
     """
     spec = analyze(wave, stft_config)
-    extracted, report = extract_spectral(spec, five_config)
-    spec.data = extracted[:, :, None]  # extract owns spec: no second scan for finiteness
-    return synthesize(spec), report
+    state, data, report = _fit(spec, five_config)
+    return synthesize(_ProjectedEstimate(state, data, spec)), report

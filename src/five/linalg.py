@@ -54,10 +54,6 @@ class EigenConvergenceError(RuntimeError):
     """Eigensolver failed to converge (numerically pathological input)."""
 
 
-def _conj_t(a):
-    return np.conj(np.swapaxes(a, -2, -1))
-
-
 def check_hermitian(a):
     """Raise NotHermitianError unless a == a^H within _HERMITIAN_RTOL of its largest entry."""
     a = np.asarray(a)
@@ -66,7 +62,10 @@ def check_hermitian(a):
     scale = np.max(np.abs(a))
     if scale == 0:
         return
-    asym = np.max(np.abs(a - _conj_t(a)))
+    # a^H copied into a's own layout first: a - a^H across the two layouts
+    # would take a third stack-sized array
+    asym = np.conj(np.swapaxes(a, -2, -1), out=np.empty_like(a, order="C"))
+    asym = np.max(np.abs(np.subtract(a, asym, out=asym)))
     if asym > _HERMITIAN_RTOL * scale:
         raise NotHermitianError(
             f"asymmetry {asym:.3e} exceeds {_HERMITIAN_RTOL:.0e} relative to scale {scale:.3e}"
@@ -101,20 +100,26 @@ def cholesky(a):
         failing = failing.reshape(-1, a.shape[-1])
         pivot = int(np.argmax(failing.any(axis=0)))
         raise NotPositiveDefiniteError(pivot, int(np.argmax(failing[:, pivot])))
-    return _conj_t(lower)
+    return np.swapaxes(np.conj(lower, out=lower), -2, -1)  # in place: no second stack
 
 
-def inverse_upper_triangular(q):
+def inverse_upper_triangular(q, out=None):
     """Inverse w = q^{-1} of upper-triangular matrices q (..., M, M), by back-substitution.
 
     numpy has no triangular inverse. From q w = I, row i of w is
     (e_i - sum_{k>i} q_ik w_k) / q_ii: the rows come out from the last one
     up, each from one batched product with the rows already found, and w is
-    upper triangular too. The diagonal of q must be nonzero.
+    upper triangular too. The diagonal of q must be nonzero. w is written
+    into out, a complex128 array of q's shape that does not overlap q, if
+    given; the products round as they do in a new array laid out as out is.
     """
     q = np.asarray(q, dtype=np.complex128)
     m = q.shape[-1]
-    w = np.zeros_like(q)
+    if out is None:
+        w = np.zeros_like(q)
+    else:
+        w = out
+        w.fill(0)
     inverse_diagonal = 1.0 / np.diagonal(q, axis1=-2, axis2=-1)
     for i in range(m - 1, -1, -1):
         w[..., i, i] = inverse_diagonal[..., i]

@@ -7,11 +7,13 @@ when that window satisfies constant overlap-add, so the analysis/synthesis
 pair reconstructs the interior of any signal to machine precision.
 
 Spectra are laid out C-contiguous as (bins, frames, channels), the layout
-whitening and the covariance builds read. Both directions transform along
-contiguous rows: analyze windows cache-sized blocks of frames into one
-contiguous buffer, transforms it and transposes each block into place;
-synthesize inverts one contiguous (frames, channels, bins) copy and
-overlap-adds hop-sized slabs.
+whitening and the covariance builds read. Both directions work a
+cache-sized block of frames at a time, in one reused buffer each way:
+analyze windows a block into one contiguous buffer, transforms it along
+its rows and transposes it into place; synthesize has each block's spectra
+written into a buffer in the spectrogram's layout, inverts them into
+contiguous rows and overlap-adds hop-sized slabs, so that only its output
+is held whole.
 
 A large pass over independent frames or bins is split into contiguous
 shares, one per core the process may use, which run on one module-level
@@ -162,6 +164,10 @@ class SpectralTensor:
     def num_channels(self):
         return self.data.shape[2]
 
+    def _spectra(self, frames, out):
+        """Write the spectra of a slice of frames into out, an array of their (bins, frames, channels) (synthesize)."""
+        np.copyto(out, self.data[:, frames])
+
 
 def analyze(wave, config=None):
     """Windowed one-sided DFT of every frame of every channel.
@@ -238,29 +244,58 @@ def synthesize(spec):
     spectra reconstruct the input exactly wherever frames overlap.
 
     StftConfig guarantees hop | frame, so the output is laid out in
-    hop-sized blocks and slice r of every frame is added, in one
-    shifted slab, to the blocks r to r + num_frames - 1.
+    hop-sized blocks. The frames are inverted a block at a time (_blocks,
+    two frames at least): spec's _spectra(frames, out) writes the block's
+    spectra into one reused buffer, laid out (bins, frames, channels) as
+    the spectrogram is; they are inverted along the bins into a second
+    buffer whose (frames, channels, frame) rows are contiguous, and
+    windowed; and slice r of every frame is added, in one shifted slab, to
+    the hop-sized blocks r to r + frames - 1. Only the output is held
+    whole. The squared window sums to the same row wherever all K =
+    frame/hop slices overlap, so min(N, K) frames' worth of rows hold the
+    head, that row and the tail.
     """
     config = spec.config
     frame, hop = config.frame_size, config.hop
     win = config.window_samples()
-    n_frames, n_chan = spec.num_frames, spec.num_channels
+    n_bins, n_frames, n_chan = config.num_bins, spec.num_frames, spec.num_channels
     slices = frame // hop
 
-    # (frames, channels, frame) rows: the inverse transform and the window
-    # run along contiguous memory
-    time_frames = np.fft.irfft(np.ascontiguousarray(spec.data.transpose(1, 2, 0)), n=frame, axis=-1)
-    time_frames *= win
-    time_frames = time_frames.reshape(n_frames, n_chan, slices, hop)
+    # blocks of at least two frames: a one-frame demix (core._ProjectedEstimate)
+    # takes another product and rounds differently, so a one-frame remainder
+    # joins the block before it
+    blocks = _blocks(0, n_frames, min(16 * n_bins * n_chan, _BLOCK_BYTES // 2))
+    if len(blocks) > 1 and blocks[-1].stop - blocks[-1].start == 1:
+        blocks[-2:] = [slice(blocks[-2].start, n_frames)]
+    size = max(span.stop - span.start for span in blocks)
+    flat = np.empty(n_bins * size * n_chan, dtype=np.complex128)  # each block's spectra contiguous
+    time_frames = np.empty((size, n_chan, frame))
     out = np.zeros((n_frames + slices - 1, hop, n_chan))
-    weight = np.zeros((n_frames + slices - 1, hop))
+    for span in blocks:
+        count = span.stop - span.start
+        spectra = flat[: n_bins * count * n_chan].reshape(n_bins, count, n_chan)
+        spec._spectra(span, spectra)
+        block = time_frames[:count]
+        np.fft.irfft(spectra, n=frame, axis=0, out=block.transpose(2, 0, 1))
+        block *= win
+        block = block.reshape(count, n_chan, slices, hop)
+        # last slice first, so each sample sums its frames in frame order
+        for r in reversed(range(slices)):
+            out[span.start + r : span.stop + r] += block[:, :, r].transpose(0, 2, 1)
+    flat = spectra = time_frames = block = None  # released before the output is checked
+
+    # each row's squared-window sum, added as its frames were: the head's
+    # rows - 1 rows, the row every interior sample shares, the tail's rows
+    rows = min(n_frames, slices)
+    weight = np.zeros((rows + slices - 1, hop))
     win_sq = (win * win).reshape(slices, hop)
-    # last slice first, so each sample sums its frames in frame order
     for r in reversed(range(slices)):
-        out[r : r + n_frames] += time_frames[:, :, r].transpose(0, 2, 1)
-        weight[r : r + n_frames] += win_sq[r]
+        weight[r : r + rows] += win_sq[r]
+    # Hamming never reaches zero, so weight > 0
+    out[: rows - 1] /= weight[: rows - 1, :, None]
+    out[rows - 1 : n_frames] /= weight[rows - 1, :, None]
+    out[n_frames:] /= weight[rows:, :, None]
     out = out.reshape(-1, n_chan)
-    out /= weight.reshape(-1, 1)  # Hamming never reaches zero, so weight > 0
 
     if spec.num_samples is not None:
         out = out[: spec.num_samples]

@@ -64,10 +64,11 @@ def test_trace_of_a_split_extraction_nests(monkeypatch):
 
 
 def test_converged_extraction_demixes_its_returned_state_in_one_span():
-    # updates hold no estimate: one apply_demixing call forms the returned
-    # state's after the last update, the dropped certifying one too, from the
-    # calling thread (no pool thread calls a traced function), before the
-    # projection
+    # updates hold no estimate, and the wave path never forms the returned
+    # state's whole: after the last update, the dropped certifying one too,
+    # the one synthesize span demixes and projects it a block of frames at a
+    # time, each apply_demixing and project_back its child, from the calling
+    # thread (no pool thread calls a traced function)
     spans = _load_spans()
     rng = np.random.default_rng(2)
     wave = five.MultichannelWave(16000, rng.standard_normal((16 * 256, 3)))
@@ -75,8 +76,11 @@ def test_converged_extraction_demixes_its_returned_state_in_one_span():
     with spans.Tracer() as tracer:
         _, report = five.extract(wave, five.StftConfig(frame_size=256), config)
     assert report.converged
-    demix = [span for span in tracer.spans if span.name == "core.apply_demixing"]
-    assert len(demix) == 1 and demix[0].parent is None
-    (projection,) = [span for span in tracer.spans if span.name == "core.project_back"]
+    (synthesis,) = [span for span in tracer.spans if span.name == "stft.synthesize"]
+    tail = [span for span in tracer.spans if span.name in ("core.apply_demixing", "core.project_back")]
+    assert [span.name for span in tail] == ["core.apply_demixing", "core.project_back"] * (len(tail) // 2)
     last_update = max(span.end for span in tracer.spans if span.name == "core.five_iteration")
-    assert last_update <= demix[0].start <= demix[0].end <= projection.start
+    assert tail and last_update <= synthesis.start
+    for span in tail:
+        assert tracer.spans[span.parent] is synthesis
+        assert synthesis.start <= span.start <= span.end <= synthesis.end

@@ -73,7 +73,8 @@ def _whiteners(data):
 
 def _bin_covariance(data, activity, contrast, f):
     # the weighted covariance of bin f alone, by the update's all-bin build
-    return core._covariance_block(data[f : f + 1], core._frame_weights(activity, contrast))[0]
+    weights = core._frame_rows(core._frame_weights(activity, contrast), data.shape[2])
+    return core._covariance_block(data[f : f + 1], weights)[0]
 
 
 # ---------------------------------------------------------------- contrast models
@@ -299,7 +300,7 @@ def test_covariance_stack_matches_einsum_on_stft_layout(weighted):
     data = data.transpose(2, 0, 1)
     assert not data.flags.c_contiguous
     weights = rng.uniform(0.1, 3.0, data.shape[1]) if weighted else None
-    got = core._covariance_block(data, weights) if weighted else core._covariance_stack(data)
+    got = core._covariance_block(data, core._frame_rows(weights, 3)) if weighted else core._covariance_stack(data)
     scale = np.ones(data.shape[1]) if weights is None else weights
     want = np.einsum("fni,fnj,n->fij", data, np.conj(data), scale) / data.shape[1]
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -516,7 +517,7 @@ def test_weighted_covariance_bounded_below_on_prewhitened_stack(kind):
     activity = rng.uniform(0.5, 2.0, 64)
     activity[5] = 0.0
     contrast = ContrastModel(kind, num_bins=8)
-    v_cov = core._covariance_block(data, core._frame_weights(activity, contrast), whiteners)
+    v_cov = core._covariance_block(data, core._frame_rows(core._frame_weights(activity, contrast), 2), whiteners)
     power = activity**2
     phi = contrast.weight(np.sqrt(power + core.ACTIVITY_OFFSET * np.mean(power)))
     bound = core.ACTIVITY_OFFSET * np.mean(phi)
@@ -1397,6 +1398,27 @@ def test_extract_scans_the_spectrogram_for_finiteness_once(monkeypatch):
     out, _ = extract(wave, StftConfig(frame_size=256), FiveConfig(contrast=ContrastModel("laplace")))
     assert [shape[2] for shape in calls] == [2]  # the spectrogram's channels, not the estimate's one
     assert out.samples.shape == (4000, 1)
+
+
+@pytest.mark.parametrize("ref_channel", [0, 2])
+def test_extract_synthesizes_what_extract_spectral_returns(monkeypatch, ref_channel):
+    # extract never forms the projected estimate: synthesize demixes and
+    # projects it a block of frames at a time. 10-frame blocks over 41
+    # frames leave a one-frame remainder, which joins the block before it;
+    # either way the output is the projected estimate's synthesis to the bit
+    monkeypatch.setattr(stft, "_BLOCK_BYTES", 16 * 129 * 10)
+    wave = MultichannelWave(16000, np.random.default_rng(64).standard_normal((40 * 128 + 256, 3)))
+    stft_config = StftConfig(frame_size=256)
+    config = FiveConfig(ContrastModel("gauss", num_bins=129), max_iterations=2, ref_channel=ref_channel)
+    out, report = extract(wave, stft_config, config)
+    spec = analyze(wave, stft_config)
+    assert spec.num_frames == 41
+    extracted, want_report = extract_spectral(spec, config)
+    want = synthesize(SpectralTensor(extracted[:, :, None], spec.sample_rate, stft_config, spec.num_samples))
+    assert np.array_equal(out.samples, want.samples)
+    assert [(r.nll, r.head_residual) for r in report.records] == [
+        (r.nll, r.head_residual) for r in want_report.records
+    ]
 
 
 # ------------------------------------------------------- degenerate arrays

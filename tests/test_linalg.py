@@ -290,7 +290,7 @@ def test_covariance_stack_is_exactly_hermitian(weighted):
     rng = np.random.default_rng(44)
     data = rng.standard_normal((300, 200, 6)) + 1j * rng.standard_normal((300, 200, 6))
     weights = rng.uniform(0.1, 3.0, 200) if weighted else None
-    cov = core._covariance_block(data, weights)
+    cov = core._covariance_block(data, None if weights is None else core._frame_rows(weights, 6))
     assert np.array_equal(cov, np.conj(np.swapaxes(cov, 1, 2)))
 
 
@@ -326,6 +326,18 @@ def test_inverse_upper_triangular_matches_inverse(m):
     assert np.array_equal(w, np.triu(w))
     assert np.max(np.abs(w - want)) <= 1e-12 * np.max(np.abs(want))
     assert np.array_equal(inverse_upper_triangular(q[3]), w[3])  # one matrix, no stack
+
+
+@pytest.mark.parametrize("m", [2, 6])
+def test_inverse_upper_triangular_into_out_matches_a_new_array(m):
+    # prewhiten writes each block's inverse into its whiteners, laid out
+    # column-major per matrix as cholesky's factors are: the same bits, and
+    # whatever out held before is overwritten, the zeros below the diagonal too
+    rng = np.random.default_rng(40 + m)
+    q = cholesky(np.stack([_random_spd(rng, m) for _ in range(9)]))
+    out = np.full((9, m, m), np.nan, dtype=complex).swapaxes(1, 2)
+    assert inverse_upper_triangular(q, out=out) is out
+    assert np.array_equal(out, inverse_upper_triangular(q))
 
 
 def test_inverse_upper_triangular_diagonal_by_hand():

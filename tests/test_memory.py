@@ -1,22 +1,22 @@
 """Working-set bounds of the extraction, under tracemalloc.
 
-An extraction holds the (F, N, M) spectrogram at full size, and one
-(F, N) estimate only after its last update: an update reads the filters
-and the activity, and demixes its new filters a block of bins at a time,
-adding each block's |s|^2 into the activity's group sums. A monitored
-run that uses every update certifies its last state a block of bins at a
-time, before the output exists. The run then demixes the returned state
-once, into the output that the projection scales in place. The set-up
-covariance is released before the first update. Every other temporary is
-a block of about stft._BLOCK_BYTES per share (stft._blocks), a per-frame
-vector, or a row per group of bins; a share builds its per-bin (M, M)
-stacks a block of bins at a time, a few blocks at 8 channels, and the
-whitening factors and inverts the set-up covariance in the same blocks
-(core._matrix_blocks). Each bound
-below is that working set plus a few blocks, well under one more (F, N)
-estimate. The input is above the gate of stft._split, and every pass
-runs with two workers, so the share count, and with it each bound, does
-not depend on the machine.
+An extraction of a wave holds the (F, N, M) spectrogram and the (F, M, M)
+whiteners at full size, and never an (F, N) estimate: an update reads the
+filters and the activity, and demixes its new filters a block of bins at
+a time, adding each block's |s|^2 into the activity's group sums. A
+monitored run that uses every update certifies its last state a block of
+bins at a time, before the output exists. synthesize then demixes,
+projects and overlap-adds the returned state a block of frames at a time
+into the output wave. The set-up covariance is released before the first
+update. Every other temporary is a block of about stft._BLOCK_BYTES per
+share (stft._blocks), a per-frame vector, or a row per group of bins; a
+share builds its per-bin (M, M) stacks a block of bins at a time, a few
+blocks at 8 channels, and the whitening factors and inverts the set-up
+covariance in the same blocks (core._matrix_blocks), each inverse
+written into the whiteners. Each bound below is that working set plus a
+few blocks, under one (F, N) estimate more. The input is above the gate
+of stft._split, and every pass runs with two workers, so the share
+count, and with it each bound, does not depend on the machine.
 """
 
 import tracemalloc
@@ -43,7 +43,7 @@ def two_workers(monkeypatch):
 
 @pytest.fixture(scope="module")
 def wave():
-    # 4 channels, 1202 frames, the last of them past the end of the signal:
+    # 4 channels, 1201 frames, the last of them past the end of the signal:
     # a sparse source and three dense ones, mixed
     rng = np.random.default_rng(80)
     length = 1201 * CONFIG.hop + 100
@@ -145,29 +145,31 @@ def test_update_of_a_caller_held_tensor_holds_no_estimate():
         assert peak <= state.whiteners.nbytes + 6 * BLOCK < estimate
 
 
-def _one_estimate_bound(wave):
-    """The spectrogram plus one estimate plus a few blocks, below one more estimate."""
+def _output_bound(wave):
+    """The spectrogram, the whiteners and the output wave plus a few blocks, below the spectrogram plus one estimate."""
     n_frames = 1 + -(-(wave.num_samples - CONFIG.frame_size) // CONFIG.hop)
-    estimate_bytes = 16 * CONFIG.num_bins * n_frames
-    working_set = wave.channels * estimate_bytes + estimate_bytes
-    bound = working_set + 4 * BLOCK
-    assert bound < working_set + estimate_bytes
+    estimate = 16 * CONFIG.num_bins * n_frames
+    spectrogram, whiteners = wave.channels * estimate, 16 * CONFIG.num_bins * wave.channels**2
+    output = 8 * (n_frames - 1 + CONFIG.frame_size // CONFIG.hop) * CONFIG.hop
+    bound = spectrogram + whiteners + output + 4 * BLOCK
+    assert bound < spectrogram + estimate
     return bound
 
 
-def test_monitored_extraction_holds_the_spectrogram_and_one_estimate(wave):
+def test_monitored_extraction_holds_the_spectrogram_and_the_output(wave):
     config = FiveConfig(ContrastModel("gauss", num_bins=CONFIG.num_bins), max_iterations=3)
     (_, report), peak = _peak(lambda: extract(wave, CONFIG, config))
     assert report.iterations_run == 3 and not report.converged
-    assert peak <= _one_estimate_bound(wave)
+    assert peak <= _output_bound(wave)
 
 
-def test_converged_extraction_holds_the_spectrogram_and_one_estimate(wave):
-    # the returned state is demixed once, after the certifying update
+def test_converged_extraction_holds_the_spectrogram_and_the_output(wave):
+    # the returned state is demixed a block of frames at a time, after the
+    # certifying update
     config = FiveConfig(ContrastModel("gauss", num_bins=CONFIG.num_bins), max_iterations=30, early_stop_tol=1e-3)
     (_, report), peak = _peak(lambda: extract(wave, CONFIG, config))
     assert report.converged and report.iterations_run > 0
-    assert peak <= _one_estimate_bound(wave)
+    assert peak <= _output_bound(wave)
 
 
 def test_last_certificate_comes_before_the_output(monkeypatch):
@@ -191,7 +193,21 @@ def test_last_certificate_comes_before_the_output(monkeypatch):
     spectrogram, whiteners = wave.channels * estimate, 16 * CONFIG.num_bins * wave.channels**2
     assert len(held) == 1
     assert held[0] <= spectrogram + whiteners + BLOCK < spectrogram + estimate
-    assert peak <= _one_estimate_bound(wave)
+    assert peak <= _output_bound(wave)
+
+
+def test_prewhiten_writes_each_inverse_into_the_whiteners(stage_peaks):
+    # (129, 400, 6) is one block of bins: beside the set-up covariance the
+    # whitening holds the whiteners and at most two more stacks of their
+    # size, the Hermitian check's a^H and numpy's copy while it makes it;
+    # the inverse goes into the whiteners and the factor is conjugated in
+    # place
+    data = np.random.default_rng(84).standard_normal((129, 400, 12)).view(np.complex128)
+    peaks = stage_peaks("prewhiten")
+    _peak(lambda: core.extract_spectral(data, FiveConfig(ContrastModel("laplace"), max_iterations=1)))
+    assert len(core._matrix_blocks(0, 129, 6)) == 1
+    stack, vectors = 16 * 129 * 6**2, 16 * 129 * 6
+    assert peaks["prewhiten"] <= 4 * stack + vectors < 5 * stack
 
 
 def test_set_up_covariance_is_released_before_the_first_update(monkeypatch, data):

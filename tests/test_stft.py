@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -214,6 +216,50 @@ def test_synthesize_matches_frame_by_frame_overlap_add(hop):
     spec = analyze(_wave(rng.standard_normal((3001, 2))), StftConfig(frame_size=512, hop=hop))
     spec.data = spec.data * rng.uniform(0.5, 2.0, spec.data.shape)  # not a plain round trip
     assert np.array_equal(synthesize(spec).samples, _overlap_add_by_frame(spec))
+
+
+def _random_spectra(rng, frame, hop, n_frames, channels):
+    config = StftConfig(frame_size=frame, hop=hop)
+    data = rng.standard_normal((config.num_bins, n_frames, 2 * channels)).view(complex)
+    return SpectralTensor(data, 16000, config)
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("hop", [32, 16, 8])
+def test_synthesize_of_few_frames_matches_frame_by_frame_overlap_add(hop, channels):
+    # K = frame/hop of 2, 4 and 8, and from one frame to K + 2: with fewer
+    # frames than K no sample is interior, and the head's squared-window sums
+    # overlap the tail's
+    rng = np.random.default_rng(hop + channels)
+    for n_frames in range(1, 64 // hop + 3):
+        spec = _random_spectra(rng, 64, hop, n_frames, channels)
+        assert np.array_equal(synthesize(spec).samples, _overlap_add_by_frame(spec))
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+def test_synthesize_of_a_one_frame_last_block_matches_frame_by_frame_overlap_add(channels):
+    # two whole blocks of frames and one more frame, which joins the block
+    # before it; and two frames more, a block of their own
+    step = stft._BLOCK_BYTES // (16 * 257 * channels)
+    rng = np.random.default_rng(20 + channels)
+    for n_frames in (2 * step + 1, 2 * step + 2):
+        spec = _random_spectra(rng, 512, 128, n_frames, channels)
+        assert np.array_equal(synthesize(spec).samples, _overlap_add_by_frame(spec))
+
+
+def test_synthesize_holds_its_output_and_a_few_blocks():
+    # (257, 600, 2): the inverse of a block of frames and its spectra, one
+    # buffer each, beside the 2.5 MB output, not the 4.9 MB of every frame
+    spec = _random_spectra(np.random.default_rng(22), 512, 256, 600, 2)
+    tracemalloc.start()
+    try:
+        wave = synthesize(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = 8 * (600 + 1) * 256 * 2
+    assert wave.samples.base.nbytes == output
+    assert peak <= output + 3 * stft._BLOCK_BYTES < output + 8 * 600 * 2 * 512
 
 
 def test_dc_and_nyquist_real_for_real_input():
