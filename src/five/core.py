@@ -140,6 +140,9 @@ class DemixingState:
     five_iteration sets previous_residual, the head_residual (up to
     rounding) of the state it started from. The background demixing
     block is not stored: the monitor takes the orthonormal complement of w.
+    The whiteners are the set-up covariance's storage (prewhiten); an
+    update holds them, the state's and its new filters, the activity's
+    group sums and about a block of bins per share.
     Coordinate 0 is the reference channel, the first one whitened.
     """
 
@@ -185,12 +188,19 @@ def _covariance_stack(data):
 
 
 def _matrix_blocks(start, stop, n_chan):
-    """Blocks of bins (stft._blocks) for the per-bin (M, M) stacks, sized by the largest: the real product g.
+    """Blocks of bins (stft._blocks) for the per-bin (M, M) stacks: 128 bins at M = 8, 512 at M = 4.
 
-    _covariance_block's g is a (2M, 2M) float64, 32 M^2 bytes, per bin: blocks
-    of 256 bins at M = 8, 1024 at M = 4.
+    64 M^2 bytes per bin, four complex (M, M) stacks: a share holds a block
+    and at most two stacks of its size beside it (_covariance_block, and
+    the inverse in linalg.smallest_eigenpair), with room for the weighted
+    sub-blocks of the build. A one-bin remainder, which the 2^k + 1 bins of
+    a power-of-two frame leave, joins the block before it: a block costs a
+    fixed set of calls, whatever its size.
     """
-    return _blocks(start, stop, 32 * n_chan**2)
+    blocks = _blocks(start, stop, 64 * n_chan**2)
+    if len(blocks) > 1 and blocks[-1].stop - blocks[-1].start == 1:
+        blocks[-2:] = [slice(blocks[-2].start, stop)]
+    return blocks
 
 
 def _frame_rows(weights, n_chan):
@@ -198,40 +208,74 @@ def _frame_rows(weights, n_chan):
     return np.repeat(weights, 2 * n_chan).reshape(len(weights), 2 * n_chan)
 
 
+def _product_blocks(n_bins, n_frames, n_chan):
+    """Sub-blocks of a block of n_bins bins for its weighted copies: a sixth of the block, or what the budget holds.
+
+    The budget (stft._blocks of the 16 N M byte copies) binds for
+    frame-heavy data: 4 bins at (N, M) = (1874, 4), against 22 of the 128
+    bins of a block at (78, 8).
+    """
+    step = min(-(-n_bins // 6), _blocks(0, n_bins, 16 * n_frames * n_chan)[0].stop)
+    return [slice(first, min(first + step, n_bins)) for first in range(0, n_bins, step)]
+
+
+def _add_quadrants(g, n_frames, out):
+    """The complex out from real products g of the interleaved (re, im) columns, g divided by N in place.
+
+    With x = a + ib, x x^H = (aa^T + bb^T) + i (ba^T - ab^T): Re = g_aa + g_bb,
+    Im = g_ba - g_ab.
+    """
+    g /= n_frames
+    np.add(g[:, 0::2, 0::2], g[:, 1::2, 1::2], out=out.real)
+    np.subtract(g[:, 1::2, 0::2], g[:, 0::2, 1::2], out=out.imag)
+    return out
+
+
 def _covariance_block(data, weights=None, whiteners=None):
     # (1/N) sum_n weight_n x_fn x_fn^H per bin, on the calling thread, the
     # weights repeated by _frame_rows (once per update, not per block); with
     # whiteners W that of the whitened y = W^H x, W^H (...) W; hermitized
     # against rounding into a C-ordered V. A real product g = X^T (w X) on the
-    # interleaved (re, im) view X needs no conjugate copy: with x = a + ib,
-    # Re = g_aa + g_bb, Im = g_ba - g_ab. Data that needs a copy is copied in
-    # blocks (stft._blocks) that stay inside the L2 cache, each weighted block
-    # into one reused buffer (a fresh temporary per block costs page faults).
-    # Data that needs no copy is one block: many small products run slower
-    # side by side on two cores than one at a time. Re and Im go into one
-    # complex array, and g is released before the whitening.
+    # interleaved (re, im) view X needs no conjugate copy (_add_quadrants).
+    # Data that needs a copy is copied in sub-blocks (_product_blocks), each
+    # weighted one into one reused buffer (a fresh temporary per sub-block
+    # costs page faults); data that needs no copy is one sub-block, as many
+    # small products run slower side by side on two cores than one at a
+    # time. g is formed for the whole block and reduced once, after the
+    # copies are released, if it is no larger than a sub-block's weighted
+    # copy; else it is reduced a sub-block at a time: the copies, not g, set
+    # the build's size. The whitening writes into the block's storage, and
+    # V^T is conjugated into C order before it is added, as in
+    # linalg.check_hermitian, so that no transposed operand takes a ufunc
+    # buffer: the block and at most two stacks of its size are held. Every
+    # product rounds as into a new array: the bits are those of whole-stack
+    # products.
     n_bins, n_frames, n_chan = data.shape
-    g = np.empty((n_bins, 2 * n_chan, 2 * n_chan))
     copied = weights is not None or data.dtype != np.complex128 or not data.flags.c_contiguous
-    blocks = _blocks(0, n_bins, 16 * n_frames * n_chan) if copied else [slice(0, n_bins)]
-    weighted = None if weights is None else np.empty((blocks[0].stop, n_frames, 2 * n_chan))
-    for span in blocks:
+    spans = _product_blocks(n_bins, n_frames, n_chan) if copied else [slice(0, n_bins)]
+    size = spans[0].stop
+    whole = n_bins * n_chan <= size * n_frames // 2  # 32 M^2 bytes of g per bin against 16 N M of copy
+    weighted = None if weights is None else np.empty((size, n_frames, 2 * n_chan))
+    g = np.empty((n_bins if whole else size, 2 * n_chan, 2 * n_chan))
+    cov = None if whole else np.empty((n_bins, n_chan, n_chan), dtype=np.complex128)
+    for span in spans:
         block = np.ascontiguousarray(data[span], dtype=np.complex128).view(np.float64)
         lhs = block if weights is None else np.multiply(block, weights, out=weighted[: len(block)])
-        np.matmul(np.swapaxes(lhs, 1, 2), block, out=g[span])
-    lhs = weighted = None  # a buffer that outlives the loop would raise the peak
-    g /= n_frames
-    cov = np.empty((n_bins, n_chan, n_chan), dtype=np.complex128)
-    np.add(g[:, 0::2, 0::2], g[:, 1::2, 1::2], out=cov.real)
-    np.subtract(g[:, 1::2, 0::2], g[:, 0::2, 1::2], out=cov.imag)
+        np.matmul(lhs.swapaxes(1, 2), block, out=g[span] if whole else g[: len(block)])
+        if not whole:
+            _add_quadrants(g[: len(block)], n_frames, cov[span])
+    block = lhs = weighted = None  # buffers that outlive the loop would raise the peak
+    if whole:
+        cov = _add_quadrants(g, n_frames, np.empty((n_bins, n_chan, n_chan), dtype=np.complex128))
     g = None
     if whiteners is not None:
-        cov = np.conj(np.swapaxes(whiteners, 1, 2)) @ (cov @ whiteners)
-    hermitian = np.add(cov, np.conj(np.swapaxes(cov, 1, 2)), out=np.empty_like(cov, order="C"))
-    return np.multiply(hermitian, 0.5, out=hermitian)
+        np.matmul(np.conj(whiteners.swapaxes(1, 2)), cov @ whiteners, out=cov)
+    np.add(cov, np.conj(cov.swapaxes(1, 2), order="C"), out=cov)
+    cov *= 0.5
+    return cov
 
 
-def prewhiten(covariance):
+def prewhiten(covariance, out=None):
     """Whitening factors of a stack of per-bin sample covariances.
 
     Factors each covariance as C = Q^H Q by Cholesky and returns the stack
@@ -242,26 +286,39 @@ def prewhiten(covariance):
     the first channel that adds no rank in some bin; extract_spectral drops
     that channel.
 
-    The bins are factored and inverted a block at a time (_matrix_blocks),
-    into one stack laid out as a whole-stack inverse is, each matrix
-    column-major: the later products' rounding depends on it. A failing block does not stop the loop: the error names
+    The bins are factored a block at a time (_matrix_blocks), twice: the
+    first pass checks every block and collects the failures, and only when
+    none fails does the second factor each block again and write its
+    inverse. A failing block does not stop the first pass: the error names
     the lowest failing pivot over all bins and the first bin failing there,
-    as one factorization of the whole stack would. linalg.cholesky checks
-    each block's symmetry against that block's largest entry; the set-up
-    covariances are Hermitian to the bit (_covariance_block), so no check
-    depends on how the bins are cut.
+    as one factorization of the whole stack would, and nothing has been
+    written. linalg.cholesky checks each block's symmetry against that
+    block's largest entry, once; the set-up covariances are Hermitian to the
+    bit (_covariance_block), so no check depends on how the bins are cut.
+
+    The inverses go into out if given, else into a new stack, each matrix
+    column-major as a whole-stack inverse is: the later products' rounding
+    depends on it. out may be np.swapaxes(covariance, 1, 2), which is laid
+    out so: the whiteners then take over the covariance's storage, and a
+    covariance that fails is left as it was. Without out, covariance is not
+    changed.
     """
     n_bins, n_chan = covariance.shape[:2]
-    whiteners = np.empty((n_bins, n_chan, n_chan), dtype=np.complex128).swapaxes(1, 2)
+    blocks = _matrix_blocks(0, n_bins, n_chan)
     failures = []
-    for block in _matrix_blocks(0, n_bins, n_chan):
+    for block in blocks:
         try:
-            linalg.inverse_upper_triangular(linalg.cholesky(covariance[block]), out=whiteners[block])
+            linalg.cholesky(covariance[block])
         except linalg.NotPositiveDefiniteError as exc:
             failures.append((exc.pivot_index, block.start + exc.matrix_index))
     if failures:
         raise linalg.NotPositiveDefiniteError(*min(failures))
-    return whiteners
+    if out is None:
+        out = np.empty((n_bins, n_chan, n_chan), dtype=np.complex128).swapaxes(1, 2)
+    for block in blocks:  # checked: linalg.cholesky's factor again, without a second symmetry check
+        lower = np.linalg.cholesky(np.asarray(covariance[block], dtype=np.complex128))
+        linalg.inverse_upper_triangular(np.swapaxes(np.conj(lower, out=lower), 1, 2), out=out[block])
+    return out
 
 
 def _activity_pass(data, kernel):
@@ -381,7 +438,7 @@ def five_iteration(state, data, contrast):
 
     The update is one pass in shares of whole groups of bins over the cores
     (_activity_pass), each walked a block of bins at a time (_matrix_blocks,
-    256 at M = 8): build V, take its eigenpair, certify the incoming filter,
+    128 at M = 8): build V, take its eigenpair, certify the incoming filter,
     drop V, demix the block with its new filters and add its |s|^2 into the
     activity's group sums, to the same bits however the bins are cut. The
     frame weights, the activity's square root and the certificate's max
@@ -395,16 +452,16 @@ def five_iteration(state, data, contrast):
 
     def update(start, stop, add):
         for block in _matrix_blocks(start, stop, data.shape[2]):
-            cov = _covariance_block(data[block], weights, whiteners[block])
-            values, vector = linalg.smallest_eigenpair(cov, previous[block])
+            cov, incoming = _covariance_block(data[block], weights, whiteners[block]), previous[block]
+            values, vector = linalg.smallest_eigenpair(cov, incoming)
             smallest = values[:, -1]
             bad = ~(smallest > 0)
-            if np.any(bad):
+            if bad.any():
                 raise DegenerateCovarianceError(
                     f"weighted covariance degenerate at bin {block.start + np.flatnonzero(bad)[0]}"
                 )
-            w[block] = vector / np.sqrt(smallest)[:, None]
-            residuals[block] = _certificate(previous[block], (cov @ previous[block][:, :, None])[:, :, 0])
+            np.divide(vector, np.sqrt(smallest)[:, None], out=w[block])
+            residuals[block] = _certificate(incoming, (cov @ incoming[:, :, None])[:, :, 0])
             cov = None  # not held through the demixing or the next build
             add(_demixing_filters(whiteners[block], w[block]), block)
 
@@ -459,10 +516,10 @@ def _certificate(w, vw):
     # Per bin, from w and the product V w. (I - u u^H) V w is formed as a
     # vector: ||Vw||^2 - |u^H V w|^2 cancels to about 1e-8 relative. A zero
     # w (a state built by hand) scores 1.
-    scale = np.sum(np.conj(w) * vw, axis=1)
-    norms2 = np.sum(np.abs(w) ** 2, axis=1)
+    scale = np.vecdot(w, vw)
+    norms2 = np.vecdot(w, w).real
     perp = vw - (scale / np.where(norms2 > 0, norms2, 1.0))[:, None] * w
-    return np.sqrt(np.abs(scale - 1.0) ** 2 + np.sum(np.abs(perp) ** 2, axis=1))
+    return np.sqrt(np.abs(scale - 1.0) ** 2 + np.vecdot(perp, perp).real)
 
 
 def head_residual(state, data, contrast):
@@ -476,25 +533,30 @@ def head_residual(state, data, contrast):
 
     Only V w is needed, and it takes one pass over the data without forming
     V: W^H (1/N) sum_n weight_n x_n conj(s_n) for s = (W w)^H x, in shares
-    of bins over the cores. Each share demixes its bins a block at a time
-    into one buffer (_demixed_blocks, as the update does) and weights
-    conj(s) there: the pass never reads state.estimate and holds a block per
-    share. It agrees with five_iteration's certificate of the same state up
-    to rounding.
+    of bins over the cores. Each share walks its bins in the update's blocks
+    (_matrix_blocks), demixes each into one buffer (_demixed_blocks, as the
+    update does), weights conj(s) there and certifies the block's bins:
+    the pass never reads state.estimate and holds about a block per share,
+    not an (F, M) stack. It agrees with five_iteration's certificate of the
+    same state up to rounding.
     """
     weights = _frame_weights(state.activity, contrast) / state.activity.shape[0]
     whiteners, w = state.whiteners, state.w
-    vw = np.empty(w.shape, dtype=np.complex128)
+    residuals = np.empty(len(w))
 
     def product(start, stop):
-        filters = _demixing_filters(whiteners[start:stop], w[start:stop])
-        for block, s in _demixed_blocks(filters, data, slice(start, stop)):
-            weighted = np.multiply(np.conj(s, out=s), weights, out=s)
-            raw = (weighted[:, None, :] @ data[block])[:, 0, :]
-            vw[block] = (np.conj(np.swapaxes(whiteners[block], 1, 2)) @ raw[:, :, None])[:, :, 0]
+        for bins in _matrix_blocks(start, stop, data.shape[2]):
+            vw = np.empty((bins.stop - bins.start, w.shape[1]), dtype=np.complex128)
+            for block, s in _demixed_blocks(_demixing_filters(whiteners[bins], w[bins]), data, bins):
+                weighted = np.multiply(np.conj(s, out=s), weights, out=s)
+                raw = (weighted[:, None, :] @ data[block])[:, 0, :]
+                rows = slice(block.start - bins.start, block.stop - bins.start)
+                np.vecdot(whiteners[block], raw[:, :, None], axis=1, out=vw[rows])  # W^H raw, with no conjugate copy of W
+            s = weighted = None  # the next block's buffer is not made beside this one
+            residuals[bins] = _certificate(w[bins], vw)
 
     _split(product, len(w), data.nbytes)
-    return float(_certificate(w, vw).max())
+    return float(residuals.max())
 
 
 def project_back(state, out=None):
@@ -570,6 +632,18 @@ def extract_spectral(spec, config, callback=None):
     return project_back(replace(state, estimate=estimate), out=estimate), report
 
 
+def _principal(cov, channels):
+    """The principal submatrices of a C-ordered (F, M, M) stack on the channels, C-ordered too.
+
+    Indexing cov[:, channels[:, None], channels] would put the bin axis
+    fastest, and whiteners written into its storage would not be laid out
+    as prewhiten lays out a new stack.
+    """
+    n_bins, m = cov.shape[:2]
+    flat = np.take(cov.reshape(n_bins, m * m), (channels[:, None] * m + channels).ravel(), axis=1)
+    return flat.reshape(n_bins, len(channels), len(channels))
+
+
 def _fit(spec, config, callback=None):
     """extract_spectral up to its returned state: (that state, the kept channels' (F, N, M) data, the report)."""
     t0 = time.perf_counter()
@@ -592,10 +666,10 @@ def _fit(spec, config, callback=None):
         f = np.flatnonzero(~np.isfinite(cov).all(axis=(1, 2)))[0]
         raise ValueError(f"sample covariance is not finite in bin {f}: the squares of the samples overflow float64")
     if ref:
-        cov = cov[:, kept[:, None], kept]
+        cov = _principal(cov, kept)
     while True:
         try:
-            whiteners = prewhiten(cov)
+            whiteners = prewhiten(cov, out=np.swapaxes(cov, 1, 2))  # in the covariance's storage
             break
         except linalg.NotPositiveDefiniteError as exc:
             if exc.pivot_index == 0:
@@ -608,8 +682,7 @@ def _fit(spec, config, callback=None):
                 every = "" if np.any(original[f]) else ", as is every channel"
                 raise SilentReferenceChannelError(f"reference channel {ref} is silent in bin {f}{every}") from exc
             rest = np.delete(np.arange(len(kept)), exc.pivot_index)
-            cov, kept = cov[:, rest[:, None], rest], kept[rest]
-    del cov  # an (F, M, M) stack kept through the run would raise every later peak
+            cov, kept = _principal(cov, rest), kept[rest]
     data = original if np.array_equal(kept, np.arange(n_chan)) else np.take(original, kept, axis=2)
 
     state = _initial_state(whiteners, data)
@@ -658,14 +731,17 @@ class _ProjectedEstimate:
     (apply_demixing) and scales it there per bin (project_back): neither
     the (F, N) estimate nor a whole transposed copy exists. The scale is
     applied after the demix, as extract_spectral applies it, so the output
-    bits are the same.
+    bits are the same. It keeps the demixing filters W w, the filters w and
+    the whiteners' leading entries W_00, all that project_back reads, and
+    not the whiteners.
     """
 
     num_channels = 1
 
     def __init__(self, state, data, spec):
-        self.state, self.data = state, data
         self.filters = _demixing_filters(state.whiteners, state.w)
+        self.state = DemixingState(state.whiteners[:, :1, :1].copy(), state.w, state.activity, state.iteration)
+        self.data = data
         self.config, self.sample_rate, self.num_samples = spec.config, spec.sample_rate, spec.num_samples
         self.num_frames = data.shape[1]
 
@@ -682,10 +758,14 @@ def extract(wave, stft_config, five_config):
     projected estimate synthesizes to, to the bit. The run is
     extract_spectral's, but the returned state's estimate is never formed
     whole: synthesize demixes, projects and overlap-adds it a block of
-    frames at a time (_ProjectedEstimate). The working set is the (F, N, M)
-    spectrogram and the whiteners, plus a few blocks through the updates
+    frames at a time (_ProjectedEstimate), and the state and its whiteners
+    are released before it starts. The working set is the (F, N, M)
+    spectrogram and the whiteners, the filters and about a block per share
+    through the set-up and the updates, and the spectrogram, the filters
     and the output wave after them.
     """
     spec = analyze(wave, stft_config)
     state, data, report = _fit(spec, five_config)
-    return synthesize(_ProjectedEstimate(state, data, spec)), report
+    source = _ProjectedEstimate(state, data, spec)
+    state = None  # the whiteners are not held through the synthesis
+    return synthesize(source), report

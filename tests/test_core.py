@@ -201,7 +201,7 @@ def test_prewhiten_tolerance_is_per_bin():
 
 @pytest.mark.parametrize("ref", [0, 3], ids=["c_contiguous", "reference_first"])
 def test_prewhiten_in_blocks_matches_the_whole_stack_to_the_bit(ref):
-    # 600 bins at M = 8 are three blocks, of 256, 256 and 88. A ref != 0 run
+    # 600 bins at M = 8 are five blocks, four of 128 and one of 88. A ref != 0 run
     # whitens a fancy-indexed covariance, whose bin axis is the fastest; the
     # whiteners keep the whole-stack inverse's layout, each matrix
     # column-major, which the later products' rounding depends on
@@ -209,7 +209,7 @@ def test_prewhiten_in_blocks_matches_the_whole_stack_to_the_bit(ref):
     if ref:
         kept = np.r_[ref, np.delete(np.arange(8), ref)]
         cov = cov[:, kept[:, None], kept]
-    assert len(core._matrix_blocks(0, len(cov), 8)) == 3
+    assert len(core._matrix_blocks(0, len(cov), 8)) == 5
     whiteners = prewhiten(cov)
     want = linalg.inverse_upper_triangular(linalg.cholesky(cov))
     assert np.array_equal(whiteners, want)
@@ -218,10 +218,10 @@ def test_prewhiten_in_blocks_matches_the_whole_stack_to_the_bit(ref):
 
 @pytest.mark.parametrize("also", [None, 300], ids=["third_block", "second_block_too"])
 def test_prewhiten_names_the_lowest_failing_pivot_over_every_block(also):
-    # 768 bins at M = 8 are three blocks of 256. Bin 10, in the first, fails
-    # only at pivot 5; bins 600 on, in the third, fail at pivot 2, and so does
-    # bin 300, in the second, if also is set. A factorization of the whole
-    # stack names pivot 2 and its first bin, and so does prewhiten
+    # 768 bins at M = 8 are six blocks of 128. Bin 10, in the first, fails
+    # only at pivot 5; bins 600 on, in the fifth and sixth, fail at pivot 2,
+    # and so does bin 300, in the third, if also is set. A factorization of
+    # the whole stack names pivot 2 and its first bin, and so does prewhiten
     data = _cnormal(np.random.default_rng(37), (768, 16, 8))
     data[10, :, 5] = data[10, :, 0]
     data[600:, :, 2] = data[600:, :, 1]
@@ -232,6 +232,50 @@ def test_prewhiten_names_the_lowest_failing_pivot_over_every_block(also):
         with pytest.raises(linalg.NotPositiveDefiniteError) as info:
             factor(cov)
         assert (info.value.pivot_index, info.value.matrix_index) == (2, 600 if also is None else also)
+
+
+def test_prewhiten_into_out_leaves_the_covariance_and_matches_a_new_stack():
+    # without out the covariance is not touched; out laid out as the
+    # whiteners, the covariance's own storage among them, gets the same bits
+    cov = core._covariance_stack(_cnormal(np.random.default_rng(40), (300, 16, 8)))
+    before = cov.copy()
+    want = prewhiten(cov)
+    assert np.array_equal(cov, before) and len(core._matrix_blocks(0, 300, 8)) == 3
+    into = np.empty_like(cov).swapaxes(1, 2)
+    assert prewhiten(cov, out=into) is into and np.array_equal(into, want)
+    assert np.array_equal(cov, before)
+    got = prewhiten(cov, out=cov.swapaxes(1, 2))
+    assert np.shares_memory(got, cov) and np.array_equal(got, want) and got.strides == want.strides
+
+
+def test_channel_silent_in_the_last_block_only_is_dropped_as_with_a_new_stack(monkeypatch):
+    # channel 3 is silent in the top 40 bins only, all in the last of three
+    # whitening blocks: the first whitening fails there, after the blocks
+    # before it were factored, and must leave the covariance as it was. The
+    # drop loop and the estimate match a run whose whiteners never share
+    # the covariance's storage, to the bit
+    data = _cnormal(np.random.default_rng(41), (300, 40, 8))
+    data[260:, :, 3] = 0.0
+    assert core._matrix_blocks(0, 300, 8)[-1] == slice(256, 300)
+    set_up, failed = core.prewhiten, []
+
+    def checked(cov, out=None):
+        before = cov.copy()
+        try:
+            return set_up(cov, out=out)
+        except linalg.NotPositiveDefiniteError:
+            failed.append(np.array_equal(cov, before))
+            raise
+
+    config = FiveConfig(contrast=ContrastModel("gauss", num_bins=300), max_iterations=3)
+    monkeypatch.setattr(core, "prewhiten", lambda cov, out=None: set_up(cov))
+    want, want_report = extract_spectral(data, config)
+    monkeypatch.setattr(core, "prewhiten", checked)
+    widths = []
+    got, report = extract_spectral(data, config, callback=lambda it, state: widths.append(state.w.shape[1]))
+    assert failed == [True] and set(widths) == {7}
+    assert np.array_equal(got, want)
+    assert [(r.nll, r.head_residual) for r in report.records] == [(r.nll, r.head_residual) for r in want_report.records]
 
 
 # ---------------------------------------------------------------- weighted covariance
@@ -1369,9 +1413,9 @@ def test_silent_reference_error_names_the_first_silent_bin(zeroed, message):
 
 
 def test_silent_reference_in_a_later_block_is_named_past_a_dropped_channel():
-    # 768 bins at M = 8 are three whitening blocks of 256. Channel 5 adds no
+    # 768 bins at M = 8 are six whitening blocks of 128. Channel 5 adds no
     # rank in bin 10, in the first; the reference is silent from bin 400 on,
-    # in the second. The reference's pivot is the lowest, so the run names
+    # in the fourth and later. The reference's pivot is the lowest, so the run names
     # its first silent bin, as it would with one block
     from five import SilentReferenceChannelError
 

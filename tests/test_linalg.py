@@ -227,6 +227,23 @@ def test_smallest_eigenpair_single_matrix():
     assert np.max(np.abs(u - want_vectors[:, -1])) <= 1e-10
 
 
+def test_smallest_eigenpair_leaves_its_stack_as_it_found_it():
+    # the shift below lambda_min goes onto the stack's own diagonal and comes
+    # off again before the guard: a writable stack is unchanged to the bit,
+    # a read-only one is copied, and both give a copy's results
+    rng = np.random.default_rng(41)
+    stack = np.stack([_random_spd(rng, 6) for _ in range(9)])
+    start = rng.standard_normal((9, 6)) + 1j * rng.standard_normal((9, 6))
+    before = stack.copy()
+    values, u = smallest_eigenpair(stack, start)
+    assert stack.tobytes() == before.tobytes()
+    frozen = before.copy()
+    frozen.flags.writeable = False
+    got_values, got_u = smallest_eigenpair(frozen, start)
+    assert np.array_equal(got_values, values) and np.array_equal(got_u, u)
+    assert frozen.tobytes() == before.tobytes()
+
+
 def test_smallest_eigenpair_bad_starts_fall_back(monkeypatch):
     # matrix 1 starts at zero; matrix 2 is diagonal and starts at e_0,
     # exactly orthogonal to its smallest eigenvector e_4, and its shifted

@@ -1,22 +1,24 @@
 """Working-set bounds of the extraction, under tracemalloc.
 
-An extraction of a wave holds the (F, N, M) spectrogram and the (F, M, M)
-whiteners at full size, and never an (F, N) estimate: an update reads the
-filters and the activity, and demixes its new filters a block of bins at
-a time, adding each block's |s|^2 into the activity's group sums. A
-monitored run that uses every update certifies its last state a block of
-bins at a time, before the output exists. synthesize then demixes,
-projects and overlap-adds the returned state a block of frames at a time
-into the output wave. The set-up covariance is released before the first
-update. Every other temporary is a block of about stft._BLOCK_BYTES per
-share (stft._blocks), a per-frame vector, or a row per group of bins; a
-share builds its per-bin (M, M) stacks a block of bins at a time, a few
-blocks at 8 channels, and the whitening factors and inverts the set-up
-covariance in the same blocks (core._matrix_blocks), each inverse
-written into the whiteners. Each bound below is that working set plus a
-few blocks, under one (F, N) estimate more. The input is above the gate
-of stft._split, and every pass runs with two workers, so the share
-count, and with it each bound, does not depend on the machine.
+An extraction of a wave holds the (F, N, M) spectrogram and one (F, M, M)
+stack at full size, and never an (F, N) estimate. The stack is the set-up
+covariance, whose storage the whiteners take over: prewhiten checks every
+block of bins (core._matrix_blocks), then factors each again and writes its
+inverse into it. An update reads the filters and the activity; a block of
+bins at a time it builds V from weighted copies of a sixth of the block,
+whitens it in place and takes its eigenpair, then demixes the block with
+its new filters and adds its |s|^2 into the activity's group sums. A
+monitored run that uses every update certifies its last state in the same
+blocks, before the output exists. synthesize then demixes, projects and
+overlap-adds the returned state a block of frames at a time into the
+output wave; the state and its whiteners are gone by then, and only the
+filters remain. Every other temporary is a block of about
+stft._BLOCK_BYTES per share (stft._blocks), a per-frame vector, or a row
+per group of bins; at 8 channels a share holds a block of V and at most
+two stacks of its size. Each bound below is that working set plus a few
+blocks, under one (F, N) estimate more. The input is above the gate of
+stft._split, and every pass runs with two workers, so the share count, and
+with it each bound, does not depend on the machine.
 """
 
 import tracemalloc
@@ -197,21 +199,21 @@ def test_last_certificate_comes_before_the_output(monkeypatch):
 
 
 def test_prewhiten_writes_each_inverse_into_the_whiteners(stage_peaks):
-    # (129, 400, 6) is one block of bins: beside the set-up covariance the
-    # whitening holds the whiteners and at most two more stacks of their
-    # size, the Hermitian check's a^H and numpy's copy while it makes it;
-    # the inverse goes into the whiteners and the factor is conjugated in
-    # place
+    # (129, 400, 6) is one block of bins: the set-up covariance is the
+    # whiteners' storage, and beside it the whitening holds at most two more
+    # stacks of its size, the Hermitian check's a^H and numpy's copy while
+    # it makes it; the factor is conjugated in place
     data = np.random.default_rng(84).standard_normal((129, 400, 12)).view(np.complex128)
     peaks = stage_peaks("prewhiten")
     _peak(lambda: core.extract_spectral(data, FiveConfig(ContrastModel("laplace"), max_iterations=1)))
     assert len(core._matrix_blocks(0, 129, 6)) == 1
     stack, vectors = 16 * 129 * 6**2, 16 * 129 * 6
-    assert peaks["prewhiten"] <= 4 * stack + vectors < 5 * stack
+    assert peaks["prewhiten"] <= 3 * stack + vectors < 4 * stack
 
 
-def test_set_up_covariance_is_released_before_the_first_update(monkeypatch, data):
-    # the (F, M, M) sample covariance serves only the whitening
+def test_set_up_holds_one_stack_after_the_build(monkeypatch, data):
+    # the (F, M, M) sample covariance's storage becomes the whiteners: every
+    # update finds that one stack, and less than a second one beside it
     covariances, held = [], []
     stack, update = core._covariance_stack, core.five_iteration
 
@@ -220,14 +222,39 @@ def test_set_up_covariance_is_released_before_the_first_update(monkeypatch, data
         covariances.append(weakref.ref(cov))
         return cov
 
-    def checking_update(*args, **kwargs):
-        held.append(covariances[0]() is not None)
-        return update(*args, **kwargs)
+    def checking_update(state, *args, **kwargs):
+        cov = covariances[0]()
+        held.append((cov is not None and np.shares_memory(cov, state.whiteners), tracemalloc.get_traced_memory()[0]))
+        return update(state, *args, **kwargs)
 
     monkeypatch.setattr(core, "_covariance_stack", tracked_stack)
     monkeypatch.setattr(core, "five_iteration", checking_update)
-    core.extract_spectral(data, FiveConfig(ContrastModel("gauss", num_bins=len(data)), max_iterations=2))
-    assert held == [False, False]
+    config = FiveConfig(ContrastModel("gauss", num_bins=len(data)), max_iterations=2)
+    _peak(lambda: core.extract_spectral(data, config))
+    whiteners = 16 * data.shape[0] * data.shape[2] ** 2
+    assert [shared for shared, _ in held] == [True, True]
+    assert all(bytes_held < 2 * whiteners for _, bytes_held in held)
+
+
+def test_synthesis_starts_without_the_state_or_its_whiteners(monkeypatch, wave):
+    # extract hands synthesize the filters and what project_back reads, and
+    # releases the whiteners, and with them the set-up covariance's storage
+    whiteners, alive = [], []
+    set_up, synthesize = core.prewhiten, core.synthesize
+
+    def tracked_set_up(*args, **kwargs):
+        result = set_up(*args, **kwargs)
+        whiteners.extend((weakref.ref(result), weakref.ref(result.base)))
+        return result
+
+    def checking_synthesize(source):
+        alive.append([ref() is not None for ref in whiteners])
+        return synthesize(source)
+
+    monkeypatch.setattr(core, "prewhiten", tracked_set_up)
+    monkeypatch.setattr(core, "synthesize", checking_synthesize)
+    extract(wave, CONFIG, FiveConfig(ContrastModel("gauss", num_bins=CONFIG.num_bins), max_iterations=2))
+    assert alive == [[False, False]]
 
 
 EIGHT = StftConfig(frame_size=4096)
@@ -236,7 +263,7 @@ EIGHT = StftConfig(frame_size=4096)
 @pytest.fixture(scope="module")
 def eight_channel_wave():
     # 8 channels, 2049 bins, 40 frames: a bin-heavy 10.5 MB spectrogram,
-    # split in two shares of about 1024 bins, each walked in blocks of 256
+    # split in two shares of about 1024 bins, each walked in blocks of 128
     rng = np.random.default_rng(81)
     length = 39 * EIGHT.hop + EIGHT.frame_size
     sources = rng.standard_normal((length, 8))
@@ -245,21 +272,27 @@ def eight_channel_wave():
 
 
 def test_eight_channel_update_and_set_up_hold_a_few_blocks_per_share(stage_peaks, eight_channel_wave):
-    # each share builds its (M, M) stacks a block of 256 bins at a time, sized
-    # by the real product g, a (2M, 2M) float64 per bin: one g and one
-    # weighted copy per share, and a few complex (M, M) blocks, not a whole
-    # share of them. prewhiten factors and inverts a block at a time, so it
-    # holds the covariance, the whiteners and a few blocks
-    peaks = stage_peaks("_covariance_stack", "prewhiten", "five_iteration")
+    # each share builds its (M, M) stacks a block of 128 bins at a time: it
+    # weights a copy of a sixth of the block, and forms and reduces the real
+    # product g of that sub-block, never a whole block's g; beside the block
+    # the whitening holds at most two stacks of its size, and the eigen step
+    # the inverse. prewhiten checks, factors and inverts a block at a time
+    # into the covariance's own storage, so it holds one stack and a block.
+    # The certificate walks the same blocks, and synthesize holds the
+    # spectrogram, the filters and the output, not the whiteners. Each bound
+    # is spectrogram + whiteners + k blocks
+    stages = ("_covariance_stack", "prewhiten", "five_iteration", "head_residual", "synthesize")
+    peaks = stage_peaks(*stages)
     config = FiveConfig(ContrastModel("gauss", num_bins=EIGHT.num_bins), max_iterations=3)
     _peak(lambda: extract(eight_channel_wave, EIGHT, config))
     n_bins, n_chan = EIGHT.num_bins, eight_channel_wave.channels
     n_frames = 1 + (eight_channel_wave.num_samples - EIGHT.frame_size) // EIGHT.hop
     assert n_bins * n_frames * n_chan * 16 >= 2 * stft._SHARE_BYTES
-    assert len(core._matrix_blocks(0, n_bins, n_chan)) == 9
+    assert len(core._matrix_blocks(0, n_bins, n_chan)) == 16
     spectrogram = n_bins * n_frames * n_chan * 16
-    whiteners = n_bins * n_chan**2 * 16  # and the set-up covariance, its size
-    # none holds an estimate, and the set-up's output is the size of the whiteners
-    assert peaks["_covariance_stack"] <= spectrogram + whiteners + 4 * BLOCK
-    assert peaks["prewhiten"] <= spectrogram + 2 * whiteners + 3 * BLOCK
-    assert peaks["five_iteration"] <= spectrogram + whiteners + 7 * BLOCK
+    whiteners = n_bins * n_chan**2 * 16  # and the set-up covariance, its storage
+    # none holds an estimate: 4 blocks are the whiteners' size here
+    bounds = {"_covariance_stack": 2, "prewhiten": 1, "five_iteration": 4, "head_residual": 2, "synthesize": 2}
+    assert set(bounds) == set(stages) and whiteners <= 4 * BLOCK + 1024
+    for name, blocks in bounds.items():
+        assert peaks[name] <= spectrogram + whiteners + blocks * BLOCK, name

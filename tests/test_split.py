@@ -125,16 +125,20 @@ def _few_bin_blocks(monkeypatch, bins):
 
     The weighted copies and the demix products get blocks of one bin.
     """
-    monkeypatch.setattr(stft, "_BLOCK_BYTES", 32 * SHAPE[2] ** 2 * bins)
+    monkeypatch.setattr(stft, "_BLOCK_BYTES", 64 * SHAPE[2] ** 2 * bins)
 
 
 def test_blocks_tile_the_range():
-    # the (M, M) stacks' blocks: at M = 8, 256 bins per block, counted from the start of the range
     assert stft._blocks(0, 512, 32 * 8**2) == [slice(0, 256), slice(256, 512)]
     assert stft._blocks(1024, 1537, 32 * 8**2) == [slice(1024, 1280), slice(1280, 1536), slice(1536, 1537)]
     assert stft._blocks(5, 500, 32 * 8**2) == [slice(5, 261), slice(261, 500)]
     assert stft._blocks(0, 2049, 32 * 4**2) == [slice(0, 1024), slice(1024, 2048), slice(2048, 2049)]
-    assert core._matrix_blocks(1024, 1537, 8) == stft._blocks(1024, 1537, 32 * 8**2)
+    # the (M, M) stacks' blocks: at M = 8, 128 bins per block, counted from
+    # the start of the range; a one-bin remainder joins the block before it
+    assert core._matrix_blocks(5, 300, 8) == stft._blocks(5, 300, 64 * 8**2)
+    assert core._matrix_blocks(5, 300, 8) == [slice(5, 133), slice(133, 261), slice(261, 300)]
+    assert core._matrix_blocks(1024, 1537, 8)[2:] == [slice(1280, 1408), slice(1408, 1537)]
+    assert core._matrix_blocks(0, 2049, 4)[-1] == slice(1536, 2049) and core._matrix_blocks(7, 8, 8) == [slice(7, 8)]
     # an item larger than a block is a block of its own, and an empty range has none
     assert stft._blocks(3, 6, 2 * stft._BLOCK_BYTES) == [slice(3, 4), slice(4, 5), slice(5, 6)]
     assert stft._blocks(7, 7, 16) == []
@@ -153,11 +157,33 @@ def test_update_and_set_up_are_bit_identical_in_blocks(monkeypatch, data):
     # update) and inside every group of the update's activity sums
     contrast = ContrastModel("gauss", num_bins=SHAPE[0])
     state = five_iteration(_state(data), data, contrast)
+    default_budget = stft._BLOCK_BYTES
     monkeypatch.setattr(stft, "_WORKERS", 3)
     whole, whole_cov = five_iteration(state, data, contrast), core._covariance_stack(data)
     whole_residual = core.head_residual(whole, data, contrast)
     _few_bin_blocks(monkeypatch, 7)
     assert len(core._matrix_blocks(85, 171, SHAPE[2])) == 13
+    _assert_same_bits(whole, whole_cov, whole_residual, state, data, contrast)
+    # the weighted product's sub-blocks (core._product_blocks: 1 bin, 7 bins
+    # or the whole block) apart from the blocks of V (1 bin, 7 bins, or
+    # 2049, every bin of a share), with g reduced once per block (the
+    # default budget holds the g of 256 bins at M = 4) or once per sub-block
+    # (a budget that holds the g of 3)
+    for budget in (default_budget, 128 * SHAPE[2] ** 2 * 3):
+        monkeypatch.setattr(stft, "_BLOCK_BYTES", budget)
+        for block_bins in (1, 7, 2049):
+            monkeypatch.setattr(core, "_matrix_blocks", _steps(block_bins))
+            for sub_bins in sorted({1, 7, block_bins}):
+                monkeypatch.setattr(core, "_product_blocks", lambda n_bins, n_frames, n_chan, step=sub_bins: _steps(step)(0, n_bins))
+                _assert_same_bits(whole, whole_cov, whole_residual, state, data, contrast)
+
+
+def _steps(step):
+    """Slices of step items over a range, the last shorter: blocks of a fixed size in place of a budget's."""
+    return lambda start, stop, *_: [slice(first, min(first + step, stop)) for first in range(start, stop, step)]
+
+
+def _assert_same_bits(whole, whole_cov, whole_residual, state, data, contrast):
     blocked = five_iteration(state, data, contrast)
     for name in ("w", "activity"):
         assert np.array_equal(getattr(whole, name), getattr(blocked, name)), name
@@ -208,8 +234,8 @@ def test_degenerate_bin_is_named_by_its_global_index(monkeypatch, data):
 def test_no_output_depends_on_the_core_count(monkeypatch):
     # 8 channels at frame 1024: 513 bins, and 260 frames put 4 shares over the
     # gate. The blocks of V differ with the worker count (core._matrix_blocks,
-    # 256 bins at most): 256 and 1 bins on 1 and 2 workers, 176 and 161 on 3,
-    # 128 and 129 on 4, stacks numpy could lay out differently if V's layout
+    # 128 bins at most): 128 and 1 bins on 1 and 2 workers, 48 and 33 on 3,
+    # 128 and 1 on 4, stacks numpy could lay out differently if V's layout
     # were not fixed
     config = StftConfig(frame_size=1024)
     rng = np.random.default_rng(72)
