@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import linalg
+from . import linalg, stft
 from .stft import SpectralTensor, _blocks, _check_finite, _split, analyze, synthesize
 from .wavio import _is_integer
 
@@ -181,26 +181,22 @@ def _covariance_stack(data):
 
     def build(start, stop):
         for block in _matrix_blocks(start, stop, data.shape[2]):
-            cov[block] = _covariance_block(data[block])
+            _covariance_block(data[block], out=cov[block])
 
     _split(build, len(data), data.nbytes)
     return cov
 
 
 def _matrix_blocks(start, stop, n_chan):
-    """Blocks of bins (stft._blocks) for the per-bin (M, M) stacks: 128 bins at M = 8, 512 at M = 4.
+    """Blocks of whole groups of bins (stft._blocks) for the per-bin (M, M) stacks: 128 bins at M = 8, 512 at M = 4.
 
     64 M^2 bytes per bin, four complex (M, M) stacks: a share holds a block
     and at most two stacks of its size beside it (_covariance_block, and
     the inverse in linalg.smallest_eigenpair), with room for the weighted
-    sub-blocks of the build. A one-bin remainder, which the 2^k + 1 bins of
-    a power-of-two frame leave, joins the block before it: a block costs a
-    fixed set of calls, whatever its size.
+    sub-blocks of the build. The one bin past the groups that a power-of-two
+    frame's 2^k + 1 bins leave joins the block before it.
     """
-    blocks = _blocks(start, stop, 64 * n_chan**2)
-    if len(blocks) > 1 and blocks[-1].stop - blocks[-1].start == 1:
-        blocks[-2:] = [slice(blocks[-2].start, stop)]
-    return blocks
+    return _blocks(start, stop, 64 * n_chan**2, _GROUP_BINS)
 
 
 def _frame_rows(weights, n_chan):
@@ -211,11 +207,11 @@ def _frame_rows(weights, n_chan):
 def _product_blocks(n_bins, n_frames, n_chan):
     """Sub-blocks of a block of n_bins bins for its weighted copies: a sixth of the block, or what the budget holds.
 
-    The budget (stft._blocks of the 16 N M byte copies) binds for
-    frame-heavy data: 4 bins at (N, M) = (1874, 4), against 22 of the 128
-    bins of a block at (78, 8).
+    The budget (_BLOCK_BYTES of the 16 N M byte copies, one bin at least)
+    binds for frame-heavy data: 4 bins at (N, M) = (1874, 4), against 22 of
+    the 128 bins of a block at (78, 8).
     """
-    step = min(-(-n_bins // 6), _blocks(0, n_bins, 16 * n_frames * n_chan)[0].stop)
+    step = min(-(-n_bins // 6), max(1, stft._BLOCK_BYTES // (16 * n_frames * n_chan)))
     return [slice(first, min(first + step, n_bins)) for first in range(0, n_bins, step)]
 
 
@@ -231,7 +227,7 @@ def _add_quadrants(g, n_frames, out):
     return out
 
 
-def _covariance_block(data, weights=None, whiteners=None):
+def _covariance_block(data, weights=None, whiteners=None, out=None):
     # (1/N) sum_n weight_n x_fn x_fn^H per bin, on the calling thread, the
     # weights repeated by _frame_rows (once per update, not per block); with
     # whiteners W that of the whitened y = W^H x, W^H (...) W; hermitized
@@ -247,9 +243,9 @@ def _covariance_block(data, weights=None, whiteners=None):
     # the build's size. The whitening writes into the block's storage, and
     # V^T is conjugated into C order before it is added, as in
     # linalg.check_hermitian, so that no transposed operand takes a ufunc
-    # buffer: the block and at most two stacks of its size are held. Every
-    # product rounds as into a new array: the bits are those of whole-stack
-    # products.
+    # buffer: the block and at most two stacks of its size are held, V in out
+    # (C-ordered) if given. Every product rounds as into a new array: the
+    # bits are those of whole-stack products.
     n_bins, n_frames, n_chan = data.shape
     copied = weights is not None or data.dtype != np.complex128 or not data.flags.c_contiguous
     spans = _product_blocks(n_bins, n_frames, n_chan) if copied else [slice(0, n_bins)]
@@ -257,22 +253,24 @@ def _covariance_block(data, weights=None, whiteners=None):
     whole = n_bins * n_chan <= size * n_frames // 2  # 32 M^2 bytes of g per bin against 16 N M of copy
     weighted = None if weights is None else np.empty((size, n_frames, 2 * n_chan))
     g = np.empty((n_bins if whole else size, 2 * n_chan, 2 * n_chan))
-    cov = None if whole else np.empty((n_bins, n_chan, n_chan), dtype=np.complex128)
+    if out is None and not whole:  # a whole g makes its V once the copies are released
+        out = np.empty((n_bins, n_chan, n_chan), dtype=np.complex128)
     for span in spans:
         block = np.ascontiguousarray(data[span], dtype=np.complex128).view(np.float64)
         lhs = block if weights is None else np.multiply(block, weights, out=weighted[: len(block)])
         np.matmul(lhs.swapaxes(1, 2), block, out=g[span] if whole else g[: len(block)])
         if not whole:
-            _add_quadrants(g[: len(block)], n_frames, cov[span])
+            _add_quadrants(g[: len(block)], n_frames, out[span])
     block = lhs = weighted = None  # buffers that outlive the loop would raise the peak
     if whole:
-        cov = _add_quadrants(g, n_frames, np.empty((n_bins, n_chan, n_chan), dtype=np.complex128))
+        out = np.empty((n_bins, n_chan, n_chan), dtype=np.complex128) if out is None else out
+        _add_quadrants(g, n_frames, out)
     g = None
     if whiteners is not None:
-        np.matmul(np.conj(whiteners.swapaxes(1, 2)), cov @ whiteners, out=cov)
-    np.add(cov, np.conj(cov.swapaxes(1, 2), order="C"), out=cov)
-    cov *= 0.5
-    return cov
+        np.matmul(np.conj(whiteners.swapaxes(1, 2)), out @ whiteners, out=out)
+    np.add(out, np.conj(out.swapaxes(1, 2), order="C"), out=out)
+    out *= 0.5
+    return out
 
 
 def prewhiten(covariance, out=None):
@@ -328,11 +326,12 @@ def _activity_pass(data, kernel):
     bins (stft._split) and calls add(filters, block) on consecutive blocks of
     its bins, once their own temporaries are released. add demixes a block
     into a buffer of about a block (_demixed_blocks), squares it in place and
-    adds each bin's row of Re(s_fn)^2 and Im(s_fn)^2 into its group's sum; a
-    group cut by a block carries its sum into the next block's first row.
-    numpy sums the rows of a C-ordered block one at a time, in order, and
-    the calling thread adds the group sums in group order, then Re and Im,
-    so every frame is summed in one order however the bins are cut.
+    sums each group's rows of Re(s_fn)^2 and Im(s_fn)^2 into its entry of
+    sums. Every block starts on a group and holds whole groups (the data's
+    last may be short): no group spans two blocks. numpy sums the rows of a
+    C-ordered block one at a time, in order, and the calling thread adds the
+    group sums in group order, then Re and Im, so every frame is summed in one
+    order however the bins are cut.
     """
     n_bins, n_frames = data.shape[:2]
     sums = np.empty((-(-n_bins // _GROUP_BINS), 2 * n_frames))  # of Re(s)^2 and Im(s)^2, interleaved
@@ -340,16 +339,11 @@ def _activity_pass(data, kernel):
     def add(filters, block):
         for sub, s in _demixed_blocks(filters, data, block):
             rows = np.square(s.view(np.float64), out=s.view(np.float64))
-            head = min(-(-sub.start // _GROUP_BINS) * _GROUP_BINS, sub.stop)  # the rest of a group cut at start
-            tail = max(sub.stop // _GROUP_BINS * _GROUP_BINS, head)  # the part of a group cut at stop
-            for lo, hi in ((sub.start, head), (tail, sub.stop)):
-                if lo < hi:
-                    part = rows[lo - sub.start : hi - sub.start]
-                    if lo % _GROUP_BINS:  # the group began in an earlier block
-                        part[0] += sums[lo // _GROUP_BINS]
-                    part.sum(axis=0, out=sums[lo // _GROUP_BINS])
-            whole = rows[head - sub.start : tail - sub.start].reshape(-1, _GROUP_BINS, rows.shape[1])
-            whole.sum(axis=1, out=sums[head // _GROUP_BINS : tail // _GROUP_BINS])
+            whole, first = len(rows) // _GROUP_BINS, sub.start // _GROUP_BINS
+            groups = rows[: whole * _GROUP_BINS].reshape(whole, _GROUP_BINS, 2 * n_frames)
+            groups.sum(axis=1, out=sums[first : first + whole])
+            if whole * _GROUP_BINS < len(rows):  # the data's last group, short
+                rows[whole * _GROUP_BINS :].sum(axis=0, out=sums[-1])
 
     def share(first, last):  # groups first..last
         kernel(first * _GROUP_BINS, min(last * _GROUP_BINS, n_bins), add)
@@ -396,9 +390,9 @@ def _demix(w, data, out):
 
 
 def _demixed_blocks(filters, data, bins):
-    """(block, filters^H x of the block) for each block of bins (stft._blocks), demixed into one reused buffer."""
-    blocks = _blocks(bins.start, bins.stop, 16 * data.shape[1])
-    buffer = np.empty((blocks[0].stop - bins.start, data.shape[1]), dtype=np.complex128)
+    """(block, filters^H x of the block) for blocks of whole groups of bins (stft._blocks), in one reused buffer."""
+    blocks = _blocks(bins.start, bins.stop, 16 * data.shape[1], _GROUP_BINS)
+    buffer = np.empty((max(block.stop - block.start for block in blocks), data.shape[1]), dtype=np.complex128)
     for block in blocks:
         s = buffer[: block.stop - block.start]
         _demix(filters[block.start - bins.start : block.stop - bins.start], data[block], s)
@@ -437,13 +431,13 @@ def five_iteration(state, data, contrast):
     incoming state (see DemixingState).
 
     The update is one pass in shares of whole groups of bins over the cores
-    (_activity_pass), each walked a block of bins at a time (_matrix_blocks,
-    128 at M = 8): build V, take its eigenpair, certify the incoming filter,
-    drop V, demix the block with its new filters and add its |s|^2 into the
-    activity's group sums, to the same bits however the bins are cut. The
-    frame weights, the activity's square root and the certificate's max
-    over bins are taken on the calling thread. The returned state holds no
-    estimate: the update never holds one whole.
+    (_activity_pass), each walked a block of whole groups at a time
+    (_matrix_blocks, 128 bins at M = 8): build V, take its eigenpair, certify
+    the incoming filter, drop V, demix the block with its new filters and sum
+    its |s|^2 into the activity's group sums, to the same bits however the
+    bins are cut. The frame weights, the activity's square root and the
+    certificate's max over bins are taken on the calling thread. The returned
+    state holds no estimate: the update never holds one whole.
     """
     weights = _frame_rows(_frame_weights(state.activity, contrast), data.shape[2])
     whiteners, previous = state.whiteners, state.w

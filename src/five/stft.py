@@ -18,8 +18,9 @@ is held whole.
 A large pass over independent frames or bins is split into contiguous
 shares, one per core the process may use, which run on one module-level
 thread pool (_split); analyze's frames and core's per-bin passes use it.
-Shares walk fixed blocks (_blocks) and compute what the whole pass would,
-so outputs do not depend on the number of cores.
+One rule cuts every pass into fixed blocks (_blocks), of frames or of
+core's 16-bin groups; shares walk them and compute what the whole pass
+would, so outputs do not depend on the number of cores.
 """
 
 import os
@@ -66,10 +67,19 @@ def _split(kernel, count, nbytes):
         future.result()
 
 
-def _blocks(start, stop, item_bytes):
-    """Slices of range(start, stop) of _BLOCK_BYTES // item_bytes items each (at least one); the last may be shorter."""
-    step = max(1, _BLOCK_BYTES // item_bytes)
-    return [slice(first, min(first + step, stop)) for first in range(start, stop, step)]
+def _blocks(start, stop, item_bytes, unit=1):
+    """Slices of range(start, stop) of the whole units of unit items that fit _BLOCK_BYTES (one unit at least).
+
+    The last may be shorter, but a one-item remainder of longer blocks joins
+    the block before it: a one-frame demix (core._ProjectedEstimate) rounds
+    differently, and a block of bins costs a fixed set of calls, whatever
+    its size.
+    """
+    step = max(1, _BLOCK_BYTES // (item_bytes * unit)) * unit
+    blocks = [slice(first, min(first + step, stop)) for first in range(start, stop, step)]
+    if len(blocks) > 1 and blocks[-1].stop - blocks[-1].start == 1 < step:
+        blocks[-2:] = [slice(blocks[-2].start, stop)]
+    return blocks
 
 
 def _check_finite(data):
@@ -219,7 +229,7 @@ def analyze(wave, config=None):
 
     def transform(first, last):
         blocks = _blocks(first, last, 16 * config.num_bins * x.shape[1])
-        windowed = np.empty((blocks[0].stop - first, x.shape[1], frame))
+        windowed = np.empty((max(span.stop - span.start for span in blocks), x.shape[1], frame))
         for span in blocks:
             block = windowed[: span.stop - span.start]
             np.multiply(frames[span], win, out=block[: inside - span.start])
@@ -244,16 +254,16 @@ def synthesize(spec):
     spectra reconstruct the input exactly wherever frames overlap.
 
     StftConfig guarantees hop | frame, so the output is laid out in
-    hop-sized blocks. The frames are inverted a block at a time (_blocks,
-    two frames at least): spec's _spectra(frames, out) writes the block's
-    spectra into one reused buffer, laid out (bins, frames, channels) as
-    the spectrogram is; they are inverted along the bins into a second
-    buffer whose (frames, channels, frame) rows are contiguous, and
-    windowed; and slice r of every frame is added, in one shifted slab, to
-    the hop-sized blocks r to r + frames - 1. Only the output is held
-    whole. The squared window sums to the same row wherever all K =
-    frame/hop slices overlap, so min(N, K) frames' worth of rows hold the
-    head, that row and the tail.
+    hop-sized blocks. The frames are inverted a block at a time (_blocks:
+    two frames at least, and no one-frame remainder): spec's
+    _spectra(frames, out) writes the block's spectra into one reused buffer,
+    laid out (bins, frames, channels) as the spectrogram is; they are
+    inverted along the bins into a second buffer whose (frames, channels,
+    frame) rows are contiguous, and windowed; and slice r of every frame is
+    added, in one shifted slab, to the hop-sized blocks r to r + frames - 1.
+    Only the output is held whole. The squared window sums to the same row
+    wherever all K = frame/hop slices overlap, so min(N, K) frames' worth of
+    rows hold the head, that row and the tail.
     """
     config = spec.config
     frame, hop = config.frame_size, config.hop
@@ -261,12 +271,7 @@ def synthesize(spec):
     n_bins, n_frames, n_chan = config.num_bins, spec.num_frames, spec.num_channels
     slices = frame // hop
 
-    # blocks of at least two frames: a one-frame demix (core._ProjectedEstimate)
-    # takes another product and rounds differently, so a one-frame remainder
-    # joins the block before it
-    blocks = _blocks(0, n_frames, min(16 * n_bins * n_chan, _BLOCK_BYTES // 2))
-    if len(blocks) > 1 and blocks[-1].stop - blocks[-1].start == 1:
-        blocks[-2:] = [slice(blocks[-2].start, n_frames)]
+    blocks = _blocks(0, n_frames, min(16 * n_bins * n_chan, _BLOCK_BYTES // 2))  # two frames at least
     size = max(span.stop - span.start for span in blocks)
     flat = np.empty(n_bins * size * n_chan, dtype=np.complex128)  # each block's spectra contiguous
     time_frames = np.empty((size, n_chan, frame))

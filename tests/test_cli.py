@@ -53,6 +53,21 @@ def test_extract_pcm16_output(tmp_path):
     assert read_wave(out_path).channels == 1
 
 
+def test_extract_pcm16_output_reports_clipped_samples(tmp_path, capsys):
+    # a float32 input of amplitude 2 extracts, on one channel, to itself:
+    # every sample beyond [-1, 1] is clipped and counted on stderr
+    in_path, out_path = tmp_path / "in.wav", tmp_path / "out.wav"
+    data = 4 * _write_noise_wav(in_path, samples=6 * 512)
+    write_wave(in_path, MultichannelWave(16000, data), format="float32")
+    rc = cli.main(["extract", "--input", str(in_path), "--output", str(out_path), "--frame-size", "512",
+                   "--format", "pcm16"])
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert err.startswith("five extract: clipped ") and err.endswith(" out-of-range samples\n")
+    assert int(err.split()[3]) > 0
+    assert np.max(np.abs(read_wave(out_path).samples)) <= 1.0
+
+
 def test_extract_missing_input_names_path(tmp_path, capsys):
     rc = cli.main(
         ["extract", "--input", str(tmp_path / "ghost.wav"), "--output", str(tmp_path / "o.wav")]
@@ -185,6 +200,23 @@ def test_usage_error_exit_code_is_one(capsys):
 
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
+
+
+def test_negative_count_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "scene"
+    assert cli.main(["simulate", "--output", str(out), "--seed", "-1"]) == 1
+    assert "expected a non-negative integer, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_broken_pipe_exits_two_without_a_diagnostic(monkeypatch, tmp_path, capsys):
+    # a reader that closed the pipe (five ... | head) is not a runtime error to report
+    def closed(cfg):
+        raise BrokenPipeError
+
+    monkeypatch.setitem(cli._COMMANDS, "simulate", closed)
+    assert cli.main(["simulate", "--output", str(tmp_path / "scene")]) == 2
+    assert capsys.readouterr().err == ""
 
 
 # ---------------------------------------------------------------- simulate

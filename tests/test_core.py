@@ -869,9 +869,9 @@ def test_monitored_run_costs_one_covariance_build(monkeypatch, monitoring):
         counts["eig"] += 1
         return eig(*args, **kwargs)
 
-    def counting_build(data, weights=None, whiteners=None):
+    def counting_build(data, weights=None, whiteners=None, out=None):
         counts["cov"] += weights is not None
-        return build(data, weights, whiteners)
+        return build(data, weights, whiteners, out)
 
     def counting_certify(*args, **kwargs):
         counts["certify"] += 1
@@ -1164,9 +1164,9 @@ def _counting_converged_run(monkeypatch, monitoring, max_iterations=200):
         counts["updates"] += 1
         return update(*args, **kwargs)
 
-    def counting_build(data, weights=None, whiteners=None):
+    def counting_build(data, weights=None, whiteners=None, out=None):
         counts["builds"] += weights is not None
-        return build(data, weights, whiteners)
+        return build(data, weights, whiteners, out)
 
     def counting_certify(*args, **kwargs):
         counts["certificates"] += 1

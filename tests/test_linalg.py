@@ -190,6 +190,21 @@ def test_eig_rejects_non_hermitian():
         eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
 
+@pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3)])
+def test_check_hermitian_rejects_non_square_input(shape):
+    with pytest.raises(ValueError, match="square"):
+        linalg.check_hermitian(np.zeros(shape, dtype=complex))
+
+
+def test_eig_failure_to_converge_is_typed(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(EigenConvergenceError, match="did not converge"):
+        eig_hermitian(np.eye(2, dtype=complex))
+
+
 # ---------------------------------------------------------------- smallest eigenpair
 
 

@@ -2,23 +2,25 @@
 
 An extraction of a wave holds the (F, N, M) spectrogram and one (F, M, M)
 stack at full size, and never an (F, N) estimate. The stack is the set-up
-covariance, whose storage the whiteners take over: prewhiten checks every
-block of bins (core._matrix_blocks), then factors each again and writes its
-inverse into it. An update reads the filters and the activity; a block of
-bins at a time it builds V from weighted copies of a sixth of the block,
-whitens it in place and takes its eigenpair, then demixes the block with
-its new filters and adds its |s|^2 into the activity's group sums. A
-monitored run that uses every update certifies its last state in the same
-blocks, before the output exists. synthesize then demixes, projects and
-overlap-adds the returned state a block of frames at a time into the
-output wave; the state and its whiteners are gone by then, and only the
-filters remain. Every other temporary is a block of about
-stft._BLOCK_BYTES per share (stft._blocks), a per-frame vector, or a row
-per group of bins; at 8 channels a share holds a block of V and at most
-two stacks of its size. Each bound below is that working set plus a few
-blocks, under one (F, N) estimate more. The input is above the gate of
-stft._split, and every pass runs with two workers, so the share count, and
-with it each bound, does not depend on the machine.
+covariance, each block of bins (core._matrix_blocks) built straight into
+it, whose storage the whiteners take over: prewhiten checks every block,
+then factors each again and writes its inverse into it. An update reads
+the filters and the activity; a block of whole 16-bin groups at a time it
+builds V from weighted copies of a sixth of the block, whitens it in place
+and takes its eigenpair, then demixes the block with its new filters and
+sums its |s|^2 into the activity's group sums. A monitored run that uses
+every update certifies its last state in the same blocks, before the
+output exists. synthesize then demixes, projects and overlap-adds the
+returned state a block of frames at a time into the output wave; the
+state and its whiteners are gone by then, and only the filters remain.
+Every other temporary is a block of about stft._BLOCK_BYTES per share
+(stft._blocks; a block of bins holds a group at least, more above 2048
+frames), a per-frame vector, or a row per group of bins; at 8 channels a
+share holds a block of V and at most two stacks of its size. Each bound
+below is that working set plus a few blocks, under one (F, N) estimate
+more. The input is above the gate of stft._split, and every pass runs
+with two workers, so the share count, and with it each bound, does not
+depend on the machine.
 """
 
 import tracemalloc

@@ -111,6 +111,12 @@ def test_sir_zero_images_rejected():
         si_sir(np.ones(8), np.zeros(8), np.ones(8))
 
 
+@pytest.mark.parametrize("target, background", [(np.ones(9), np.ones(8)), (np.ones(8), np.ones(9))])
+def test_sir_length_mismatch_rejected(target, background):
+    with pytest.raises(ValueError, match="equal length"):
+        si_sir(np.ones(8), target, background)
+
+
 # ---------------------------------------------------------------- evaluate_extraction
 
 

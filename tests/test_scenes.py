@@ -112,6 +112,10 @@ def test_spec_validation():
         _spec(uncorrelated_noise_fraction=1.5)
     with pytest.raises(ValueError):
         generate_scene(SceneSpec(num_channels=1, num_bins=1, num_frames=4))
+    with pytest.raises(ValueError, match="num_bins"):
+        _spec(num_bins=0)
+    with pytest.raises(ValueError, match="fir_length"):
+        _spec(mixing="convolutive_fir", fir_length=0)
 
 
 @pytest.mark.parametrize("sample_rate", [16000.5, np.float64(16000.0), True, 0, -8000])
@@ -346,6 +350,10 @@ def test_tensor_file_errors(tmp_path):
         short.write_bytes((b"FIV1" + struct.pack("<III", 1, 1, 1))[:size])
         with pytest.raises(ValueError, match="truncated tensor file"):
             read_tensor(short)
+    for shape in ((4,), (1, 2, 3, 4)):  # (F, N) or (F, N, M) only; nothing is written
+        with pytest.raises(ValueError, match="shape"):
+            write_tensor(tmp_path / "shape.fiv", np.zeros(shape))
+        assert not (tmp_path / "shape.fiv").exists()
 
 
 def test_spectral_scene_roundtrip(tmp_path):
@@ -378,6 +386,12 @@ def test_spec_keyvalue_roundtrip():
     spec = _spec(num_samples=1234, input_sinr_db=-2.5)
     values = {name: str(getattr(spec, name)) for name in spec.__dataclass_fields__}
     assert spec_from_keyvalues(values) == spec
+
+
+def test_read_keyvalues_skips_blank_and_comment_lines(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("# a comment\n\n  seed = 7 \n   \n  # indented comment\nbins=16=x\n")
+    assert scenes.read_keyvalues(path) == {"seed": "7", "bins": "16=x"}
 
 
 def test_spec_keyvalues_none_only_where_the_field_admits_it():

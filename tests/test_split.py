@@ -120,58 +120,90 @@ def test_many_workers_and_short_switch_interval_lose_no_share(monkeypatch, data)
         assert np.array_equal(update.w, want.w)
 
 
-def _few_bin_blocks(monkeypatch, bins):
-    """Blocks of bins bins for the (M, M) stacks at M = 4 (core._matrix_blocks).
+def _group_blocks(monkeypatch, groups):
+    """Blocks of groups whole 16-bin groups for the (M, M) stacks at M = 4 (core._matrix_blocks).
 
-    The weighted copies and the demix products get blocks of one bin.
+    The demix gets blocks of one group, and the weighted copies blocks of one bin.
     """
-    monkeypatch.setattr(stft, "_BLOCK_BYTES", 64 * SHAPE[2] ** 2 * bins)
+    monkeypatch.setattr(stft, "_BLOCK_BYTES", 64 * SHAPE[2] ** 2 * core._GROUP_BINS * groups)
 
 
 def test_blocks_tile_the_range():
     assert stft._blocks(0, 512, 32 * 8**2) == [slice(0, 256), slice(256, 512)]
-    assert stft._blocks(1024, 1537, 32 * 8**2) == [slice(1024, 1280), slice(1280, 1536), slice(1536, 1537)]
     assert stft._blocks(5, 500, 32 * 8**2) == [slice(5, 261), slice(261, 500)]
-    assert stft._blocks(0, 2049, 32 * 4**2) == [slice(0, 1024), slice(1024, 2048), slice(2048, 2049)]
-    # the (M, M) stacks' blocks: at M = 8, 128 bins per block, counted from
-    # the start of the range; a one-bin remainder joins the block before it
-    assert core._matrix_blocks(5, 300, 8) == stft._blocks(5, 300, 64 * 8**2)
+    # a one-item remainder joins the block before it: bins, and frames
+    # (synthesize's 15-frame blocks at (F, C) = (2049, 1))
+    assert stft._blocks(1024, 1537, 32 * 8**2) == [slice(1024, 1280), slice(1280, 1537)]
+    assert stft._blocks(0, 2049, 32 * 4**2) == [slice(0, 1024), slice(1024, 2049)]
+    assert stft._blocks(0, 31, 16 * 2049) == [slice(0, 15), slice(15, 31)]
+    assert stft._blocks(0, 32, 16 * 2049)[-1] == slice(30, 32) and stft._blocks(0, 1, 16 * 2049) == [slice(0, 1)]
+    # the (M, M) stacks' blocks: whole 16-bin groups counted from the start of
+    # the range, 128 bins at M = 8, 224 at M = 6, one group at least (M = 30)
+    assert core._matrix_blocks(5, 300, 8) == stft._blocks(5, 300, 64 * 8**2, 16)
     assert core._matrix_blocks(5, 300, 8) == [slice(5, 133), slice(133, 261), slice(261, 300)]
     assert core._matrix_blocks(1024, 1537, 8)[2:] == [slice(1280, 1408), slice(1408, 1537)]
     assert core._matrix_blocks(0, 2049, 4)[-1] == slice(1536, 2049) and core._matrix_blocks(7, 8, 8) == [slice(7, 8)]
+    assert core._matrix_blocks(0, 513, 6) == [slice(0, 224), slice(224, 448), slice(448, 513)]
+    assert core._matrix_blocks(0, 33, 30) == [slice(0, 16), slice(16, 33)]
+    # the demix's blocks at N = 1874: one group of 16 bins, where 17 bins fit the budget
+    assert stft._blocks(0, 257, 16 * 1874, 16)[:2] == [slice(0, 16), slice(16, 32)]
+    assert stft._blocks(0, 257, 16 * 1874, 16)[-1] == slice(240, 257)
     # an item larger than a block is a block of its own, and an empty range has none
     assert stft._blocks(3, 6, 2 * stft._BLOCK_BYTES) == [slice(3, 4), slice(4, 5), slice(5, 6)]
     assert stft._blocks(7, 7, 16) == []
-    for start, stop, item_bytes in [(0, 257, 16 * 1874), (85, 171, 16 * 4**2), (0, 2049, 16 * 78 * 8), (9, 10, 1)]:
-        blocks = stft._blocks(start, stop, item_bytes)
-        step = max(1, stft._BLOCK_BYTES // item_bytes)
+    for start, stop, item_bytes, unit in [(0, 257, 16 * 1874, 1), (85, 171, 16 * 4**2, 1), (0, 2049, 16 * 78 * 8, 1),
+                                          (9, 10, 1, 1), (0, 257, 16 * 1874, 16), (80, 176, 16 * 400, 16)]:
+        blocks = stft._blocks(start, stop, item_bytes, unit)
+        step = max(1, stft._BLOCK_BYTES // (item_bytes * unit)) * unit
+        sizes = [b.stop - b.start for b in blocks]
         assert blocks[0].start == start and blocks[-1].stop == stop
         assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
-        assert all(b.stop - b.start == step for b in blocks[:-1])
-        assert 0 < blocks[-1].stop - blocks[-1].start <= step
+        assert all(size == step for size in sizes[:-1])
+        assert 0 < sizes[-1] <= step + 1 and (sizes[-1] > 1 or len(blocks) == 1)
+
+
+@pytest.mark.parametrize("budget", [1, 3000, 1 << 16, None])
+def test_blocks_of_bins_start_on_groups(monkeypatch, budget):
+    # every block of the (M, M) stacks and of the demix starts on a group of
+    # a range that does, and all but the range's last hold whole groups
+    if budget is not None:
+        monkeypatch.setattr(stft, "_BLOCK_BYTES", budget)
+    for start, stop in [(0, 513), (80, 176), (176, 257), (32, 33), (16, 48)]:
+        cuts = [core._matrix_blocks(start, stop, n_chan) for n_chan in (1, 2, 4, 6, 8, 30)]
+        for n_frames in (3, 78, 400, 1874):  # the demix's blocks depend on N only
+            data = np.zeros((stop, n_frames, 1), dtype=np.complex128)
+            filters = np.zeros((stop - start, 1), dtype=np.complex128)
+            cuts.append([block for block, _ in core._demixed_blocks(filters, data, slice(start, stop))])
+        for cut in cuts:
+            assert cut[0].start == start and cut[-1].stop == stop
+            assert all(a.stop == b.start for a, b in zip(cut, cut[1:]))
+            assert all(block.start % core._GROUP_BINS == 0 for block in cut)
+            assert all((block.stop - block.start) % core._GROUP_BINS == 0 for block in cut[:-1])
 
 
 def test_update_and_set_up_are_bit_identical_in_blocks(monkeypatch, data):
-    # 7-bin blocks put block bounds inside every share (share bounds 0, 85, 171,
-    # 257 for the set-up; 0, 80, 176, 257, on whole groups of 16 bins, for the
-    # update) and inside every group of the update's activity sums
+    # one-group blocks put block bounds inside every share (share bounds 0,
+    # 85, 171, 257 for the set-up; 0, 80, 176, 257, on whole groups of 16
+    # bins, for the update) and between every two groups of the update's
+    # activity sums
     contrast = ContrastModel("gauss", num_bins=SHAPE[0])
     state = five_iteration(_state(data), data, contrast)
     default_budget = stft._BLOCK_BYTES
     monkeypatch.setattr(stft, "_WORKERS", 3)
     whole, whole_cov = five_iteration(state, data, contrast), core._covariance_stack(data)
     whole_residual = core.head_residual(whole, data, contrast)
-    _few_bin_blocks(monkeypatch, 7)
-    assert len(core._matrix_blocks(85, 171, SHAPE[2])) == 13
+    _group_blocks(monkeypatch, 1)
+    assert core._matrix_blocks(85, 171, SHAPE[2])[:2] == [slice(85, 101), slice(101, 117)]
+    assert len(core._matrix_blocks(80, 176, SHAPE[2])) == 6
     _assert_same_bits(whole, whole_cov, whole_residual, state, data, contrast)
     # the weighted product's sub-blocks (core._product_blocks: 1 bin, 7 bins
-    # or the whole block) apart from the blocks of V (1 bin, 7 bins, or
+    # or the whole block) apart from the blocks of V (16 bins, 48 bins, or
     # 2049, every bin of a share), with g reduced once per block (the
     # default budget holds the g of 256 bins at M = 4) or once per sub-block
     # (a budget that holds the g of 3)
     for budget in (default_budget, 128 * SHAPE[2] ** 2 * 3):
         monkeypatch.setattr(stft, "_BLOCK_BYTES", budget)
-        for block_bins in (1, 7, 2049):
+        for block_bins in (16, 48, 2049):
             monkeypatch.setattr(core, "_matrix_blocks", _steps(block_bins))
             for sub_bins in sorted({1, 7, block_bins}):
                 monkeypatch.setattr(core, "_product_blocks", lambda n_bins, n_frames, n_chan, step=sub_bins: _steps(step)(0, n_bins))
@@ -213,18 +245,18 @@ def test_update_is_one_split_pass(monkeypatch, data):
 def test_degenerate_bin_is_named_by_its_global_index(monkeypatch, data):
     # zero whiteners make V zero in bins 100 and 200, in the second and third
     # of three shares (bounds 0, 80, 176, 257: whole groups of 16 bins), and
-    # with 7-bin blocks in a later block of its share (the third; the
-    # fifteenth of one share): the error names bin 100
+    # with one-group blocks in a later block of its share (the second; the
+    # seventh of one share): the error names bin 100
     state = _state(data)
     whiteners = state.whiteners.copy()
     whiteners[[100, 200]] = 0.0
     broken = core.DemixingState(whiteners, state.w, state.activity)
     contrast = ContrastModel("gauss", num_bins=SHAPE[0])
-    for block_bins in (None, 7):
-        if block_bins is not None:
-            _few_bin_blocks(monkeypatch, block_bins)
-            assert core._matrix_blocks(80, 176, SHAPE[2])[2] == slice(94, 101)
-            assert core._matrix_blocks(0, 257, SHAPE[2])[14] == slice(98, 105)
+    for groups in (None, 1):
+        if groups is not None:
+            _group_blocks(monkeypatch, groups)
+            assert core._matrix_blocks(80, 176, SHAPE[2])[1] == slice(96, 112)
+            assert core._matrix_blocks(0, 257, SHAPE[2])[6] == slice(96, 112)
         for workers in (1, 3):
             monkeypatch.setattr(stft, "_WORKERS", workers)
             with pytest.raises(DegenerateCovarianceError, match=r"at bin 100$"):
@@ -234,9 +266,9 @@ def test_degenerate_bin_is_named_by_its_global_index(monkeypatch, data):
 def test_no_output_depends_on_the_core_count(monkeypatch):
     # 8 channels at frame 1024: 513 bins, and 260 frames put 4 shares over the
     # gate. The blocks of V differ with the worker count (core._matrix_blocks,
-    # 128 bins at most): 128 and 1 bins on 1 and 2 workers, 48 and 33 on 3,
-    # 128 and 1 on 4, stacks numpy could lay out differently if V's layout
-    # were not fixed
+    # 128 bins, or 129 with the last bin): 128 and 129 bins on 1, 2 and 4
+    # workers, 128, 48 and 33 on 3, stacks numpy could lay out differently
+    # if V's layout were not fixed
     config = StftConfig(frame_size=1024)
     rng = np.random.default_rng(72)
     length = 259 * config.hop + config.frame_size

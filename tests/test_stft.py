@@ -90,6 +90,13 @@ def test_zero_input_gives_zero_tensor():
     assert np.all(spec.data == 0)
 
 
+def test_analyze_defaults_to_the_default_config():
+    wave = _wave(np.random.default_rng(9).standard_normal((5000, 2)))
+    spec = analyze(wave)
+    assert spec.config == StftConfig() and spec.config.frame_size == 4096 and spec.config.hop == 2048
+    assert np.array_equal(spec.data, analyze(wave, StftConfig()).data)
+
+
 def test_frame_count_formula_on_aligned_length():
     config = StftConfig(frame_size=512, hop=256)
     for length in (512, 1024, 2048 + 512):
@@ -159,12 +166,13 @@ def _rfft_by_frame(samples, config):
 @pytest.mark.parametrize("channels", [1, 3, 8])
 def test_analyze_blocks_match_per_frame_rfft(channels, frame, hop):
     # several blocks of frames and a partial last one (unless a block is one
-    # frame), a zero-padded tail, and a signal of exactly one frame
+    # frame), a zero-padded tail, a one-frame remainder, which joins the
+    # block before it, and a signal of exactly one frame
     config = StftConfig(frame_size=frame, hop=hop)
     step = max(1, stft._BLOCK_BYTES // (16 * config.num_bins * channels))
     n_frames = 2 * step + max(1, step // 2)
     rng = np.random.default_rng(channels * frame + hop)
-    for length in ((n_frames - 1) * hop + frame - hop // 3, frame):
+    for length in ((n_frames - 1) * hop + frame - hop // 3, 2 * step * hop + frame, frame):
         samples = rng.standard_normal((length, channels))
         spec = analyze(_wave(samples), config)
         assert spec.data.flags.c_contiguous

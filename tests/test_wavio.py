@@ -123,6 +123,45 @@ def test_truncated_chunk_reported(tmp_path):
         read_wave(path)
 
 
+def _riff(*chunks):
+    body = b"WAVE" + b"".join(struct.pack("<4sI", cid, len(payload)) + payload for cid, payload in chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def test_missing_chunk_reported(tmp_path):
+    good = _wav_bytes(struct.pack("<h", 1))
+    fmt, data = good[20:36], struct.pack("<h", 1)
+    path = tmp_path / "one_chunk.wav"
+    for chunks in ([(b"fmt ", fmt)], [(b"data", data)], [(b"LIST", b"info"), (b"data", data)]):
+        path.write_bytes(_riff(*chunks))
+        with pytest.raises(TruncatedWaveError, match="missing fmt or data chunk"):
+            read_wave(path)
+
+
+def test_short_fmt_chunk_reported(tmp_path):
+    path = tmp_path / "short_fmt.wav"
+    path.write_bytes(_riff((b"fmt ", struct.pack("<HHI", 1, 1, 8000)), (b"data", b"\x00\x00")))
+    with pytest.raises(TruncatedWaveError, match=r"fmt chunk too short \(8 bytes\)"):
+        read_wave(path)
+
+
+@pytest.mark.parametrize("channels, rate", [(0, 8000), (1, 0)])
+def test_invalid_fmt_fields_reported(tmp_path, channels, rate):
+    path = tmp_path / "fields.wav"
+    path.write_bytes(_wav_bytes(b"\x00\x00", channels=channels, rate=rate))
+    with pytest.raises(WaveFormatError, match="invalid fmt fields"):
+        read_wave(path)
+
+
+@pytest.mark.parametrize("payload, channels", [(b"\x00\x00\x00", 1), (struct.pack("<3h", 1, 2, 3), 2)])
+def test_partial_frame_data_chunk_reported(tmp_path, payload, channels):
+    # 3 bytes of 16-bit mono, or 3 samples of stereo: not a whole number of frames
+    path = tmp_path / "partial.wav"
+    path.write_bytes(_wav_bytes(payload, channels=channels))
+    with pytest.raises(TruncatedWaveError, match="not a whole number of frames"):
+        read_wave(path)
+
+
 def test_wave_invariants():
     with pytest.raises(ValueError):
         MultichannelWave(0, np.zeros((4, 1)))
