@@ -14,6 +14,7 @@ error, 2 runtime failure.
 """
 
 import argparse
+import contextlib
 import csv
 import sys
 import time
@@ -36,18 +37,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+def _integer(least):
+    """The argparse type of integer flags >= least (0 or 1): other text raises ArgumentTypeError, not ValueError.
 
+    argparse words a ValueError after the type's function, a private name;
+    this message names the flag and what it expects.
+    """
 
-def _nonneg_int(text):
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
-    return value
+    def parse(text):
+        with contextlib.suppress(ValueError):
+            if int(text) >= least:
+                return int(text)
+        raise argparse.ArgumentTypeError(f"expected a {'positive' if least else 'non-negative'} integer, got {text}")
+
+    return parse
 
 
 _FIVE = core.FiveConfig
@@ -55,30 +58,30 @@ _SCENE = scenes.SceneSpec
 
 
 def _add_stft_args(parser):
-    parser.add_argument("--frame-size", type=_positive_int, default=StftConfig.frame_size, help="STFT frame")
-    parser.add_argument("--hop", type=_positive_int, default=None, help="STFT hop; None means frame/2")
+    parser.add_argument("--frame-size", type=_integer(1), default=StftConfig.frame_size, help="STFT frame")
+    parser.add_argument("--hop", type=_integer(1), default=None, help="STFT hop; None means frame/2")
 
 
 def _add_five_args(parser):
     parser.add_argument("--contrast", choices=["laplace", "gauss"], default="gauss", help="source model")
-    parser.add_argument("--iterations", type=_positive_int, default=_FIVE.max_iterations, help="demixing updates")
-    parser.add_argument("--ref-channel", type=_nonneg_int, default=_FIVE.ref_channel, help="reference channel")
+    parser.add_argument("--iterations", type=_integer(1), default=_FIVE.max_iterations, help="demixing updates")
+    parser.add_argument("--ref-channel", type=_integer(0), default=_FIVE.ref_channel, help="reference channel")
 
 
 def _add_scene_args(parser):
-    parser.add_argument("--channels", type=_positive_int, default=4, help="microphone count")
-    parser.add_argument("--interferers", type=_nonneg_int, default=_SCENE.num_interferers, help="background sources")
+    parser.add_argument("--channels", type=_integer(1), default=4, help="microphone count")
+    parser.add_argument("--interferers", type=_integer(0), default=_SCENE.num_interferers, help="background sources")
     parser.add_argument("--sinr-db", type=float, default=_SCENE.input_sinr_db, help="channel-1 SINR")
-    parser.add_argument("--bins", type=_positive_int, default=_SCENE.num_bins, help="frequency bins")
-    parser.add_argument("--frames", type=_positive_int, default=_SCENE.num_frames, help="frames")
+    parser.add_argument("--bins", type=_integer(1), default=_SCENE.num_bins, help="frequency bins")
+    parser.add_argument("--frames", type=_integer(1), default=_SCENE.num_frames, help="frames")
     parser.add_argument("--mixing", choices=scenes.MIXING_MODES, default=_SCENE.mixing, help="mixing model")
     parser.add_argument("--target-model", choices=scenes.TARGET_MODELS, default=_SCENE.target_model,
                         help="target source model")
     parser.add_argument("--noise-fraction", type=float, default=_SCENE.uncorrelated_noise_fraction,
                         help="uncorrelated share")
-    parser.add_argument("--sample-rate", type=_positive_int, default=_SCENE.sample_rate, help="sample rate in Hz")
+    parser.add_argument("--sample-rate", type=_integer(1), default=_SCENE.sample_rate, help="sample rate in Hz")
     parser.add_argument("--duration", type=float, default=1.0, help="convolutive length in seconds")
-    parser.add_argument("--fir-length", type=_positive_int, default=_SCENE.fir_length, help="convolutive filter taps")
+    parser.add_argument("--fir-length", type=_integer(1), default=_SCENE.fir_length, help="convolutive filter taps")
 
 
 def build_parser():
@@ -90,13 +93,13 @@ def build_parser():
     p_ext.add_argument("--output", required=True, help="output WAV or .fiv tensor")
     p_ext.add_argument("--report", default=None, help="per-iteration CSV report")
     p_ext.add_argument("--format", choices=["float32", "pcm16"], default="float32", help="output WAV sample format")
-    p_ext.add_argument("--sample-rate", type=_positive_int, default=_SCENE.sample_rate, help="rate for tensor input")
+    p_ext.add_argument("--sample-rate", type=_integer(1), default=_SCENE.sample_rate, help="rate for tensor input")
     _add_stft_args(p_ext)
     _add_five_args(p_ext)
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic ground-truth scene")
     p_sim.add_argument("--output", required=True, help="scene directory")
-    p_sim.add_argument("--seed", type=_nonneg_int, default=_SCENE.seed, help="scene seed")
+    p_sim.add_argument("--seed", type=_integer(0), default=_SCENE.seed, help="scene seed")
     _add_scene_args(p_sim)
 
     p_eval = sub.add_parser("evaluate", help="score an estimate against a scene")
@@ -104,13 +107,13 @@ def build_parser():
     p_eval.add_argument("--estimate", required=True, help="extracted WAV or .fiv tensor")
     p_eval.add_argument("--report", required=True, help="CSV to append the metric row to, if its columns match")
     p_eval.add_argument("--algorithm", default="five", help="algorithm label for the row")
-    p_eval.add_argument("--iterations", type=_nonneg_int, default=_FIVE.max_iterations, help="the row's iterations")
+    p_eval.add_argument("--iterations", type=_integer(0), default=_FIVE.max_iterations, help="the row's iterations")
     _add_stft_args(p_eval)
 
     p_bench = sub.add_parser("bench", help="convergence/runtime curves over seeded scenes")
     p_bench.add_argument("--output", required=True, help="CSV output")
-    p_bench.add_argument("--scenes", type=_positive_int, default=5, help="number of seeds")
-    p_bench.add_argument("--seed", type=_nonneg_int, default=_SCENE.seed, help="base seed")
+    p_bench.add_argument("--scenes", type=_integer(1), default=5, help="number of seeds")
+    p_bench.add_argument("--seed", type=_integer(0), default=_SCENE.seed, help="base seed")
     _add_stft_args(p_bench)
     _add_five_args(p_bench)
     _add_scene_args(p_bench)

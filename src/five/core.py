@@ -176,15 +176,21 @@ class ExtractionReport:
 
 
 def _covariance_stack(data):
-    """The sample covariance (1/N) sum_n x_fn x_fn^H of every bin; in shares over the cores, in _matrix_blocks."""
+    """The sample covariance (1/N) sum_n x_fn x_fn^H of every bin, a block at a time (_per_block)."""
     cov = np.empty((len(data), data.shape[2], data.shape[2]), dtype=np.complex128)
-
-    def build(start, stop):
-        for block in _matrix_blocks(start, stop, data.shape[2]):
-            _covariance_block(data[block], out=cov[block])
-
-    _split(build, len(data), data.nbytes)
+    _per_block(lambda block: _covariance_block(data[block], out=cov[block]), data)
     return cov
+
+
+def _per_block(kernel, data):
+    """kernel(block) on the _matrix_blocks of shares of whole _GROUP_BINS groups of the data's bins (stft._split)."""
+    n_bins = len(data)
+
+    def share(first, last):  # groups first..last
+        for block in _matrix_blocks(first * _GROUP_BINS, min(last * _GROUP_BINS, n_bins), data.shape[2]):
+            kernel(block)
+
+    _split(share, -(-n_bins // _GROUP_BINS), data.nbytes)
 
 
 def _matrix_blocks(start, stop, n_chan):
@@ -284,60 +290,53 @@ def prewhiten(covariance, out=None):
     the first channel that adds no rank in some bin; extract_spectral drops
     that channel.
 
-    The bins are factored a block at a time (_matrix_blocks), twice: the
-    first pass checks every block and collects the failures, and only when
-    none fails does the second factor each block again and write its
-    inverse. A failing block does not stop the first pass: the error names
-    the lowest failing pivot over all bins and the first bin failing there,
-    as one factorization of the whole stack would, and nothing has been
-    written. linalg.cholesky checks each block's symmetry against that
-    block's largest entry, once; the set-up covariances are Hermitian to the
+    The bins are factored once, a block at a time (_matrix_blocks), and each
+    block's inverse is written as soon as it is factored. A failing block
+    does not stop the pass: the error names the lowest failing pivot over
+    all bins and the first bin failing there, as one factorization of the
+    whole stack would. linalg.cholesky checks each block's symmetry against
+    that block's largest entry; the set-up covariances are Hermitian to the
     bit (_covariance_block), so no check depends on how the bins are cut.
 
     The inverses go into out if given, else into a new stack, each matrix
     column-major as a whole-stack inverse is: the later products' rounding
     depends on it. out may be np.swapaxes(covariance, 1, 2), which is laid
     out so: the whiteners then take over the covariance's storage, and a
-    covariance that fails is left as it was. Without out, covariance is not
-    changed.
+    covariance that fails is left partly overwritten. Without out,
+    covariance is not changed.
     """
     n_bins, n_chan = covariance.shape[:2]
-    blocks = _matrix_blocks(0, n_bins, n_chan)
+    if out is None:
+        out = np.empty((n_bins, n_chan, n_chan), dtype=np.complex128).swapaxes(1, 2)
     failures = []
-    for block in blocks:
+    for block in _matrix_blocks(0, n_bins, n_chan):
         try:
-            linalg.cholesky(covariance[block])
+            linalg.inverse_upper_triangular(linalg.cholesky(covariance[block]), out=out[block])
         except linalg.NotPositiveDefiniteError as exc:
             failures.append((exc.pivot_index, block.start + exc.matrix_index))
     if failures:
         raise linalg.NotPositiveDefiniteError(*min(failures))
-    if out is None:
-        out = np.empty((n_bins, n_chan, n_chan), dtype=np.complex128).swapaxes(1, 2)
-    for block in blocks:  # checked: linalg.cholesky's factor again, without a second symmetry check
-        lower = np.linalg.cholesky(np.asarray(covariance[block], dtype=np.complex128))
-        linalg.inverse_upper_triangular(np.swapaxes(np.conj(lower, out=lower), 1, 2), out=out[block])
     return out
 
 
-def _activity_pass(data, kernel):
+def _activity_pass(data, filters_of):
     """Per-frame magnitude sqrt(sum_f |s_fn|^2) of an estimate s that is demixed block by block, never whole.
 
-    kernel(start, stop, add) runs on shares of whole groups of _GROUP_BINS
-    bins (stft._split) and calls add(filters, block) on consecutive blocks of
-    its bins, once their own temporaries are released. add demixes a block
-    into a buffer of about a block (_demixed_blocks), squares it in place and
-    sums each group's rows of Re(s_fn)^2 and Im(s_fn)^2 into its entry of
-    sums. Every block starts on a group and holds whole groups (the data's
-    last may be short): no group spans two blocks. numpy sums the rows of a
-    C-ordered block one at a time, in order, and the calling thread adds the
-    group sums in group order, then Re and Im, so every frame is summed in one
-    order however the bins are cut.
+    filters_of(block) gives the demixing filters of a block of bins
+    (_per_block); their own temporaries are released when it returns. The
+    block is demixed into a buffer of about a block (_demixed_blocks),
+    squared in place, and each group's rows of Re(s_fn)^2 and Im(s_fn)^2 are
+    summed into its entry of sums. Every block starts on a group and holds
+    whole groups (the data's last may be short): no group spans two blocks.
+    numpy sums the rows of a C-ordered block one at a time, in order, and
+    the calling thread adds the group sums in group order, then Re and Im,
+    so every frame is summed in one order however the bins are cut.
     """
     n_bins, n_frames = data.shape[:2]
     sums = np.empty((-(-n_bins // _GROUP_BINS), 2 * n_frames))  # of Re(s)^2 and Im(s)^2, interleaved
 
-    def add(filters, block):
-        for sub, s in _demixed_blocks(filters, data, block):
+    def add(block):
+        for sub, s in _demixed_blocks(filters_of(block), data, block):
             rows = np.square(s.view(np.float64), out=s.view(np.float64))
             whole, first = len(rows) // _GROUP_BINS, sub.start // _GROUP_BINS
             groups = rows[: whole * _GROUP_BINS].reshape(whole, _GROUP_BINS, 2 * n_frames)
@@ -345,17 +344,14 @@ def _activity_pass(data, kernel):
             if whole * _GROUP_BINS < len(rows):  # the data's last group, short
                 rows[whole * _GROUP_BINS :].sum(axis=0, out=sums[-1])
 
-    def share(first, last):  # groups first..last
-        kernel(first * _GROUP_BINS, min(last * _GROUP_BINS, n_bins), add)
-
-    _split(share, len(sums), data.nbytes)
+    _per_block(add, data)
     power = sums.sum(axis=0)
     return np.sqrt(power[0::2] + power[1::2])
 
 
 def _activity(filters, data):
     """The activity of the estimate filters^H x of the raw (F, N, M) data, which is not formed (_activity_pass)."""
-    return _activity_pass(data, lambda start, stop, add: add(filters[start:stop], slice(start, stop)))
+    return _activity_pass(data, lambda block: filters[block])
 
 
 def _offset_activity(activity):
@@ -430,34 +426,32 @@ def five_iteration(state, data, contrast):
     DegenerateCovarianceError. V is also the matrix that certifies the
     incoming state (see DemixingState).
 
-    The update is one pass in shares of whole groups of bins over the cores
-    (_activity_pass), each walked a block of whole groups at a time
-    (_matrix_blocks, 128 bins at M = 8): build V, take its eigenpair, certify
-    the incoming filter, drop V, demix the block with its new filters and sum
-    its |s|^2 into the activity's group sums, to the same bits however the
-    bins are cut. The frame weights, the activity's square root and the
-    certificate's max over bins are taken on the calling thread. The returned
-    state holds no estimate: the update never holds one whole.
+    The update is one pass over the blocks of bins (_per_block, 128 bins at
+    M = 8, through _activity_pass): per block, build V, take its eigenpair,
+    certify the incoming filter and return the block's new demixing filters,
+    which releases V and the eigenpair; the pass demixes the block with them
+    and sums its |s|^2 into the activity's group sums, to the same bits
+    however the bins are cut. The frame weights, the activity's square root
+    and the certificate's max over bins are taken on the calling thread. The
+    returned state holds no estimate: the update never holds one whole.
     """
     weights = _frame_rows(_frame_weights(state.activity, contrast), data.shape[2])
     whiteners, previous = state.whiteners, state.w
     w = np.empty(previous.shape, dtype=np.complex128)
     residuals = np.empty(len(w))
 
-    def update(start, stop, add):
-        for block in _matrix_blocks(start, stop, data.shape[2]):
-            cov, incoming = _covariance_block(data[block], weights, whiteners[block]), previous[block]
-            values, vector = linalg.smallest_eigenpair(cov, incoming)
-            smallest = values[:, -1]
-            bad = ~(smallest > 0)
-            if bad.any():
-                raise DegenerateCovarianceError(
-                    f"weighted covariance degenerate at bin {block.start + np.flatnonzero(bad)[0]}"
-                )
-            np.divide(vector, np.sqrt(smallest)[:, None], out=w[block])
-            residuals[block] = _certificate(incoming, (cov @ incoming[:, :, None])[:, :, 0])
-            cov = None  # not held through the demixing or the next build
-            add(_demixing_filters(whiteners[block], w[block]), block)
+    def update(block):  # the block's demixing filters; V and its eigenpair are released on return
+        cov, incoming = _covariance_block(data[block], weights, whiteners[block]), previous[block]
+        values, vector = linalg.smallest_eigenpair(cov, incoming)
+        smallest = values[:, -1]
+        bad = ~(smallest > 0)
+        if bad.any():
+            raise DegenerateCovarianceError(
+                f"weighted covariance degenerate at bin {block.start + np.flatnonzero(bad)[0]}"
+            )
+        np.divide(vector, np.sqrt(smallest)[:, None], out=w[block])
+        residuals[block] = _certificate(incoming, (cov @ incoming[:, :, None])[:, :, 0])
+        return _demixing_filters(whiteners[block], w[block])
 
     activity = _activity_pass(data, update)
     return DemixingState(
@@ -526,30 +520,28 @@ def head_residual(state, data, contrast):
     u = w/||w||. At a fixed point of five_iteration the residual vanishes.
 
     Only V w is needed, and it takes one pass over the data without forming
-    V: W^H (1/N) sum_n weight_n x_n conj(s_n) for s = (W w)^H x, in shares
-    of bins over the cores. Each share walks its bins in the update's blocks
-    (_matrix_blocks), demixes each into one buffer (_demixed_blocks, as the
-    update does), weights conj(s) there and certifies the block's bins:
-    the pass never reads state.estimate and holds about a block per share,
-    not an (F, M) stack. It agrees with five_iteration's certificate of the
-    same state up to rounding.
+    V: W^H (1/N) sum_n weight_n x_n conj(s_n) for s = (W w)^H x, over the
+    update's blocks of bins (_per_block). Each block is demixed into one
+    buffer (_demixed_blocks, as the update does), conj(s) is weighted there
+    and the block's bins are certified: the pass never reads state.estimate
+    and holds about a block per share, not an (F, M) stack. It agrees with
+    five_iteration's certificate of the same state up to rounding.
     """
     weights = _frame_weights(state.activity, contrast) / state.activity.shape[0]
     whiteners, w = state.whiteners, state.w
     residuals = np.empty(len(w))
 
-    def product(start, stop):
-        for bins in _matrix_blocks(start, stop, data.shape[2]):
-            vw = np.empty((bins.stop - bins.start, w.shape[1]), dtype=np.complex128)
-            for block, s in _demixed_blocks(_demixing_filters(whiteners[bins], w[bins]), data, bins):
-                weighted = np.multiply(np.conj(s, out=s), weights, out=s)
-                raw = (weighted[:, None, :] @ data[block])[:, 0, :]
-                rows = slice(block.start - bins.start, block.stop - bins.start)
-                np.vecdot(whiteners[block], raw[:, :, None], axis=1, out=vw[rows])  # W^H raw, with no conjugate copy of W
-            s = weighted = None  # the next block's buffer is not made beside this one
-            residuals[bins] = _certificate(w[bins], vw)
+    def product(bins):
+        vw = np.empty((bins.stop - bins.start, w.shape[1]), dtype=np.complex128)
+        for block, s in _demixed_blocks(_demixing_filters(whiteners[bins], w[bins]), data, bins):
+            weighted = np.multiply(np.conj(s, out=s), weights, out=s)
+            raw = (weighted[:, None, :] @ data[block])[:, 0, :]
+            rows = slice(block.start - bins.start, block.stop - bins.start)
+            np.vecdot(whiteners[block], raw[:, :, None], axis=1, out=vw[rows])  # W^H raw: no conjugate copy of W
+        s = weighted = None  # the demix buffer is not held through the certificate
+        residuals[bins] = _certificate(w[bins], vw)
 
-    _split(product, len(w), data.nbytes)
+    _per_block(product, data)
     return float(residuals.max())
 
 
@@ -584,23 +576,24 @@ def _initial_state(whiteners, data):
 def extract_spectral(spec, config, callback=None):
     """Run the full extraction on a spectrogram: a SpectralTensor or its raw (F, N, M) data.
 
-    Pipeline: build the sample covariance once and whiten it (prewhiten)
+    Pipeline: build the sample covariance and whiten it (prewhiten)
     with the reference channel first, start from the filter whose estimate
     is the whitened reference channel, iterate demixing updates until one
     certifies the state it starts from within early_stop_tol
     (head_residual), then project that state's estimate back onto the
     reference channel (project_back). Whenever whitening names a channel
     that adds no rank in some bin (silent, or a combination of the channels
-    before it), that channel is dropped and the principal submatrix of the
-    kept channels is factored again. Unless they are all the channels in
-    order, the kept channels are copied once, and the state has one entry
-    per kept channel. Only a reference silent in some bin can be dropped,
-    and that raises SilentReferenceChannelError, which names the first such
-    bin. Raw data that is not finite, or not (bins, frames, channels) with
-    a bin, raises the ValueError a SpectralTensor raises. Data whose
-    squares overflow float64 raises ValueError for the first bin whose
-    sample covariance is not finite, and a reference that is nonzero in a
-    bin but whose squares underflow there to a zero power raises
+    before it), that channel is dropped: the sample covariance, which the
+    failed whitening wrote over in part, is built again, and its principal
+    submatrix on the kept channels is whitened. Unless they are all the
+    channels in order, the kept channels are copied once, and the state has
+    one entry per kept channel. Only a reference silent in some bin can be
+    dropped, and that raises SilentReferenceChannelError, which names the
+    first such bin. Raw data that is not finite, or not (bins, frames,
+    channels) with a bin, raises the ValueError a SpectralTensor raises.
+    Data whose squares overflow float64 raises ValueError for the first bin
+    whose sample covariance is not finite, and a reference that is nonzero
+    in a bin but whose squares underflow there to a zero power raises
     ValueError, not SilentReferenceChannelError.
 
     Between updates the run holds filters and activities, no estimate
@@ -659,9 +652,9 @@ def _fit(spec, config, callback=None):
     if not np.all(np.isfinite(cov)):
         f = np.flatnonzero(~np.isfinite(cov).all(axis=(1, 2)))[0]
         raise ValueError(f"sample covariance is not finite in bin {f}: the squares of the samples overflow float64")
-    if ref:
-        cov = _principal(cov, kept)
     while True:
+        if not np.array_equal(kept, np.arange(n_chan)):
+            cov = _principal(cov, kept)
         try:
             whiteners = prewhiten(cov, out=np.swapaxes(cov, 1, 2))  # in the covariance's storage
             break
@@ -675,8 +668,8 @@ def _fit(spec, config, callback=None):
                     ) from exc
                 every = "" if np.any(original[f]) else ", as is every channel"
                 raise SilentReferenceChannelError(f"reference channel {ref} is silent in bin {f}{every}") from exc
-            rest = np.delete(np.arange(len(kept)), exc.pivot_index)
-            cov, kept = _principal(cov, rest), kept[rest]
+            kept, cov = np.delete(kept, exc.pivot_index), None
+        cov = _covariance_stack(original)  # the failed whitening wrote over part of the last one
     data = original if np.array_equal(kept, np.arange(n_chan)) else np.take(original, kept, axis=2)
 
     state = _initial_state(whiteners, data)

@@ -209,6 +209,30 @@ def test_negative_count_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["simulate", "--seed", "abc"], None, "argument --seed: expected a non-negative integer, got abc"),
+        (["simulate", "--channels", "1.5"], None, "argument --channels: expected a positive integer, got 1.5"),
+        (["extract", "--input", "in.wav"], "frame_size=abc\n",
+         "argument --frame-size: expected a positive integer, got abc"),
+    ],
+    ids=["seed", "channels", "config_file"],
+)
+def test_text_that_is_not_an_integer_is_a_usage_error_naming_the_flag(tmp_path, capsys, argv, config, message):
+    # argparse words a type's ValueError after the type's function, a private
+    # name: the message names the flag and what it expects, as for -1
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        argv = argv + ["--config", str(tmp_path / "run.cfg")]
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "invalid" not in err and "_positive_int" not in err and "_nonneg_int" not in err
+    assert not out.exists()
+
+
 def test_broken_pipe_exits_two_without_a_diagnostic(monkeypatch, tmp_path, capsys):
     # a reader that closed the pipe (five ... | head) is not a runtime error to report
     def closed(cfg):

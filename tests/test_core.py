@@ -216,6 +216,17 @@ def test_prewhiten_in_blocks_matches_the_whole_stack_to_the_bit(ref):
     assert whiteners.strides == want.strides
 
 
+def test_healthy_prewhiten_factors_each_block_once(monkeypatch):
+    # 600 bins at M = 8 are five blocks: five numpy Cholesky calls, each
+    # block's factor inverted as soon as it is checked
+    cov = core._covariance_stack(_cnormal(np.random.default_rng(39), (600, 16, 8)))
+    factor, calls = np.linalg.cholesky, []
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(len(a)) or factor(a))
+    whiteners = prewhiten(cov)
+    assert calls == [128, 128, 128, 128, 88]
+    assert np.array_equal(whiteners, linalg.inverse_upper_triangular(linalg.cholesky(cov)))
+
+
 @pytest.mark.parametrize("also", [None, 300], ids=["third_block", "second_block_too"])
 def test_prewhiten_names_the_lowest_failing_pivot_over_every_block(also):
     # 768 bins at M = 8 are six blocks of 128. Bin 10, in the first, fails
@@ -250,9 +261,9 @@ def test_prewhiten_into_out_leaves_the_covariance_and_matches_a_new_stack():
 
 def test_channel_silent_in_the_last_block_only_is_dropped_as_with_a_new_stack(monkeypatch):
     # channel 3 is silent in the top 40 bins only, all in the last of three
-    # whitening blocks: the first whitening fails there, after the blocks
-    # before it were factored, and must leave the covariance as it was. The
-    # drop loop and the estimate match a run whose whiteners never share
+    # whitening blocks: the first whitening of the 8 channels fails there,
+    # after the blocks before it were written into the covariance's storage.
+    # The drop loop and the estimate match a run whose whiteners never share
     # the covariance's storage, to the bit
     data = _cnormal(np.random.default_rng(41), (300, 40, 8))
     data[260:, :, 3] = 0.0
@@ -260,11 +271,10 @@ def test_channel_silent_in_the_last_block_only_is_dropped_as_with_a_new_stack(mo
     set_up, failed = core.prewhiten, []
 
     def checked(cov, out=None):
-        before = cov.copy()
         try:
             return set_up(cov, out=out)
         except linalg.NotPositiveDefiniteError:
-            failed.append(np.array_equal(cov, before))
+            failed.append(cov.shape[1])
             raise
 
     config = FiveConfig(contrast=ContrastModel("gauss", num_bins=300), max_iterations=3)
@@ -273,7 +283,7 @@ def test_channel_silent_in_the_last_block_only_is_dropped_as_with_a_new_stack(mo
     monkeypatch.setattr(core, "prewhiten", checked)
     widths = []
     got, report = extract_spectral(data, config, callback=lambda it, state: widths.append(state.w.shape[1]))
-    assert failed == [True] and set(widths) == {7}
+    assert failed == [8] and set(widths) == {7}
     assert np.array_equal(got, want)
     assert [(r.nll, r.head_residual) for r in report.records] == [(r.nll, r.head_residual) for r in want_report.records]
 
@@ -1544,9 +1554,11 @@ def test_extract_drops_channel_that_adds_no_rank(short_recording, position, make
         assert b <= a + 1e-9 * abs(a)
 
 
-def test_dead_channel_costs_one_covariance_build(monkeypatch, short_recording):
-    # the drop loop factors principal submatrices of the one plain sample
-    # covariance it built, not a covariance of the kept channels' copy
+def test_dead_channel_costs_one_plain_covariance_build_per_whitening(monkeypatch, short_recording):
+    # a failed whitening writes over part of the covariance, so the drop loop
+    # builds the plain sample covariance of all 5 channels again and factors
+    # its principal submatrix: one build per whitening, none of a kept
+    # channels' copy
     plain = []
     build = core._covariance_stack
 
@@ -1563,7 +1575,7 @@ def test_dead_channel_costs_one_covariance_build(monkeypatch, short_recording):
         callback=lambda it, state: widths.append(state.w.shape[1]),
     )
     assert set(widths) == {4}
-    assert len(plain) == 1 and plain[0][2] == 5
+    assert [shape[2] for shape in plain] == [5, 5]
 
 
 def test_extract_reference_duplicating_an_earlier_channel_drops_that_channel(short_recording):

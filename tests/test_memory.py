@@ -2,11 +2,11 @@
 
 An extraction of a wave holds the (F, N, M) spectrogram and one (F, M, M)
 stack at full size, and never an (F, N) estimate. The stack is the set-up
-covariance, each block of bins (core._matrix_blocks) built straight into
-it, whose storage the whiteners take over: prewhiten checks every block,
-then factors each again and writes its inverse into it. An update reads
-the filters and the activity; a block of whole 16-bin groups at a time it
-builds V from weighted copies of a sixth of the block, whitens it in place
+covariance, each block of bins (core._per_block) built straight into it,
+whose storage the whiteners take over: prewhiten factors each block once
+and writes its inverse into it. An update reads the filters and the
+activity; a block of whole 16-bin groups at a time it builds V from
+weighted copies of a sixth of the block, whitens it in place
 and takes its eigenpair, then demixes the block with its new filters and
 sums its |s|^2 into the activity's group sums. A monitored run that uses
 every update certifies its last state in the same blocks, before the

@@ -183,8 +183,8 @@ def test_blocks_of_bins_start_on_groups(monkeypatch, budget):
 
 def test_update_and_set_up_are_bit_identical_in_blocks(monkeypatch, data):
     # one-group blocks put block bounds inside every share (share bounds 0,
-    # 85, 171, 257 for the set-up; 0, 80, 176, 257, on whole groups of 16
-    # bins, for the update) and between every two groups of the update's
+    # 80, 176, 257, on whole groups of 16 bins, for the set-up, the update
+    # and the certificate) and between every two groups of the update's
     # activity sums
     contrast = ContrastModel("gauss", num_bins=SHAPE[0])
     state = five_iteration(_state(data), data, contrast)
@@ -193,7 +193,6 @@ def test_update_and_set_up_are_bit_identical_in_blocks(monkeypatch, data):
     whole, whole_cov = five_iteration(state, data, contrast), core._covariance_stack(data)
     whole_residual = core.head_residual(whole, data, contrast)
     _group_blocks(monkeypatch, 1)
-    assert core._matrix_blocks(85, 171, SHAPE[2])[:2] == [slice(85, 101), slice(101, 117)]
     assert len(core._matrix_blocks(80, 176, SHAPE[2])) == 6
     _assert_same_bits(whole, whole_cov, whole_residual, state, data, contrast)
     # the weighted product's sub-blocks (core._product_blocks: 1 bin, 7 bins
@@ -223,6 +222,23 @@ def _assert_same_bits(whole, whole_cov, whole_residual, state, data, contrast):
     assert whole.previous_residual == blocked.previous_residual
     assert np.array_equal(whole_cov, core._covariance_stack(data))
     assert whole_residual == core.head_residual(blocked, data, contrast)
+
+
+def test_every_pass_over_blocks_of_bins_splits_whole_groups(monkeypatch):
+    # 600 bins on 3 workers: shares of bins would start at 200 and 400, inside
+    # groups; the covariance build and the certificate, like the update, get
+    # shares of whole groups of 16 bins (0, 192, 400: 38 groups, the last of 8)
+    data = _cnormal(np.random.default_rng(73), (600, 400, 4))
+    assert data.nbytes // stft._SHARE_BYTES >= 3
+    state = _state(data)
+    contrast = ContrastModel("gauss", num_bins=len(data))
+    cut, starts = core._matrix_blocks, []
+    monkeypatch.setattr(core, "_matrix_blocks", lambda start, *rest: starts.append(start) or cut(start, *rest))
+    monkeypatch.setattr(stft, "_WORKERS", 3)
+    for one_pass in (lambda: core._covariance_stack(data), lambda: core.head_residual(state, data, contrast)):
+        starts.clear()
+        one_pass()
+        assert sorted(starts) == [0, 192, 400]
 
 
 def test_update_is_one_split_pass(monkeypatch, data):
@@ -268,26 +284,34 @@ def test_no_output_depends_on_the_core_count(monkeypatch):
     # gate. The blocks of V differ with the worker count (core._matrix_blocks,
     # 128 bins, or 129 with the last bin): 128 and 129 bins on 1, 2 and 4
     # workers, 128, 48 and 33 on 3, stacks numpy could lay out differently
-    # if V's layout were not fixed
+    # if V's layout were not fixed. The same recording with channel 5 zeroed,
+    # at reference 3, drops channel 5: the set-up builds the covariance again
+    # and whitens its principal submatrix on the 7 kept channels
     config = StftConfig(frame_size=1024)
     rng = np.random.default_rng(72)
     length = 259 * config.hop + config.frame_size
     sources = rng.standard_normal((length, 8))
     sources[:, 0] *= np.repeat(rng.laplace(size=length // config.hop + 1), config.hop)[:length] ** 2
-    wave = MultichannelWave(16000, sources @ rng.standard_normal((8, 8)))
-    five_config = FiveConfig(ContrastModel("gauss", num_bins=config.num_bins), max_iterations=3)
-    runs = []
-    for workers in (1, 2, 3, 4):
-        monkeypatch.setattr(stft, "_WORKERS", workers)
-        runs.append(five.extract(wave, config, five_config))
-    (want, want_report), rest = runs[0], runs[1:]
-    assert analyze(wave, config).data.nbytes // stft._SHARE_BYTES >= 4
-    assert all(r.head_residual is not None and r.nll is not None for r in want_report.records)
-    for got, report in rest:
-        assert np.array_equal(got.samples, want.samples)
-        assert [(r.nll, r.head_residual) for r in report.records] == [
-            (r.nll, r.head_residual) for r in want_report.records
-        ]
+    samples = sources @ rng.standard_normal((8, 8))
+    dead = samples.copy()
+    dead[:, 5] = 0.0
+    for wave, ref, width in ((MultichannelWave(16000, samples), 0, 8), (MultichannelWave(16000, dead), 3, 7)):
+        five_config = FiveConfig(ContrastModel("gauss", num_bins=config.num_bins), max_iterations=3, ref_channel=ref)
+        widths = []
+        extract_spectral(analyze(wave, config), five_config, callback=lambda it, state: widths.append(state.w.shape[1]))
+        assert set(widths) == {width}
+        runs = []
+        for workers in (1, 2, 3, 4):
+            monkeypatch.setattr(stft, "_WORKERS", workers)
+            runs.append(five.extract(wave, config, five_config))
+        (want, want_report), rest = runs[0], runs[1:]
+        assert analyze(wave, config).data.nbytes // stft._SHARE_BYTES >= 4
+        assert all(r.head_residual is not None and r.nll is not None for r in want_report.records)
+        for got, report in rest:
+            assert np.array_equal(got.samples, want.samples)
+            assert [(r.nll, r.head_residual) for r in report.records] == [
+                (r.nll, r.head_residual) for r in want_report.records
+            ]
 
 
 def test_worker_exception_propagates_and_the_pool_still_works(monkeypatch, data):
