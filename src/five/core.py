@@ -175,16 +175,37 @@ class ExtractionReport:
         return [r.nll for r in self.records if r.nll is not None]
 
 
+class _Kept:
+    """The kept channels of a spectrogram, reference first (_fit), as a view: no (F, N, K) copy of them exists.
+
+    Indexing takes bins or frames, then kept channels. np.asarray gathers a
+    C-ordered copy (np.take); only _covariance_block, _demix and
+    head_residual gather, a block at a time where they copy or read one anyway.
+    """
+
+    def __init__(self, data, kept):
+        self.data, self.kept, self.shape = data, kept, data.shape[:2] + (len(kept),)
+        self.nbytes = data.nbytes // data.shape[2] * len(kept)
+
+    def __getitem__(self, index):
+        index = index if isinstance(index, tuple) else (index,)
+        return _Kept(self.data[index[:2]], self.kept[index[2]] if len(index) > 2 else self.kept)
+
+    def __array__(self, dtype=None, copy=None):
+        gathered = np.take(self.data, self.kept, axis=2)
+        return gathered if dtype is None else gathered.astype(dtype, copy=False)
+
+
 def _covariance_stack(data):
-    """The sample covariance (1/N) sum_n x_fn x_fn^H of every bin, a block at a time (_per_block)."""
-    cov = np.empty((len(data), data.shape[2], data.shape[2]), dtype=np.complex128)
+    """The sample covariance (1/N) sum_n x_fn x_fn^H of every bin of the data or a _Kept view, a block at a time."""
+    cov = np.empty((data.shape[0], data.shape[2], data.shape[2]), dtype=np.complex128)
     _per_block(lambda block: _covariance_block(data[block], out=cov[block]), data)
     return cov
 
 
 def _per_block(kernel, data):
     """kernel(block) on the _matrix_blocks of shares of whole _GROUP_BINS groups of the data's bins (stft._split)."""
-    n_bins = len(data)
+    n_bins = data.shape[0]
 
     def share(first, last):  # groups first..last
         for block in _matrix_blocks(first * _GROUP_BINS, min(last * _GROUP_BINS, n_bins), data.shape[2]):
@@ -253,7 +274,7 @@ def _covariance_block(data, weights=None, whiteners=None, out=None):
     # (C-ordered) if given. Every product rounds as into a new array: the
     # bits are those of whole-stack products.
     n_bins, n_frames, n_chan = data.shape
-    copied = weights is not None or data.dtype != np.complex128 or not data.flags.c_contiguous
+    copied = weights is not None or isinstance(data, _Kept) or data.dtype != complex or not data.flags.c_contiguous
     spans = _product_blocks(n_bins, n_frames, n_chan) if copied else [slice(0, n_bins)]
     size = spans[0].stop
     whole = n_bins * n_chan <= size * n_frames // 2  # 32 M^2 bytes of g per bin against 16 N M of copy
@@ -379,15 +400,16 @@ def _demixing_filters(whiteners, w):
 
 
 def _demix(w, data, out):
-    """apply_demixing into the (F, N) complex128 out; a strided channel axis is copied first (faster)."""
-    if data.strides[2] != data.itemsize:
+    """apply_demixing into the (F, N) complex128 out; a strided channel axis (faster) or a _Kept view is copied."""
+    if isinstance(data, _Kept) or data.strides[2] != data.itemsize:
         data = np.ascontiguousarray(data)
     np.matmul(data, np.conj(w)[:, :, None], out=out[:, :, None])
 
 
 def _demixed_blocks(filters, data, bins):
     """(block, filters^H x of the block) for blocks of whole groups of bins (stft._blocks), in one reused buffer."""
-    blocks = _blocks(bins.start, bins.stop, 16 * data.shape[1], _GROUP_BINS)
+    per_bin = 16 * data.shape[1] * (1 + data.shape[2] * isinstance(data, _Kept))  # s, and a _Kept view's gather
+    blocks = _blocks(bins.start, bins.stop, per_bin, _GROUP_BINS)
     buffer = np.empty((max(block.stop - block.start for block in blocks), data.shape[1]), dtype=np.complex128)
     for block in blocks:
         s = buffer[: block.stop - block.start]
@@ -398,14 +420,16 @@ def _demixed_blocks(filters, data, bins):
 def apply_demixing(w, data, out=None):
     """Extracted signal w^H x per bin and frame; w is (F, M), data (F, N, M), result (F, N) complex128.
 
-    In shares of bins over the cores (stft._split), into out if given.
+    In shares of bins over the cores (stft._split), a block of data at a
+    time (stft._blocks, a copy or _Kept gather at most), into out if given.
     """
-    data = np.asarray(data)
+    data = data if isinstance(data, _Kept) else np.asarray(data)
     if out is None:
         out = np.empty(data.shape[:2], dtype=np.complex128)
 
     def demix(start, stop):
-        _demix(w[start:stop], data[start:stop], out[start:stop])
+        for block in _blocks(start, stop, 16 * max(1, data.shape[1] * data.shape[2])):
+            _demix(w[block], data[block], out[block])
 
     _split(demix, len(w), data.nbytes)
     return out
@@ -583,11 +607,11 @@ def extract_spectral(spec, config, callback=None):
     (head_residual), then project that state's estimate back onto the
     reference channel (project_back). Whenever whitening names a channel
     that adds no rank in some bin (silent, or a combination of the channels
-    before it), that channel is dropped: the sample covariance, which the
-    failed whitening wrote over in part, is built again, and its principal
-    submatrix on the kept channels is whitened. Unless they are all the
-    channels in order, the kept channels are copied once, and the state has
-    one entry per kept channel. Only a reference silent in some bin can be
+    before it), that channel is dropped, and the next attempt builds and
+    whitens the covariance of the channels kept so far. Unless all channels
+    are kept in order, every pass reads a view of the kept ones, reference
+    first (_Kept), to the bits of a spectrogram of them alone; the state
+    has one entry per kept one. Only a reference silent in some bin can be
     dropped, and that raises SilentReferenceChannelError, which names the
     first such bin. Raw data that is not finite, or not (bins, frames,
     channels) with a bin, raises the ValueError a SpectralTensor raises.
@@ -619,20 +643,8 @@ def extract_spectral(spec, config, callback=None):
     return project_back(replace(state, estimate=estimate), out=estimate), report
 
 
-def _principal(cov, channels):
-    """The principal submatrices of a C-ordered (F, M, M) stack on the channels, C-ordered too.
-
-    Indexing cov[:, channels[:, None], channels] would put the bin axis
-    fastest, and whiteners written into its storage would not be laid out
-    as prewhiten lays out a new stack.
-    """
-    n_bins, m = cov.shape[:2]
-    flat = np.take(cov.reshape(n_bins, m * m), (channels[:, None] * m + channels).ravel(), axis=1)
-    return flat.reshape(n_bins, len(channels), len(channels))
-
-
 def _fit(spec, config, callback=None):
-    """extract_spectral up to its returned state: (that state, the kept channels' (F, N, M) data, the report)."""
+    """extract_spectral up to its returned state: (that state, the spectrogram or its _Kept view, the report)."""
     t0 = time.perf_counter()
     original = spec.data if isinstance(spec, SpectralTensor) else np.asarray(spec)
     if not isinstance(spec, SpectralTensor):  # a SpectralTensor was checked when it was made
@@ -648,13 +660,13 @@ def _fit(spec, config, callback=None):
             f"need at least as many frames as channels for a full-rank "
             f"covariance ({n_frames} frames, {n_chan} channels)"
         )
-    cov, kept = _covariance_stack(original), np.r_[ref, np.delete(np.arange(n_chan), ref)]
-    if not np.all(np.isfinite(cov)):
-        f = np.flatnonzero(~np.isfinite(cov).all(axis=(1, 2)))[0]
-        raise ValueError(f"sample covariance is not finite in bin {f}: the squares of the samples overflow float64")
+    kept = np.r_[ref, np.delete(np.arange(n_chan), ref)]
     while True:
-        if not np.array_equal(kept, np.arange(n_chan)):
-            cov = _principal(cov, kept)
+        data = original if np.array_equal(kept, np.arange(n_chan)) else _Kept(original, kept)
+        cov = _covariance_stack(data)
+        if not np.all(np.isfinite(cov)):
+            f = np.flatnonzero(~np.isfinite(cov).all(axis=(1, 2)))[0]
+            raise ValueError(f"sample covariance is not finite in bin {f}: the squares of the samples overflow float64")
         try:
             whiteners = prewhiten(cov, out=np.swapaxes(cov, 1, 2))  # in the covariance's storage
             break
@@ -669,8 +681,6 @@ def _fit(spec, config, callback=None):
                 every = "" if np.any(original[f]) else ", as is every channel"
                 raise SilentReferenceChannelError(f"reference channel {ref} is silent in bin {f}{every}") from exc
             kept, cov = np.delete(kept, exc.pivot_index), None
-        cov = _covariance_stack(original)  # the failed whitening wrote over part of the last one
-    data = original if np.array_equal(kept, np.arange(n_chan)) else np.take(original, kept, axis=2)
 
     state = _initial_state(whiteners, data)
     setup_ms = (time.perf_counter() - t0) * 1e3

@@ -16,11 +16,14 @@ state and its whiteners are gone by then, and only the filters remain.
 Every other temporary is a block of about stft._BLOCK_BYTES per share
 (stft._blocks; a block of bins holds a group at least, more above 2048
 frames), a per-frame vector, or a row per group of bins; at 8 channels a
-share holds a block of V and at most two stacks of its size. Each bound
-below is that working set plus a few blocks, under one (F, N) estimate
-more. The input is above the gate of stft._split, and every pass runs
-with two workers, so the share count, and with it each bound, does not
-depend on the machine.
+share holds a block of V and at most two stacks of its size. A run at
+another reference, or one that drops a channel, holds the same: the kept
+channels are a view of the spectrogram (core._Kept), and a pass gathers a
+block of them only where it copies or reads that block anyway, the demix
+in blocks that hold the gather too. Each bound below is that working set
+plus a few blocks, under one (F, N) estimate more. The input is above the
+gate of stft._split, and every pass runs with two workers, so the share
+count, and with it each bound, does not depend on the machine.
 """
 
 import tracemalloc
@@ -298,3 +301,22 @@ def test_eight_channel_update_and_set_up_hold_a_few_blocks_per_share(stage_peaks
     assert set(bounds) == set(stages) and whiteners <= 4 * BLOCK + 1024
     for name, blocks in bounds.items():
         assert peaks[name] <= spectrogram + whiteners + blocks * BLOCK, name
+
+
+@pytest.mark.parametrize("ref_channel, dead", [(3, None), (0, 5), (3, 5)], ids=["ref_3", "channel_5_zeroed", "both"])
+def test_reference_and_dropped_channels_hold_one_spectrogram(eight_channel_wave, ref_channel, dead):
+    # the kept channels, reference first, are a view of the spectrogram
+    # (core._Kept), gathered a block at a time where a pass copies or reads
+    # one, so a run at reference 3, one that drops a dead channel, and one
+    # that does both hold what a reference-0 run holds: about 3 blocks over
+    # spectrogram + whiteners, where a copy of the kept channels held 19-23
+    samples = eight_channel_wave.samples.copy()
+    if dead is not None:
+        samples[:, dead] = 0.0
+    wave = MultichannelWave(16000, samples)
+    config = FiveConfig(ContrastModel("gauss", num_bins=EIGHT.num_bins), max_iterations=3, ref_channel=ref_channel)
+    (_, report), peak = _peak(lambda: extract(wave, EIGHT, config))
+    assert report.iterations_run == 3
+    n_frames = 1 + (wave.num_samples - EIGHT.frame_size) // EIGHT.hop
+    spectrogram, whiteners = EIGHT.num_bins * n_frames * wave.channels * 16, EIGHT.num_bins * wave.channels**2 * 16
+    assert peak <= spectrogram + whiteners + 6 * BLOCK < 2 * spectrogram

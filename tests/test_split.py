@@ -81,12 +81,14 @@ def test_update_and_certificate_are_bit_identical_split(monkeypatch, data):
 
 
 def test_apply_demixing_is_bit_identical_split(monkeypatch, data):
-    # one _demix per share
+    # one _demix per block of 8 bins (512 KiB of data) inside each share: 257
+    # bins serially (the one-bin remainder joins the last block), and shares
+    # of 85, 86 and 86 split
     w = _cnormal(np.random.default_rng(72), (SHAPE[0], SHAPE[2]))
     product, calls = core._demix, []
     monkeypatch.setattr(core, "_demix", lambda *args: calls.append(len(args[0])) or product(*args))
     serial, split = _both(monkeypatch, lambda: core.apply_demixing(w, data))
-    assert sorted(calls) == [85, 86, 86, 257]
+    assert sorted(calls) == [5, 6, 6] + [8] * (31 + 30) + [9]
     assert np.array_equal(serial, split)
 
 
@@ -279,39 +281,77 @@ def test_degenerate_bin_is_named_by_its_global_index(monkeypatch, data):
                 five_iteration(broken, data, contrast)
 
 
-def test_no_output_depends_on_the_core_count(monkeypatch):
-    # 8 channels at frame 1024: 513 bins, and 260 frames put 4 shares over the
-    # gate. The blocks of V differ with the worker count (core._matrix_blocks,
+EIGHT = StftConfig(frame_size=1024)
+
+
+@pytest.fixture(scope="module")
+def eight_channel_samples():
+    # 8 channels at frame 1024: 513 bins, and 260 frames put 4 shares over the gate
+    rng = np.random.default_rng(72)
+    length = 259 * EIGHT.hop + EIGHT.frame_size
+    sources = rng.standard_normal((length, 8))
+    sources[:, 0] *= np.repeat(rng.laplace(size=length // EIGHT.hop + 1), EIGHT.hop)[:length] ** 2
+    return sources @ rng.standard_normal((8, 8))
+
+
+def test_no_output_depends_on_the_core_count(monkeypatch, eight_channel_samples):
+    # The blocks of V differ with the worker count (core._matrix_blocks,
     # 128 bins, or 129 with the last bin): 128 and 129 bins on 1, 2 and 4
     # workers, 128, 48 and 33 on 3, stacks numpy could lay out differently
     # if V's layout were not fixed. The same recording with channel 5 zeroed,
-    # at reference 3, drops channel 5: the set-up builds the covariance again
-    # and whitens its principal submatrix on the 7 kept channels
-    config = StftConfig(frame_size=1024)
-    rng = np.random.default_rng(72)
-    length = 259 * config.hop + config.frame_size
-    sources = rng.standard_normal((length, 8))
-    sources[:, 0] *= np.repeat(rng.laplace(size=length // config.hop + 1), config.hop)[:length] ** 2
-    samples = sources @ rng.standard_normal((8, 8))
+    # at reference 3, drops channel 5: the set-up's second whitening builds
+    # the covariance of the 7 kept channels, reference first, which every
+    # pass then reads through a view of the spectrogram (core._Kept)
+    samples = eight_channel_samples
     dead = samples.copy()
     dead[:, 5] = 0.0
     for wave, ref, width in ((MultichannelWave(16000, samples), 0, 8), (MultichannelWave(16000, dead), 3, 7)):
-        five_config = FiveConfig(ContrastModel("gauss", num_bins=config.num_bins), max_iterations=3, ref_channel=ref)
+        five_config = FiveConfig(ContrastModel("gauss", num_bins=EIGHT.num_bins), max_iterations=3, ref_channel=ref)
         widths = []
-        extract_spectral(analyze(wave, config), five_config, callback=lambda it, state: widths.append(state.w.shape[1]))
+        extract_spectral(analyze(wave, EIGHT), five_config, callback=lambda it, state: widths.append(state.w.shape[1]))
         assert set(widths) == {width}
         runs = []
         for workers in (1, 2, 3, 4):
             monkeypatch.setattr(stft, "_WORKERS", workers)
-            runs.append(five.extract(wave, config, five_config))
+            runs.append(five.extract(wave, EIGHT, five_config))
         (want, want_report), rest = runs[0], runs[1:]
-        assert analyze(wave, config).data.nbytes // stft._SHARE_BYTES >= 4
+        assert analyze(wave, EIGHT).data.nbytes // stft._SHARE_BYTES >= 4
         assert all(r.head_residual is not None and r.nll is not None for r in want_report.records)
         for got, report in rest:
             assert np.array_equal(got.samples, want.samples)
             assert [(r.nll, r.head_residual) for r in report.records] == [
                 (r.nll, r.head_residual) for r in want_report.records
             ]
+
+
+def test_reference_k_and_dropped_channels_run_the_ref_0_path_to_the_bit(eight_channel_samples):
+    # A reference k runs, to the bit, as reference 0 of the recording with
+    # channel k moved first, and a run that drops channel k as the run of
+    # the recording without it: estimate, NLL and certificate records. The
+    # kept channels are a view of the spectrogram, gathered a block at a
+    # time in the passes' own copies, in the layout of the whole copy
+    data = analyze(MultichannelWave(16000, eight_channel_samples), EIGHT).data
+    dead, copied = data.copy(), data.copy()
+    dead[:, :, 5] = 0.0
+    copied[:, :, 5] = copied[:, :, 1]
+
+    def run(data, ref_channel=0):
+        config = FiveConfig(ContrastModel("gauss", num_bins=len(data)), max_iterations=3, ref_channel=ref_channel)
+        estimate, report = extract_spectral(data, config)
+        return estimate, [(r.nll, r.head_residual) for r in report.records]
+
+    def moved_first(data, k):
+        return np.ascontiguousarray(data[:, :, [k] + [c for c in range(data.shape[2]) if c != k]])
+
+    for got, want in [
+        (run(data, 3), run(moved_first(data, 3))),
+        (run(data, 7), run(moved_first(data, 7))),
+        (run(dead), run(np.delete(data, 5, axis=2))),
+        (run(copied), run(np.delete(copied, 5, axis=2))),
+        (run(dead, 3), run(moved_first(np.delete(data, 5, axis=2), 3))),
+    ]:
+        assert np.array_equal(got[0], want[0])
+        assert got[1] == want[1]
 
 
 def test_worker_exception_propagates_and_the_pool_still_works(monkeypatch, data):
